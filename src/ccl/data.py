@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,8 +117,60 @@ class TrackFeatureSet:
 
 
 @dataclass(frozen=True)
+class _CooccurrenceIndex:
+    """Array form of a co-occurrence set over rows 0..n-1.
+
+    ``codes`` holds ``i * n + j`` for every stored pair (i, j), ascending, so
+    it sorts in lexicographic pair order. ``indptr``/``partners`` is the CSR
+    adjacency: row r's partners are ``partners[indptr[r]:indptr[r + 1]]``.
+    """
+
+    n: int
+    codes: np.ndarray
+    indptr: np.ndarray
+    partners: np.ndarray
+
+    @classmethod
+    def build(cls, pairs: frozenset) -> "_CooccurrenceIndex":
+        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        lo, hi = arr[:, 0], arr[:, 1]
+        if np.any(lo < 0) or np.any(lo > hi):
+            raise ValueError("co-occurrence pairs must be stored as (i, j) with 0 <= i <= j")
+        n = int(hi.max()) + 1 if hi.size else 0
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        order = np.lexsort((dst, src))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(n, np.sort(lo * n + hi), indptr, dst[order])
+
+    def pair_codes(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of the unordered pairs (a[k], b[k]) and whether each is in range."""
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return lo * self.n + hi, (lo >= 0) & (hi < self.n)
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, partner) for every adjacency entry of the in-range ``rows``."""
+        rows = rows[(rows >= 0) & (rows < self.n)]
+        start = self.indptr[rows]
+        count = self.indptr[rows + 1] - start
+        offsets = np.repeat(start - (np.cumsum(count) - count), count)
+        return np.repeat(rows, count), self.partners[offsets + np.arange(offsets.size)]
+
+
+def _as_rows(rows) -> np.ndarray:
+    if not isinstance(rows, np.ndarray):
+        rows = list(rows)
+    return np.asarray(rows, dtype=np.int64).reshape(-1)
+
+
+@dataclass(frozen=True)
 class CooccurrenceSet:
-    """Unordered pairs of row indices whose faces appear in the same frame."""
+    """Unordered pairs of row indices whose faces appear in the same frame.
+
+    Each pair is stored as (i, j) with i <= j. Lookups go through an array
+    index built on first use and cached on the instance.
+    """
 
     pairs: frozenset = field(default_factory=frozenset)
 
@@ -128,10 +181,30 @@ class CooccurrenceSet:
         i, j = pair
         return (min(i, j), max(i, j)) in self.pairs
 
+    @cached_property
+    def _index(self) -> _CooccurrenceIndex:
+        return _CooccurrenceIndex.build(self.pairs)
+
+    def contains_pairs(self, a, b) -> np.ndarray:
+        """Elementwise ``(a[k], b[k]) in self`` as a bool array."""
+        index = self._index
+        codes, valid = index.pair_codes(_as_rows(a), _as_rows(b))
+        pos = np.searchsorted(index.codes, codes)
+        found = valid & (pos < index.codes.size)
+        found[found] = index.codes[pos[found]] == codes[found]
+        return found
+
+    def touching_arrays(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """``touching(rows)`` as arrays of first and second pair endpoints."""
+        index = self._index
+        row, partner = index.gather(_as_rows(rows))
+        codes = np.unique(index.pair_codes(row, partner)[0])
+        return np.divmod(codes, index.n)
+
     def touching(self, rows) -> list[tuple[int, int]]:
         """Pairs with at least one endpoint in ``rows``, ascending order."""
-        rows = set(int(r) for r in rows)
-        return sorted(p for p in self.pairs if p[0] in rows or p[1] in rows)
+        first, second = self.touching_arrays(rows)
+        return list(zip(first.tolist(), second.tolist()))
 
 
 def write_features(fs: FeatureSet, path) -> None:

@@ -7,6 +7,22 @@ with random samples from the farthest clusters (NegC) and add every
 co-occurrence pair touching the cluster (NVid). Each cluster contributes a
 fixed quota of positives and negatives; pair label y is 0 for positives and
 1 for negatives.
+
+Pair streams are a pure function of (partition, ranks, co-occurrence,
+config, epoch): one generator seeded with ``[seed, epoch]`` draws the
+cluster shuffle, then, for each cluster in batch order:
+
+1. PosC-near (when enabled for the cluster): the near cluster, then one
+   partner per member, in member order;
+2. NegC: per member, in member order, (far cluster, member of it) twice;
+3. the positive subsample over the candidate list;
+4. the negative subsample over the candidate list.
+
+Candidate lists are ordered PosC pairs (i, j) by row-major i < j over the
+ascending members, then PosC-near draws; NegC draws, then NVid pairs in
+ascending order. A subsample is one ``rng.choice(total, size=quota)``,
+without replacement unless the list is shorter than the quota. Changing
+this draw order or the candidate order changes every mined pair after it.
 """
 
 from __future__ import annotations
@@ -22,6 +38,10 @@ POS_CLUSTER = "PosC"
 POS_NEAR = "PosC-near"
 NEG_CLUSTER = "NegC"
 NEG_VIDEO = "NVid"
+
+_SOURCE_NAMES = np.array([POS_CLUSTER, POS_NEAR, NEG_CLUSTER, NEG_VIDEO], dtype="U9")
+_POS_CLUSTER, _POS_NEAR, _NEG_CLUSTER, _NEG_VIDEO = range(4)
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -115,86 +135,124 @@ def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
     points = np.asarray(points, dtype=np.float64)
     m = int(labels.max()) + 1
     next_label = m
-    for c in range(m):
-        while True:
-            member_set = set(np.flatnonzero(labels == c).tolist())
-            violating = sorted(
-                p for p in cooc.pairs if p[0] in member_set and p[1] in member_set)
-            if not violating:
-                break
-            i, j = violating[0]
-            mean = points[sorted(member_set)].mean(axis=0)
+    # an eviction only shrinks its cluster and starts a singleton above m, so
+    # a cluster's violating pairs are the ones found up front minus those
+    # touching a row evicted since: the lowest left is what a re-scan finds
+    first, second = cooc.touching_arrays(np.arange(labels.size))
+    inside = second < labels.size
+    first, second = first[inside], second[inside]
+    shared = labels[first] == labels[second]
+    first, second = first[shared], second[shared]
+    pair_cluster = labels[first]
+    for c in np.unique(pair_cluster).tolist():
+        in_c = pair_cluster == c
+        pending_i, pending_j = first[in_c], second[in_c]
+        member = np.flatnonzero(labels == c)
+        while pending_i.size:
+            i, j = int(pending_i[0]), int(pending_j[0])
+            mean = points[member].mean(axis=0)
             di = float(np.linalg.norm(points[i] - mean))
             dj = float(np.linalg.norm(points[j] - mean))
             loser = j if di <= dj else i
             labels[loser] = next_label
             next_label += 1
+            member = member[member != loser]
+            keep = (pending_i != loser) & (pending_j != loser)
+            pending_i, pending_j = pending_i[keep], pending_j[keep]
     return labels
 
 
-def _subsample(rng: np.random.Generator, candidates: list, quota: int) -> list:
-    if not candidates:
-        return []
-    if len(candidates) >= quota:
-        chosen = rng.choice(len(candidates), size=quota, replace=False)
-    else:
-        chosen = rng.choice(len(candidates), size=quota, replace=True)
-    return [candidates[int(i)] for i in chosen]
+def _subsample(rng: np.random.Generator, total: int, quota: int) -> np.ndarray:
+    """Indices of ``quota`` picks out of ``total`` candidates; with
+    replacement only when there are fewer candidates than the quota."""
+    if total == 0:
+        return _NO_ROWS
+    return rng.choice(total, size=quota, replace=total < quota)
+
+
+def _triangle_pairs(mem: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode indices into the row-major list of pairs (mem[i], mem[j]), i < j."""
+    n = mem.size
+    i = np.arange(n, dtype=np.int64)
+    row_start = i * n - i * (i + 1) // 2
+    row = np.searchsorted(row_start, k, side="right") - 1
+    col = k - row_start[row] + row + 1
+    return mem[row], mem[col]
 
 
 def _near_positive_draws(rng, mem, members, near, cooc):
     if near.size == 0:
-        return []
-    g = int(rng.choice(near))
-    partner_pool = members[g]
-    draws = []
-    for a in mem.tolist():
-        b = int(rng.choice(partner_pool))
-        if (a, b) not in cooc:
-            draws.append((a, b, POS_NEAR))
-    if draws:
-        return draws
+        return _NO_ROWS, _NO_ROWS
+    pool = members[int(near[rng.integers(0, near.size)])]
+    partners = pool[rng.integers(0, pool.size, size=mem.size)]
+    keep = ~cooc.contains_pairs(mem, partners)
+    if keep.any():
+        return mem[keep], partners[keep]
     # every draw hit a co-occurrence: fall back to enumerating allowed pairs
+    a_parts, b_parts = [], []
     for g in near.tolist():
-        for a in mem.tolist():
-            for b in members[g].tolist():
-                if (a, b) not in cooc:
-                    draws.append((a, b, POS_NEAR))
-    return draws
+        pool = members[g]
+        a = np.repeat(mem, pool.size)
+        b = np.tile(pool, mem.size)
+        keep = ~cooc.contains_pairs(a, b)
+        a_parts.append(a[keep])
+        b_parts.append(b[keep])
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
+def _far_negative_draws(rng, mem, members, far):
+    """Two (far cluster, member) draws per member, each bound set by the
+    cluster just drawn, so the draws stay scalar."""
+    integers = rng.integers
+    far_list = far.tolist()
+    partners = np.empty(2 * mem.size, dtype=np.int64)
+    for t in range(partners.size):
+        pool = members[far_list[integers(0, len(far_list))]]
+        partners[t] = pool[integers(0, pool.size)]
+    return np.repeat(mem, 2), partners
 
 
 def _mine_cluster(rng, c, members, ranks, cooc, cfg):
+    """Chosen (a, b, source code) arrays for one cluster's positives and negatives."""
     mem = members[c]
-    positives: list[tuple[int, int, str]] = []
+    n = mem.size
+    num_in_cluster = 0
+    near_a = near_b = _NO_ROWS
     if cfg.use_pos_cluster:
-        n = mem.size
-        for i in range(n):
-            for j in range(i + 1, n):
-                positives.append((int(mem[i]), int(mem[j]), POS_CLUSTER))
+        num_in_cluster = n * (n - 1) // 2
         if n < cfg.small_cluster_threshold or cfg.near_positives_for_all:
-            positives.extend(_near_positive_draws(rng, mem, members, ranks.nearest[c], cooc))
+            near_a, near_b = _near_positive_draws(rng, mem, members, ranks.nearest[c], cooc)
 
-    negatives: list[tuple[int, int, str]] = []
-    if cfg.use_neg_cluster:
-        far = ranks.farthest[c]
-        if far.size:
-            for a in mem.tolist():
-                for _ in range(2):
-                    g = int(rng.choice(far))
-                    negatives.append((a, int(rng.choice(members[g])), NEG_CLUSTER))
+    far_a = far_b = video_a = video_b = _NO_ROWS
+    if cfg.use_neg_cluster and ranks.farthest[c].size:
+        far_a, far_b = _far_negative_draws(rng, mem, members, ranks.farthest[c])
     if cfg.use_neg_video:
-        negatives.extend((i, j, NEG_VIDEO) for i, j in cooc.touching(mem))
+        video_a, video_b = cooc.touching_arrays(mem)
 
-    return (_subsample(rng, positives, cfg.pos_per_cluster),
-            _subsample(rng, negatives, cfg.neg_per_cluster))
+    pick = _subsample(rng, num_in_cluster + near_a.size, cfg.pos_per_cluster)
+    in_cluster = pick < num_in_cluster
+    pos_a = np.empty(pick.size, dtype=np.int64)
+    pos_b = np.empty(pick.size, dtype=np.int64)
+    pos_a[in_cluster], pos_b[in_cluster] = _triangle_pairs(mem, pick[in_cluster])
+    near_pick = pick[~in_cluster] - num_in_cluster
+    pos_a[~in_cluster], pos_b[~in_cluster] = near_a[near_pick], near_b[near_pick]
+    pos_src = np.where(in_cluster, _POS_CLUSTER, _POS_NEAR)
+
+    pick = _subsample(rng, far_a.size + video_a.size, cfg.neg_per_cluster)
+    neg_a = np.concatenate([far_a, video_a])[pick]
+    neg_b = np.concatenate([far_b, video_b])[pick]
+    neg_src = np.where(pick < far_a.size, _NEG_CLUSTER, _NEG_VIDEO)
+    return (pos_a, pos_b, pos_src), (neg_a, neg_b, neg_src)
 
 
-def _batch_from(pos, neg) -> PairBatch:
+def _batch_from(pos: list, neg: list) -> PairBatch:
     rows = pos + neg
-    a = np.array([r[0] for r in rows], dtype=np.int64)
-    b = np.array([r[1] for r in rows], dtype=np.int64)
-    y = np.array([0] * len(pos) + [1] * len(neg), dtype=np.int64)
-    source = np.array([r[2] for r in rows], dtype="U9")
+    a = np.concatenate([r[0] for r in rows])
+    b = np.concatenate([r[1] for r in rows])
+    num_pos = sum(r[0].size for r in pos)
+    y = np.zeros(a.size, dtype=np.int64)
+    y[num_pos:] = 1
+    source = _SOURCE_NAMES[np.concatenate([r[2] for r in rows])]
     return PairBatch(a, b, y, source)
 
 
@@ -222,8 +280,8 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
         neg_rows: list = []
         for c in extended[start:start + per_batch].tolist():
             pos, neg = _mine_cluster(rng, c, members, ranks, cooc, cfg)
-            pos_rows.extend(pos)
-            neg_rows.extend(neg)
+            pos_rows.append(pos)
+            neg_rows.append(neg)
         batches.append(_batch_from(pos_rows, neg_rows))
     return batches
 

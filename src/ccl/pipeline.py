@@ -304,7 +304,13 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     mining_cfg = cfg.resolved_mining()
     ranks = timer.run("rank_clusters", lambda: rank_clusters(
         cluster_means(normalized.features, partition), mining_cfg.z_near, mining_cfg.z_far))
-    factory = lambda epoch: mine_epoch(partition, ranks, cooc, mining_cfg, epoch)
+    epoch0: list = []  # training's epoch-0 batches, written as the pair audit
+
+    def factory(epoch):
+        batches = mine_epoch(partition, ranks, cooc, mining_cfg, epoch)
+        if epoch == 0 and out_dir is not None:
+            epoch0[:] = batches
+        return batches
 
     train_cfg = cfg.resolved_training()
     epoch_losses: list[float] = []
@@ -335,7 +341,7 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
 
     if out_dir is not None:
         write_partition_csv(hierarchy, out_dir / "partitions.csv")
-        write_pairs_csv(factory(0), out_dir / "pairs_epoch0.csv")
+        write_pairs_csv(epoch0 or factory(0), out_dir / "pairs_epoch0.csv")
         save_model(model, out_dir / "model.ccl")
         write_labels_csv(unit_ids, hac_result.labels, out_dir / "labels.csv", id_column)
         (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ccl.mining import NEG_CLUSTER, NEG_VIDEO, POS_CLUSTER, POS_NEAR, PairBatch
+
 
 def unit_rows(points):
     points = np.asarray(points, dtype=np.float64)
@@ -85,15 +87,15 @@ def scatter(points) -> float:
 
 
 def naive_ward(points, c) -> np.ndarray:
-    """Greedy Ward merging, recomputing every pair cost from scratch."""
+    """Greedy Ward merging, recomputing every cost from scratch at each step."""
     points = np.asarray(points, dtype=np.float64)
     clusters = [[i] for i in range(points.shape[0])]
     while len(clusters) > c:
         best = None
+        own = [scatter(points[members]) for members in clusters]
         for p in range(len(clusters)):
             for q in range(p + 1, len(clusters)):
-                cost = (scatter(points[clusters[p] + clusters[q]])
-                        - scatter(points[clusters[p]]) - scatter(points[clusters[q]]))
+                cost = scatter(points[clusters[p] + clusters[q]]) - own[p] - own[q]
                 if best is None or cost < best[0]:
                     best = (cost, p, q)
         _, p, q = best
@@ -143,3 +145,132 @@ def brute_wcp(pred, gt) -> float:
         member_gt = [gt[i] for i in range(len(pred)) if pred[i] == c]
         total += max(member_gt.count(v) for v in set(member_gt))
     return total / len(pred)
+
+
+def naive_video_correction(partition, cooc, points) -> np.ndarray:
+    """Video correction re-scanning every co-occurrence pair after each move."""
+    labels = np.asarray(partition, dtype=np.int64).copy()
+    points = np.asarray(points, dtype=np.float64)
+    m = int(labels.max()) + 1
+    next_label = m
+    for c in range(m):
+        while True:
+            member_set = set(np.flatnonzero(labels == c).tolist())
+            violating = sorted(
+                p for p in cooc.pairs if p[0] in member_set and p[1] in member_set)
+            if not violating:
+                break
+            i, j = violating[0]
+            mean = points[sorted(member_set)].mean(axis=0)
+            di = float(np.linalg.norm(points[i] - mean))
+            dj = float(np.linalg.norm(points[j] - mean))
+            loser = j if di <= dj else i
+            labels[loser] = next_label
+            next_label += 1
+    return labels
+
+
+def naive_touching(cooc, rows) -> list[tuple[int, int]]:
+    """Co-occurrence pairs with an endpoint in ``rows``, by a linear scan."""
+    rows = set(int(r) for r in rows)
+    return sorted(p for p in cooc.pairs if p[0] in rows or p[1] in rows)
+
+
+def _naive_contains(cooc, a, b) -> bool:
+    return (min(a, b), max(a, b)) in cooc.pairs
+
+
+def _naive_subsample(rng, candidates: list, quota: int) -> list:
+    if not candidates:
+        return []
+    if len(candidates) >= quota:
+        chosen = rng.choice(len(candidates), size=quota, replace=False)
+    else:
+        chosen = rng.choice(len(candidates), size=quota, replace=True)
+    return [candidates[int(i)] for i in chosen]
+
+
+def _naive_near_positive_draws(rng, mem, members, near, cooc):
+    if near.size == 0:
+        return []
+    g = int(rng.choice(near))
+    partner_pool = members[g]
+    draws = []
+    for a in mem.tolist():
+        b = int(rng.choice(partner_pool))
+        if not _naive_contains(cooc, a, b):
+            draws.append((a, b, POS_NEAR))
+    if draws:
+        return draws
+    # every draw hit a co-occurrence: fall back to enumerating allowed pairs
+    for g in near.tolist():
+        for a in mem.tolist():
+            for b in members[g].tolist():
+                if not _naive_contains(cooc, a, b):
+                    draws.append((a, b, POS_NEAR))
+    return draws
+
+
+def _naive_mine_cluster(rng, c, members, ranks, cooc, cfg):
+    mem = members[c]
+    positives: list[tuple[int, int, str]] = []
+    if cfg.use_pos_cluster:
+        n = mem.size
+        for i in range(n):
+            for j in range(i + 1, n):
+                positives.append((int(mem[i]), int(mem[j]), POS_CLUSTER))
+        if n < cfg.small_cluster_threshold or cfg.near_positives_for_all:
+            positives.extend(
+                _naive_near_positive_draws(rng, mem, members, ranks.nearest[c], cooc))
+
+    negatives: list[tuple[int, int, str]] = []
+    if cfg.use_neg_cluster:
+        far = ranks.farthest[c]
+        if far.size:
+            for a in mem.tolist():
+                for _ in range(2):
+                    g = int(rng.choice(far))
+                    negatives.append((a, int(rng.choice(members[g])), NEG_CLUSTER))
+    if cfg.use_neg_video:
+        negatives.extend((i, j, NEG_VIDEO) for i, j in naive_touching(cooc, mem))
+
+    return (_naive_subsample(rng, positives, cfg.pos_per_cluster),
+            _naive_subsample(rng, negatives, cfg.neg_per_cluster))
+
+
+def _naive_batch(pos, neg) -> PairBatch:
+    rows = pos + neg
+    a = np.array([r[0] for r in rows], dtype=np.int64)
+    b = np.array([r[1] for r in rows], dtype=np.int64)
+    y = np.array([0] * len(pos) + [1] * len(neg), dtype=np.int64)
+    source = np.array([r[2] for r in rows], dtype="U9")
+    return PairBatch(a, b, y, source)
+
+
+def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBatch]:
+    """Pair mining by per-pair Python loops: every in-cluster pair is listed
+    as a tuple, every draw is a scalar ``rng.choice``, co-occurrence lookups
+    scan the pair set."""
+    cfg.validate()
+    labels = np.asarray(partition, dtype=np.int64)
+    m = int(labels.max()) + 1
+    if m < 2:
+        raise ValueError("mining needs a partition with at least 2 clusters")
+    members = [np.flatnonzero(labels == c) for c in range(m)]
+    rng = np.random.default_rng([cfg.seed, epoch])
+    order = rng.permutation(m)
+    per_batch = cfg.clusters_per_batch
+    num_batches = -(-m // per_batch)
+    reps = -(-num_batches * per_batch // m)
+    extended = np.tile(order, reps)[: num_batches * per_batch]
+
+    batches = []
+    for start in range(0, extended.size, per_batch):
+        pos_rows: list = []
+        neg_rows: list = []
+        for c in extended[start:start + per_batch].tolist():
+            pos, neg = _naive_mine_cluster(rng, c, members, ranks, cooc, cfg)
+            pos_rows.extend(pos)
+            neg_rows.extend(neg)
+        batches.append(_naive_batch(pos_rows, neg_rows))
+    return batches

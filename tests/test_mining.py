@@ -2,6 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import naive_mine_epoch, naive_touching, naive_video_correction
 
 from ccl.data import CooccurrenceSet
 from ccl.finch import cluster_means
@@ -169,3 +172,93 @@ def test_pairs_csv_round_trip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "a,b,y,source"
     assert len(lines) == 1 + sum(len(b) for b in batches)
+
+
+def random_instance(seed, kind, density):
+    """Points, a contiguous partition and a co-occurrence set.
+
+    kind: "random" partition, "singletons", "giant" (one cluster holds all
+    rows but one) or "two" clusters. Each pair of rows in different clusters
+    co-occurs with probability ``density``; in-cluster pairs with half of it.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "giant":
+        n = int(rng.integers(12, 60))
+        labels = np.zeros(n, dtype=np.int64)
+        labels[rng.integers(0, n)] = 1
+    else:
+        n = int(rng.integers(2, 30))
+        if kind == "singletons":
+            labels = rng.permutation(n)
+        else:
+            labels = rng.integers(0, 2 if kind == "two" else int(rng.integers(2, n + 1)), n)
+            labels[rng.choice(n, size=2, replace=False)] = [0, 1]
+        labels = np.unique(labels, return_inverse=True)[1].astype(np.int64)
+    points = rng.normal(size=(n, 4))
+    i, j = np.triu_indices(n, k=1)
+    rate = np.where(labels[i] == labels[j], density / 2, density)
+    keep = rng.random(i.size) < rate
+    cooc = CooccurrenceSet(frozenset(zip(i[keep].tolist(), j[keep].tolist())))
+    return points, labels, cooc
+
+
+SOURCE_TOGGLES = [(p, c, v) for p in (True, False) for c in (True, False) for v in (True, False)
+                  if p or c or v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "singletons", "giant", "two"]),
+       density=st.sampled_from([0.0, 0.1, 0.4, 0.9, 1.0]),
+       toggles=st.sampled_from(SOURCE_TOGGLES),
+       near_for_all=st.booleans(),
+       epoch=st.integers(0, 3))
+def test_mine_epoch_matches_naive_oracle(seed, kind, density, toggles, near_for_all, epoch):
+    points, labels, cooc = random_instance(seed, kind, density)
+    rng = np.random.default_rng(seed + 1)
+    quota = int(rng.integers(1, 40))
+    cfg = MiningConfig(
+        z_near=int(rng.integers(1, 5)), z_far=int(rng.integers(1, 5)),
+        small_cluster_threshold=int(rng.integers(1, 12)),
+        clusters_per_batch=int(rng.integers(1, 5)),
+        pos_per_cluster=quota, neg_per_cluster=quota, seed=int(rng.integers(0, 100)),
+        use_pos_cluster=toggles[0], use_neg_cluster=toggles[1], use_neg_video=toggles[2],
+        near_positives_for_all=near_for_all)
+    ranks = rank_clusters(cluster_means(points, labels), cfg.z_near, cfg.z_far)
+    ours = mine_epoch(labels, ranks, cooc, cfg, epoch)
+    expected = naive_mine_epoch(labels, ranks, cooc, cfg, epoch)
+    assert len(ours) == len(expected)
+    for got, want in zip(ours, expected):
+        for name in ("a", "b", "y", "source"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_cooccurrence_lookups_match_linear_scan(seed, density):
+    _, labels, cooc = random_instance(seed, "random", density)
+    rng = np.random.default_rng(seed)
+    n = labels.size
+    rows = rng.choice(n + 3, size=int(rng.integers(0, n + 3)), replace=False)
+    assert cooc.touching(rows) == naive_touching(cooc, rows)
+    assert cooc.touching(set(rows.tolist())) == naive_touching(cooc, rows)
+    a = rng.integers(0, n + 3, 50)
+    b = rng.integers(0, n + 3, 50)
+    expected = [(min(i, j), max(i, j)) in cooc.pairs for i, j in zip(a.tolist(), b.tolist())]
+    assert cooc.contains_pairs(a, b).tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "giant", "two"]),
+       density=st.sampled_from([0.1, 0.4, 1.0]))
+def test_correction_matches_naive_oracle(seed, kind, density):
+    points, labels, cooc = random_instance(seed, kind, density)
+    np.testing.assert_array_equal(apply_video_correction(labels, cooc, points),
+                                  naive_video_correction(labels, cooc, points))
+
+
+def test_cooccurrence_rejects_unordered_pairs():
+    with pytest.raises(ValueError, match="i <= j"):
+        CooccurrenceSet(frozenset({(3, 1)})).touching([1])

@@ -48,6 +48,17 @@ def test_run_pipeline_report_and_artifacts(tmp_path, small_dataset):
     assert {"normalize", "finch", "train", "embed", "hac"} <= report["timings"].keys()
 
 
+def test_pair_audit_is_epoch_zero_with_and_without_training(tmp_path, small_dataset):
+    audits = []
+    for epochs in (2, 0):
+        out = tmp_path / f"e{epochs}"
+        training = TrainConfig(epochs=epochs, lr=1e-3, hidden_dim=16)
+        run_pipeline(quick_config(out_dir=str(out), training=training), small_dataset)
+        audits.append((out / "pairs_epoch0.csv").read_bytes())
+    assert audits[0] == audits[1]
+    assert audits[0].count(b"\n") > 1
+
+
 def test_partition_stats_fields(small_dataset):
     report = run_pipeline(quick_config(), small_dataset)
     stats = report["partition_stats"]
