@@ -153,7 +153,7 @@ def _mining_inputs(args):
         partition = finch_hierarchy(fs).partition(args.partition_index)
     cooc_path = getattr(args, "cooc", None)
     if cooc_path:
-        cooc = read_cooc_csv(cooc_path)
+        cooc = read_cooc_csv(cooc_path, fs.num_samples)
     elif fs.frame_id is not None:
         cooc = build_cooccurrence(fs)
     else:

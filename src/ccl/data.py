@@ -17,6 +17,7 @@ with -1 marking unknown track/label entries.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -238,6 +239,12 @@ def load_features(path) -> FeatureSet:
             raise FeatureFileError(f"unsupported format version {version}")
         if n < 1 or d < 1:
             raise FeatureFileError(f"malformed header: N={n}, D={d}")
+        declared = _HEADER.size + n * d * 4 + (has_frame + has_track + has_label) * n * 8
+        available = os.fstat(fh.fileno()).st_size
+        if declared > available:
+            raise FeatureFileError(
+                f"truncated payload: header declares N={n}, D={d} ({declared} bytes), "
+                f"file has {available}")
 
         payload = fh.read(n * d * 4)
         if len(payload) != n * d * 4:

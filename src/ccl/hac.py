@@ -7,6 +7,11 @@ Lance-Williams updates of the variance-increase dissimilarity
 
 then sorted by cost; reducibility of Ward linkage makes the sorted sequence
 identical to greedy minimum-cost merging.
+
+Memory: one N x N float64 buffer, ~8*N^2 bytes. The distances are built in
+the output of the single Gram-matrix product, a block of rows at a time, and
+once half of the live clusters have merged away the survivors are compacted
+in place into the front of the same buffer.
 """
 
 from __future__ import annotations
@@ -35,52 +40,95 @@ class HacResult:
         return int(self.labels.max()) + 1
 
 
-def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float]]:
-    """All N-1 Ward merges as (slot_i, slot_j, cost) in chain discovery order."""
+# Rows of the distance matrix built per step; bounds the scratch array.
+_BLOCK_ROWS = 512
+
+
+def _half_sq_distances(points: np.ndarray) -> np.ndarray:
+    """max(||x_i - x_j||^2, 0) / 2 for all pairs, built in the GEMM's own output.
+
+    Rounds exactly like (sq_i + sq_j - 2 x_i.x_j) clamped and halved; only a
+    block of rows of sq_i + sq_j is held besides the N x N result.
+    """
     n = points.shape[0]
-    d2 = _sq_dist_to_all(points) / 2.0
+    sq = np.einsum("ij,ij->i", points, points)
+    # Doubling the left factor, not the product, keeps this a general GEMM:
+    # NumPy sends points @ points.T to a symmetric kernel that rounds differently.
+    d2 = (2.0 * points) @ points.T
+    scratch = np.empty((min(n, _BLOCK_ROWS), n))
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = d2[start:start + _BLOCK_ROWS]
+        sums = scratch[: rows.shape[0]]
+        np.add(sq[start:start + rows.shape[0], None], sq[None, :], out=sums)
+        np.subtract(sums, rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        rows /= 2.0
+    return d2
+
+
+def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float]]:
+    """All N-1 Ward merges as (point_i, point_j, cost) in chain discovery order.
+
+    Slot s of the w x w matrix holds the cluster of point ids[s]. A merged-away
+    slot keeps stale distances and is hidden by pen[s] = +inf when a row is
+    read. Once half the slots are dead, the live ones are packed, in order,
+    into the front of the same buffer, so ties resolve as they would on the
+    uncompacted matrix.
+    """
+    n = width = points.shape[0]
+    d2 = _half_sq_distances(points)
+    buf = d2.reshape(-1)
     np.fill_diagonal(d2, np.inf)
-    size = np.ones(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
+    size = np.ones(n)
+    pen = np.zeros(n)
+    ids = np.arange(n)
+    row = np.empty(n)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []
 
     while len(merges) < n - 1:
         if not chain:
-            chain.append(int(np.flatnonzero(active)[0]))
+            chain.append(int(np.argmin(pen[:width])))
         top = chain[-1]
-        row = np.where(active, d2[top], np.inf)
-        row[top] = np.inf
-        nn = int(np.argmin(row))
+        np.add(d2[top], pen[:width], out=row[:width])
+        nn = int(np.argmin(row[:width]))
         dist = row[nn]
         if len(chain) >= 2 and d2[top, chain[-2]] <= dist:
             prev = chain.pop(-2)
             chain.pop()
-            merges.append((min(prev, top), max(prev, top), float(d2[top, prev])))
-            _lw_update(d2, size, active, min(prev, top), max(prev, top))
+            keep, drop = min(prev, top), max(prev, top)
+            merges.append((int(ids[keep]), int(ids[drop]), float(d2[top, prev])))
+            _lance_williams(d2, size[:width], keep, drop)
+            pen[drop] = np.inf
+            live = n - len(merges)
+            if 2 * live <= width:
+                slots = np.flatnonzero(pen[:width] == 0.0)
+                # Row r lands at offset r*live, never past its source row
+                # slots[r] >= r, so no row is overwritten before it is read.
+                for r, s in enumerate(slots):
+                    buf[r * live:(r + 1) * live] = d2[s, slots]
+                d2 = buf[: live * live].reshape(live, live)
+                size[:live] = size[slots]
+                ids[:live] = ids[slots]
+                pen[:live] = 0.0
+                chain = np.searchsorted(slots, chain).tolist()
+                width = live
         else:
             chain.append(nn)
     return merges
 
 
-def _sq_dist_to_all(points: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", points, points)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
-    return np.maximum(d2, 0.0)
+def _lance_williams(d2: np.ndarray, size: np.ndarray, keep: int, drop: int) -> None:
+    """Merge cluster slots keep+drop into keep with the Ward recurrence.
 
-
-def _lw_update(d2: np.ndarray, size: np.ndarray, active: np.ndarray, keep: int, drop: int) -> None:
-    """Merge cluster slots keep+drop into keep with the Ward recurrence."""
+    Dead slots are updated too; their values are never read unpenalized.
+    """
     na, nb = size[keep], size[drop]
     dab = d2[keep, drop]
-    others = np.flatnonzero(active)
-    others = others[(others != keep) & (others != drop)]
-    ne = size[others]
-    merged = ((na + ne) * d2[keep, others] + (nb + ne) * d2[drop, others] - ne * dab) / (na + nb + ne)
-    d2[keep, others] = merged
-    d2[others, keep] = merged
+    merged = ((na + size) * d2[keep] + (nb + size) * d2[drop] - size * dab) / (na + nb + size)
+    d2[keep] = merged
+    d2[:, keep] = merged
     d2[keep, keep] = np.inf
-    active[drop] = False
     size[keep] = na + nb
 
 

@@ -199,13 +199,17 @@ def read_labels_csv(path) -> np.ndarray:
         return np.asarray([int(row[1]) for row in reader], dtype=np.int64)
 
 
-def read_cooc_csv(path) -> CooccurrenceSet:
+def read_cooc_csv(path, num_rows: int) -> CooccurrenceSet:
+    """Load co-occurring row pairs; every index must lie in [0, num_rows)."""
     pairs = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
             i, j = int(row[0]), int(row[1])
+            if not (0 <= i < num_rows and 0 <= j < num_rows):
+                raise ValueError(f"{path} line {reader.line_num}: pair ({i}, {j}) "
+                                 f"indexes outside the {num_rows} feature rows")
             pairs.add((min(i, j), max(i, j)))
     return CooccurrenceSet(frozenset(pairs))
 

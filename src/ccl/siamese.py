@@ -17,6 +17,8 @@ mode, l2-normalized.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -326,9 +328,14 @@ def load_model(path) -> SiameseModel:
         shapes = {"enc_w": (d, hidden), "enc_b": (hidden,), "bn_gamma": (hidden,),
                   "bn_beta": (hidden,), "bn_mean": (hidden,), "bn_var": (hidden,),
                   "proj_w": (hidden, out), "proj_b": (out,)}
+        declared = header_fmt.size + 4 * sum(math.prod(shape) for shape in shapes.values())
+        available = os.fstat(fh.fileno()).st_size
+        if declared > available:
+            raise ValueError(f"truncated checkpoint: header declares D={d}, H={hidden}, "
+                             f"O={out} ({declared} bytes), file has {available}")
         arrays = {}
         for name, shape in shapes.items():
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             raw = fh.read(count * 4)
             if len(raw) != count * 4:
                 raise ValueError(f"truncated checkpoint tensor {name}")

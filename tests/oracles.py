@@ -107,6 +107,60 @@ def naive_ward(points, c) -> np.ndarray:
     return canonical(labels)
 
 
+def loop_nn_chain_merges(points) -> list[tuple[int, int, float]]:
+    """All N-1 Ward merges as (slot_i, slot_j, cost) in chain discovery order.
+
+    The nearest-neighbour chain over a full N x N matrix with an active mask,
+    updated by Lance-Williams over the active slots only.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    d2 = sq_dist_to_all(points) / 2.0
+    np.fill_diagonal(d2, np.inf)
+    size = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    merges: list[tuple[int, int, float]] = []
+    chain: list[int] = []
+
+    while len(merges) < n - 1:
+        if not chain:
+            chain.append(int(np.flatnonzero(active)[0]))
+        top = chain[-1]
+        row = np.where(active, d2[top], np.inf)
+        row[top] = np.inf
+        nn = int(np.argmin(row))
+        dist = row[nn]
+        if len(chain) >= 2 and d2[top, chain[-2]] <= dist:
+            prev = chain.pop(-2)
+            chain.pop()
+            merges.append((min(prev, top), max(prev, top), float(d2[top, prev])))
+            _lw_update(d2, size, active, min(prev, top), max(prev, top))
+        else:
+            chain.append(nn)
+    return merges
+
+
+def sq_dist_to_all(points: np.ndarray) -> np.ndarray:
+    sq = np.einsum("ij,ij->i", points, points)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    return np.maximum(d2, 0.0)
+
+
+def _lw_update(d2, size, active, keep: int, drop: int) -> None:
+    """Merge cluster slots keep+drop into keep with the Ward recurrence."""
+    na, nb = size[keep], size[drop]
+    dab = d2[keep, drop]
+    others = np.flatnonzero(active)
+    others = others[(others != keep) & (others != drop)]
+    ne = size[others]
+    merged = ((na + ne) * d2[keep, others] + (nb + ne) * d2[drop, others] - ne * dab) / (na + nb + ne)
+    d2[keep, others] = merged
+    d2[others, keep] = merged
+    d2[keep, keep] = np.inf
+    active[drop] = False
+    size[keep] = na + nb
+
+
 def canonical(labels) -> np.ndarray:
     """Relabel by first occurrence, independently of ccl.labeling."""
     labels = np.asarray(labels)

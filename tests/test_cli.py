@@ -109,3 +109,11 @@ def test_evaluate_rejects_mismatched_prediction(feature_file, tmp_path):
     bad.write_text("sample_index,label\n0,0\n1,1\n")
     with pytest.raises(SystemExit, match="matches neither"):
         main(["evaluate", "--pred", str(bad), "--gt", str(feature_file)])
+
+
+def test_train_rejects_cooc_pair_outside_feature_rows(feature_file, tmp_path):
+    cooc = tmp_path / "cooc.csv"
+    cooc.write_text("i,j\n0,1\n0,999999\n")
+    with pytest.raises(ValueError, match=r"cooc\.csv line 3: pair \(0, 999999\)"):
+        main(["train", "--features", str(feature_file), "--cooc", str(cooc),
+              "--seed", "0", "--out", str(tmp_path / "model.ccl")])

@@ -57,6 +57,19 @@ def test_truncated_payload(tmp_path):
         load_features(path)
 
 
+def test_header_larger_than_file_is_rejected_before_reading(tmp_path):
+    path = tmp_path / "huge.cclf"
+    header = struct.pack("<4sIQQ???", b"CCLF", 1, 2**40, 2**20, True, False, False)
+    path.write_bytes(header + b"\x00" * 64)
+    with pytest.raises(FeatureFileError, match="truncated payload: header declares"):
+        load_features(path)
+    # the payload fits, the declared frame_id array does not
+    path.write_bytes(struct.pack("<4sIQQ???", b"CCLF", 1, 2, 1, True, False, False)
+                     + np.ones(2, dtype="<f4").tobytes() + b"\x00" * 15)
+    with pytest.raises(FeatureFileError, match="truncated"):
+        load_features(path)
+
+
 def test_bad_magic_and_version(tmp_path):
     path = tmp_path / "bad.cclf"
     path.write_bytes(struct.pack("<4sIQQ???", b"NOPE", 1, 1, 1, False, False, False) + b"\x00" * 4)

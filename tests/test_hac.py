@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccl.hac import ward_hac
+from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac
 from ccl.labeling import relabel_contiguous
 
-from oracles import canonical, naive_ward
+from oracles import canonical, loop_nn_chain_merges, naive_ward, sq_dist_to_all
 
 
 def test_identity_at_c_equals_n():
@@ -70,3 +74,47 @@ def test_bounds_checked():
         ward_hac(points, 4)
     with pytest.raises(ValueError):
         ward_hac(points, 0)
+
+
+def ward_instance(seed, n, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(size=(n, d))
+    if kind == "lattice":  # small integer coordinates: many exactly tied costs
+        return rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    if kind == "line":  # shrinking gaps along one axis: long nearest-neighbour chains
+        points = np.zeros((n, d))
+        points[rng.permutation(n), 0] = np.cumsum(np.sort(rng.random(n))[::-1])
+        return points
+    distinct = rng.normal(size=(max(1, n // 4), d))
+    return distinct[rng.integers(0, distinct.shape[0], n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 16),
+       kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
+def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
+    points = ward_instance(seed, n, d, kind)
+    got = _nn_chain_merges(points)
+    want = loop_nn_chain_merges(points)
+    assert [m[:2] for m in got] == [m[:2] for m in want]
+    costs = np.array([m[2] for m in got], dtype=np.float64)
+    assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 511, 513, 1100])
+def test_blocked_distances_match_full_build_bitwise(n):
+    points = np.random.default_rng(n).normal(size=(n, 7))
+    assert _half_sq_distances(points).tobytes() == (sq_dist_to_all(points) / 2.0).tobytes()
+
+
+def test_peak_memory_is_one_distance_matrix():
+    n = 3000
+    points = np.random.default_rng(3).normal(size=(n, 32))
+    tracemalloc.start()
+    try:
+        ward_hac(points, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n

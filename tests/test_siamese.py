@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -257,3 +258,18 @@ def test_checkpoint_round_trip(tmp_path):
         bad = tmp_path / "bad.ccl"
         bad.write_bytes(b"garbage-not-a-checkpoint")
         load_model(bad)
+
+
+def test_checkpoint_header_larger_than_file_is_rejected(tmp_path):
+    model = init_model(9, 6, 2, seed=0, dtype=np.float32)
+    path = tmp_path / "model.ccl"
+    save_model(model, path)
+    raw = path.read_bytes()
+    huge = tmp_path / "huge.ccl"
+    huge.write_bytes(raw[:8] + struct.pack("<QQQ", 2**31, 2**31, 2**31) + raw[32:])
+    with pytest.raises(ValueError, match="truncated checkpoint: header declares"):
+        load_model(huge)
+    short = tmp_path / "short.ccl"
+    short.write_bytes(raw[:-1])
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_model(short)
