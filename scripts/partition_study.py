@@ -15,11 +15,6 @@ from __future__ import annotations
 
 import argparse
 
-import numpy as np
-
-from ccl.data import l2_normalize
-from ccl.finch import finch_hierarchy, partition_purity
-from ccl.kmeans import KMeansConfig, minibatch_kmeans
 from ccl.mining import MiningConfig
 from ccl.pipeline import PipelineConfig, load_any_features, run_pipeline
 from ccl.siamese import TrainConfig
@@ -40,12 +35,12 @@ def parse_args():
     return parser.parse_args()
 
 
-def row(tag, labels, gt, refined_acc):
-    sizes = np.bincount(labels)
-    purity = partition_purity(labels, gt)
-    correct = int(round(purity * labels.size))
-    print(f"{tag:>10} {sizes.size:>6} {sizes.max():>6}/{sizes.min():<5} "
-          f"{purity:>7.4f} {correct:>8}/{labels.size - correct:<7} {refined_acc:>8}")
+def row(tag, stats, refined_acc):
+    """One table row from a report's partition_stats (the partition before video correction)."""
+    print(f"{tag:>10} {stats['selected_num_clusters']:>6} "
+          f"{stats['largest_cluster']:>6}/{stats['smallest_cluster']:<5} "
+          f"{stats['purity']:>7.4f} {stats['correct_samples']:>8}/{stats['incorrect_samples']:<7} "
+          f"{refined_acc:>8}")
 
 
 def main():
@@ -54,34 +49,32 @@ def main():
         fs = synth_generate(16, 200, 64, 0.25, 5, 0.5, args.seed)
     else:
         fs = load_any_features(args.features)
-    if fs.label is None:
-        raise SystemExit("the partition study needs ground-truth labels")
+    if fs.label is None or (fs.label < 0).any():
+        raise SystemExit("the partition study needs a ground-truth label on every row")
     num_clusters = args.num_clusters or fs.num_classes
-    normalized = l2_normalize(fs)
-    hierarchy = finch_hierarchy(normalized)
+
+    def run(index, backend):
+        cfg = PipelineConfig(
+            num_clusters=num_clusters, eval_level=args.level, seed=args.seed,
+            partition_index=index, backend=backend,
+            mining=MiningConfig(z_near=args.z, z_far=args.z),
+            training=TrainConfig(epochs=20, lr=args.lr, hidden_dim=256, out_dim=args.out_dim),
+        )
+        return run_pipeline(cfg, fs)
+
+    report = run(1, "finch")
+    counts = report["partition_stats"]["cluster_counts"]
     print(f"dataset: N={fs.num_samples} D={fs.dim} C={num_clusters}; "
-          f"partition counts {hierarchy.cluster_counts}")
+          f"partition counts {counts}")
     print(f"{'labels':>10} {'#C':>6} {'LC/SC':>12} {'ACC':>7} {'L+/L-':>16} {'CCL-ACC':>8}")
 
-    for index in range(1, hierarchy.num_partitions + 1):
-        if hierarchy.cluster_counts[index - 1] < num_clusters:
+    for index in range(1, len(counts) + 1):
+        if counts[index - 1] < num_clusters:
             break
         for backend in ("finch", "kmeans"):
-            cfg = PipelineConfig(
-                num_clusters=num_clusters, eval_level=args.level, seed=args.seed,
-                partition_index=index, backend=backend,
-                mining=MiningConfig(z_near=args.z, z_far=args.z),
-                training=TrainConfig(epochs=20, lr=args.lr, hidden_dim=256,
-                                     out_dim=args.out_dim),
-            )
-            report = run_pipeline(cfg, fs)
-            if backend == "finch":
-                labels = hierarchy.partition(index)
-            else:
-                k = hierarchy.cluster_counts[index - 1]
-                labels = minibatch_kmeans(normalized.features,
-                                          KMeansConfig(k=k, seed=args.seed))
-            row(f"p{index}-{backend}", labels, fs.label, f"{report['ccl']['acc']:.4f}")
+            if (index, backend) != (1, "finch"):
+                report = run(index, backend)
+            row(f"p{index}-{backend}", report["partition_stats"], f"{report['ccl']['acc']:.4f}")
     print(f"(baseline accuracy without refinement: {report['baseline']['acc']:.4f})")
 
 

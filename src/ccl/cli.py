@@ -10,32 +10,33 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    CooccurrenceSet,
-    aggregate_tracks,
-    build_cooccurrence,
-    l2_normalize,
-    write_features,
-)
-from .finch import cluster_means, finch_hierarchy
-from .hac import ward_hac
+from .data import FeatureFileError, aggregate_tracks, l2_normalize, write_features
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import bcubed, wcp
-from .mining import apply_video_correction, mine_epoch, rank_clusters, write_pairs_csv
+from .mining import write_pairs_csv
 from .pipeline import (
     PipelineConfig,
+    PipelineError,
+    StageTimer,
+    cluster_level,
     config_from_values,
+    correct_partition,
     load_any_features,
+    pair_miner,
     parse_config_file,
+    partition_hierarchy,
+    prepare_features,
     read_cooc_csv,
     read_labels_csv,
     read_partition_csv,
     run_ablation,
     run_pipeline,
+    select_partition,
+    train_model,
     write_labels_csv,
     write_partition_csv,
 )
-from .siamese import embed, load_model, save_model, train
+from .siamese import embed, load_model, save_model
 from .synth import synth_generate
 
 
@@ -65,12 +66,17 @@ def _add_kmeans(sub):
     p.add_argument("--out", required=True)
 
 
+def _config_flags(p):
+    """Flags that override their PipelineConfig key only when given."""
+    p.add_argument("--features", required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--partition-index", type=int)
+
+
 def _add_mine(sub):
     p = sub.add_parser("mine", help="emit one epoch of training pairs as CSV")
-    p.add_argument("--features", required=True)
+    _config_flags(p)
     p.add_argument("--partition", help="partition CSV (default: compute the hierarchy)")
-    p.add_argument("--partition-index", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epoch", type=int, default=0)
     p.add_argument("--no-correction", action="store_true")
     p.add_argument("--out", required=True)
@@ -78,12 +84,10 @@ def _add_mine(sub):
 
 def _add_train(sub):
     p = sub.add_parser("train", help="train the refinement model")
-    p.add_argument("--features", required=True)
+    _config_flags(p)
     p.add_argument("--partition", help="partition CSV (default: compute the hierarchy)")
-    p.add_argument("--partition-index", type=int, default=2)
     p.add_argument("--cooc", help="CSV of co-occurring row pairs (default: from frame ids)")
     p.add_argument("--config", help="flat key-value config file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model checkpoint path")
 
 
@@ -113,11 +117,9 @@ def _add_evaluate(sub):
 
 
 def _pipeline_flags(p):
-    p.add_argument("--features", required=True)
+    _config_flags(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="flat key-value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--partition-index", type=int)
     p.add_argument("--num-clusters", type=int)
     p.add_argument("--level", choices=("frame", "track"))
     p.add_argument("--backend", choices=("finch", "kmeans"))
@@ -144,52 +146,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mining_inputs(args):
-    """Shared setup for mine/train: normalized features, partition, cooc, ranks."""
-    fs = l2_normalize(load_any_features(args.features))
-    if args.partition:
-        partition = read_partition_csv(args.partition, args.partition_index)
-    else:
-        partition = finch_hierarchy(fs).partition(args.partition_index)
-    cooc_path = getattr(args, "cooc", None)
-    if cooc_path:
-        cooc = read_cooc_csv(cooc_path, fs.num_samples)
-    elif fs.frame_id is not None:
-        cooc = build_cooccurrence(fs)
-    else:
-        cooc = CooccurrenceSet()
-    if not getattr(args, "no_correction", False) and len(cooc):
-        partition = apply_video_correction(partition, cooc, fs.features)
-    return fs, partition, cooc
+_FLAG_KEYS = {"out_dir": "out_dir", "seed": "seed", "partition_index": "partition_index",
+              "num_clusters": "num_clusters", "level": "eval_level", "backend": "backend"}
+_OFF_FLAGS = {"no_posc": ("use_pos_cluster",), "no_negc": ("use_neg_cluster",),
+              "no_nvid": ("use_neg_video", "video_correction"),
+              "no_correction": ("video_correction",)}
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    values = parse_config_file(args.config) if args.config else {}
-    cfg = config_from_values(values)
-    overrides = {"features": args.features, "out_dir": args.out_dir}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.partition_index is not None:
-        overrides["partition_index"] = args.partition_index
-    if args.num_clusters is not None:
-        overrides["num_clusters"] = args.num_clusters
-    if args.level is not None:
-        overrides["eval_level"] = args.level
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.no_posc:
-        overrides["use_pos_cluster"] = False
-    if args.no_negc:
-        overrides["use_neg_cluster"] = False
-    if args.no_nvid:
-        overrides["use_neg_video"] = False
-        overrides["video_correction"] = False
-    return replace(cfg, **overrides)
+    """--config keys, then each of the subcommand's flags that was given."""
+    flags = vars(args)
+    values = parse_config_file(args.config) if flags.get("config") else {}
+    overrides = {key: flags[flag] for flag, key in _FLAG_KEYS.items()
+                 if flags.get(flag) is not None}
+    for flag, keys in _OFF_FLAGS.items():
+        if flags.get(flag):
+            overrides.update(dict.fromkeys(keys, False))
+    return replace(config_from_values(values), features=args.features, **overrides)
+
+
+def _pair_miner(args, cfg: PipelineConfig):
+    """`run`'s stages up to pair mining; --partition and --cooc files replace
+    the computed partition and co-occurrence."""
+    cfg.validate()
+    timer = StageTimer()
+    fs = load_any_features(cfg.features)
+    normalized, cooc = prepare_features(fs, timer)
+    if getattr(args, "cooc", None):
+        cooc = read_cooc_csv(args.cooc, fs.num_samples)
+    if args.partition:
+        partition = read_partition_csv(args.partition, cfg.partition_index, fs.num_samples)
+    else:
+        partition = select_partition(cfg, normalized, timer)[1]
+    partition = correct_partition(cfg, partition, cooc, normalized, timer)
+    return normalized, pair_miner(cfg, normalized, partition, cooc, timer)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        _run_command(args)
+    except (FeatureFileError, ValueError, PipelineError) as exc:
+        parser.exit(2, f"ccl {args.command}: error: {exc}\n")
+    return 0
 
+
+def _run_command(args) -> None:
     if args.command == "synth":
         fs = synth_generate(args.classes, args.per_class, args.dim, args.noise,
                             args.frames_per_track, args.cooc_rate, args.seed)
@@ -198,7 +201,7 @@ def main(argv=None) -> int:
 
     elif args.command == "finch":
         fs = l2_normalize(load_any_features(args.features))
-        hierarchy = finch_hierarchy(fs)
+        hierarchy = partition_hierarchy(fs, StageTimer())
         write_partition_csv(hierarchy, args.out)
         print(f"partitions: {hierarchy.cluster_counts}")
 
@@ -209,25 +212,15 @@ def main(argv=None) -> int:
         print(f"wrote {int(labels.max()) + 1} clusters to {args.out}")
 
     elif args.command == "mine":
-        fs, partition, cooc = _mining_inputs(args)
-        from .mining import MiningConfig
-        cfg = MiningConfig(seed=args.seed)
-        ranks = rank_clusters(cluster_means(fs.features, partition), cfg.z_near, cfg.z_far)
-        batches = mine_epoch(partition, ranks, cooc, cfg, args.epoch)
+        _, factory = _pair_miner(args, _pipeline_config(args))
+        batches = factory(args.epoch)
         write_pairs_csv(batches, args.out)
         print(f"wrote {sum(len(b) for b in batches)} pairs in {len(batches)} batches")
 
     elif args.command == "train":
-        fs, partition, cooc = _mining_inputs(args)
-        values = parse_config_file(args.config) if args.config else {}
-        cfg = config_from_values(values)
-        cfg = replace(cfg, seed=args.seed)
-        mining_cfg = cfg.resolved_mining()
-        ranks = rank_clusters(cluster_means(fs.features, partition),
-                              mining_cfg.z_near, mining_cfg.z_far)
-        losses: list[float] = []
-        model = train(fs, lambda epoch: mine_epoch(partition, ranks, cooc, mining_cfg, epoch),
-                      cfg.resolved_training(), loss_log=losses)
+        cfg = _pipeline_config(args)
+        normalized, factory = _pair_miner(args, cfg)
+        model, losses = train_model(cfg, normalized, factory, StageTimer())
         save_model(model, args.out)
         print(f"trained {len(losses)} epochs; final loss {losses[-1]:.6f}"
               if losses else "trained 0 epochs")
@@ -240,13 +233,9 @@ def main(argv=None) -> int:
 
     elif args.command == "cluster":
         fs = l2_normalize(load_any_features(args.features))
-        if args.level == "track":
-            tracks = aggregate_tracks(fs)
-            result = ward_hac(tracks.features, args.num_clusters)
-            write_labels_csv(tracks.track_id, result.labels, args.out, "track_id")
-        else:
-            result = ward_hac(fs.features, args.num_clusters)
-            write_labels_csv(np.arange(fs.num_samples), result.labels, args.out, "sample_index")
+        result, _, unit_ids, id_column = cluster_level(fs, args.num_clusters, args.level,
+                                                       StageTimer())
+        write_labels_csv(unit_ids, result.labels, args.out, id_column)
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 
     elif args.command == "evaluate":
@@ -292,8 +281,6 @@ def main(argv=None) -> int:
         summary = run_ablation(_pipeline_config(args))
         for row in summary["rows"]:
             print(f"{row['name']:>16}: acc {row['acc']:.4f}")
-
-    return 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ Binary feature file layout (all little-endian):
     payload N*D float32, row-major
     arrays  each present index array, in flag order, as N int64
 
+Nothing follows the last array: the file size must equal the declared size.
+
 The CSV import path expects a header row ``frame_id,track_id,label,f0,...,f{D-1}``
 with -1 marking unknown track/label entries.
 """
@@ -225,8 +227,9 @@ def write_features(fs: FeatureSet, path) -> None:
 def load_features(path) -> FeatureSet:
     """Load a binary feature file; rows are kept in file order, unnormalized.
 
-    Raises FeatureFileError on a malformed header, truncated payload,
-    non-finite value, or zero-norm row (naming the offending row).
+    Raises FeatureFileError on a malformed header, a file size other than
+    the header declares, a non-finite value, or a zero-norm row (naming the
+    offending row).
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -241,27 +244,16 @@ def load_features(path) -> FeatureSet:
             raise FeatureFileError(f"malformed header: N={n}, D={d}")
         declared = _HEADER.size + n * d * 4 + (has_frame + has_track + has_label) * n * 8
         available = os.fstat(fh.fileno()).st_size
-        if declared > available:
+        if declared != available:
+            problem = "truncated payload" if declared > available else "trailing bytes"
             raise FeatureFileError(
-                f"truncated payload: header declares N={n}, D={d} ({declared} bytes), "
+                f"{problem}: header declares N={n}, D={d} ({declared} bytes), "
                 f"file has {available}")
-
-        payload = fh.read(n * d * 4)
-        if len(payload) != n * d * 4:
-            raise FeatureFileError(
-                f"truncated payload: expected {n * d * 4} bytes, got {len(payload)}")
-        features = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-
-        arrays = {}
-        for name, present in (("frame_id", has_frame), ("track_id", has_track),
-                              ("label", has_label)):
-            if not present:
-                arrays[name] = None
-                continue
-            raw = fh.read(n * 8)
-            if len(raw) != n * 8:
-                raise FeatureFileError(f"truncated {name} array")
-            arrays[name] = np.frombuffer(raw, dtype="<i8").copy()
+        # the size check above guarantees every read below is complete
+        features = np.frombuffer(fh.read(n * d * 4), dtype="<f4").reshape(n, d)
+        arrays = {name: np.frombuffer(fh.read(n * 8), dtype="<i8").copy() if present else None
+                  for name, present in (("frame_id", has_frame), ("track_id", has_track),
+                                        ("label", has_label))}
 
     _check_rows(features, reject_zero_rows=True)
     return FeatureSet(features, **arrays)

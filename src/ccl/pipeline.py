@@ -1,10 +1,12 @@
 """End-to-end orchestration: features in, refined clustering report out.
 
-Stages: load -> normalize -> cluster (first-neighbor hierarchy or minibatch
-k-means at the same cluster count) -> select partition -> video correction ->
-mine pairs -> train -> embed -> optional track aggregation -> Ward HAC at C
--> metrics. Every stage's artifact lands in the output directory and the
-report echoes the fully resolved configuration for provenance.
+Stage functions, each timed by a `StageTimer`, compose the chain once:
+`prepare_features` (normalize, co-occurrence) -> `select_partition` (FINCH
+level or k-means) -> `correct_partition` (video correction) -> `pair_miner`
+-> `train_model` -> embed -> `cluster_level` (Ward HAC at C) -> metrics.
+`run_pipeline`, `run_baseline`, `run_ablation` and the CLI subcommands call
+them. Every stage's artifact lands in the output directory and the report
+echoes the fully resolved configuration for provenance.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -172,16 +175,31 @@ def write_partition_csv(hierarchy, path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def read_partition_csv(path, index: int) -> np.ndarray:
-    """Load one 1-based partition column from a partition CSV."""
+def _int_cell(path, reader, row: list[str], column: int) -> int:
+    try:
+        return int(row[column])
+    except (IndexError, ValueError):
+        raise ValueError(f"{path} line {reader.line_num}: expected an integer "
+                         f"in column {column + 1}, got {row!r}") from None
+
+
+def read_partition_csv(path, index: int, num_rows: int) -> np.ndarray:
+    """Load one 1-based partition column; one row per feature row, ids in [0, num_rows)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        depth = len(header) - 1
+        depth = len(next(reader, [])[1:])
         if not 1 <= index <= depth:
             raise ValueError(f"partition index {index} out of range: file has L={depth}")
-        labels = [int(row[index]) for row in reader]
-    return np.asarray(labels, dtype=np.int64)
+        labels = np.asarray([_int_cell(path, reader, row, index) for row in reader],
+                            dtype=np.int64)
+    if labels.size != num_rows:
+        raise ValueError(f"{path}: {labels.size} partition rows, expected one per "
+                         f"feature row ({num_rows})")
+    bad = np.flatnonzero((labels < 0) | (labels >= num_rows))
+    if bad.size:
+        raise ValueError(f"{path} line {bad[0] + 2}: cluster id {labels[bad[0]]} "
+                         f"outside [0, {num_rows})")
+    return labels
 
 
 def write_labels_csv(ids, labels, path, id_column: str) -> None:
@@ -195,8 +213,8 @@ def write_labels_csv(ids, labels, path, id_column: str) -> None:
 def read_labels_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        return np.asarray([int(row[1]) for row in reader], dtype=np.int64)
+        next(reader, None)
+        return np.asarray([_int_cell(path, reader, row, 1) for row in reader], dtype=np.int64)
 
 
 def read_cooc_csv(path, num_rows: int) -> CooccurrenceSet:
@@ -204,9 +222,9 @@ def read_cooc_csv(path, num_rows: int) -> CooccurrenceSet:
     pairs = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)
         for row in reader:
-            i, j = int(row[0]), int(row[1])
+            i, j = _int_cell(path, reader, row, 0), _int_cell(path, reader, row, 1)
             if not (0 <= i < num_rows and 0 <= j < num_rows):
                 raise ValueError(f"{path} line {reader.line_num}: pair ({i}, {j}) "
                                  f"indexes outside the {num_rows} feature rows")
@@ -222,7 +240,9 @@ def load_any_features(path) -> FeatureSet:
 # -- pipeline ------------------------------------------------------------
 
 
-class _StageTimer:
+class StageTimer:
+    """Wall time per named stage; a failure becomes a PipelineError naming it."""
+
     def __init__(self):
         self.timings: dict[str, float] = {}
 
@@ -236,14 +256,18 @@ class _StageTimer:
         return result
 
 
+def _known(labels: np.ndarray | None) -> np.ndarray | None:
+    """Ground truth, or None when labels are missing or any is unknown (-1)."""
+    return labels if labels is not None and np.all(labels >= 0) else None
+
+
 def _eval_points(embedded: FeatureSet, level: str):
     """Points to cluster plus ground truth and unit ids at the chosen level."""
     if level == "track":
         tracks = aggregate_tracks(embedded)
-        gt = tracks.label if np.all(tracks.label >= 0) else None
-        return tracks.features, gt, tracks.track_id, "track_id"
-    gt = embedded.label if embedded.label is not None and np.all(embedded.label >= 0) else None
-    return embedded.features, gt, np.arange(embedded.num_samples), "sample_index"
+        return tracks.features, _known(tracks.label), tracks.track_id, "track_id"
+    ids = np.arange(embedded.num_samples)
+    return embedded.features, _known(embedded.label), ids, "sample_index"
 
 
 def _partition_stats(hierarchy, selected_index, partition, gt) -> dict:
@@ -263,11 +287,61 @@ def _partition_stats(hierarchy, selected_index, partition, gt) -> dict:
     return stats
 
 
+def prepare_features(fs: FeatureSet, timer: StageTimer):
+    """Unit-norm rows plus the pairs of rows that share a frame."""
+    normalized = timer.run("normalize", lambda: l2_normalize(fs))
+    return normalized, timer.run("cooccurrence", lambda: (
+        build_cooccurrence(normalized) if normalized.frame_id is not None else CooccurrenceSet()))
+
+
+def partition_hierarchy(normalized: FeatureSet, timer: StageTimer):
+    return timer.run("finch", lambda: finch_hierarchy(normalized))
+
+
+def correct_partition(cfg: PipelineConfig, partition, cooc, normalized, timer: StageTimer):
+    """Video correction, when enabled: no cluster keeps a co-occurring pair."""
+    if cfg.video_correction and len(cooc):
+        partition = timer.run("video_correction", lambda: apply_video_correction(
+            partition, cooc, normalized.features))
+    return partition
+
+
+def select_partition(cfg: PipelineConfig, normalized: FeatureSet, timer: StageTimer):
+    """The hierarchy, its selected partition (or k-means at that count) and its statistics."""
+    hierarchy = partition_hierarchy(normalized, timer)
+    partition = timer.run("select_partition", lambda: hierarchy.partition(cfg.partition_index))
+    if cfg.backend == "kmeans":
+        k = hierarchy.cluster_counts[cfg.partition_index - 1]
+        partition = timer.run("kmeans", lambda: minibatch_kmeans(
+            normalized.features, KMeansConfig(k=k, seed=cfg.seed)))
+    return hierarchy, partition, _partition_stats(hierarchy, cfg.partition_index, partition,
+                                                  _known(normalized.label))
+
+
+def pair_miner(cfg: PipelineConfig, normalized: FeatureSet, partition, cooc, timer: StageTimer):
+    """Rank clusters by their means; returns the per-epoch pair factory."""
+    mining_cfg = cfg.resolved_mining()
+    ranks = timer.run("rank_clusters", lambda: rank_clusters(
+        cluster_means(normalized.features, partition), mining_cfg.z_near, mining_cfg.z_far))
+    return partial(mine_epoch, partition, ranks, cooc, mining_cfg)
+
+
+def train_model(cfg: PipelineConfig, normalized: FeatureSet, factory, timer: StageTimer):
+    train_cfg = cfg.resolved_training()
+    losses: list[float] = []
+    model = timer.run("train", lambda: train(normalized, factory, train_cfg, loss_log=losses))
+    return model, losses
+
+
+def cluster_level(fs: FeatureSet, num_clusters: int, level: str, timer: StageTimer):
+    """Ward HAC on the level's points, its ground truth (or None), unit ids and id column."""
+    points, gt, unit_ids, id_column = timer.run("aggregate", lambda: _eval_points(fs, level))
+    return timer.run("hac", lambda: ward_hac(points, num_clusters)), gt, unit_ids, id_column
+
+
 def run_baseline(fs: FeatureSet, num_clusters: int, level: str = "track") -> ClusteringReport:
     """HAC on the unrefined normalized features."""
-    normalized = l2_normalize(fs)
-    points, gt, _, _ = _eval_points(normalized, level)
-    result = ward_hac(points, num_clusters)
+    result, gt, _, _ = cluster_level(l2_normalize(fs), num_clusters, level, StageTimer())
     if gt is None:
         raise ValueError("baseline evaluation needs ground-truth labels")
     return evaluate_clustering(result.labels, gt)
@@ -280,55 +354,35 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     model checkpoint, predicted labels, report.json) are written there.
     """
     cfg.validate()
-    timer = _StageTimer()
+    timer = StageTimer()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     if fs is None:
         fs = timer.run("load", lambda: load_any_features(cfg.features))
-    normalized = timer.run("normalize", lambda: l2_normalize(fs))
-    cooc = timer.run("cooccurrence", lambda: (
-        build_cooccurrence(normalized) if normalized.frame_id is not None else CooccurrenceSet()))
-
-    hierarchy = timer.run("finch", lambda: finch_hierarchy(normalized))
-    partition = timer.run("select_partition", lambda: hierarchy.partition(cfg.partition_index))
-    if cfg.backend == "kmeans":
-        k = hierarchy.cluster_counts[cfg.partition_index - 1]
-        partition = timer.run("kmeans", lambda: minibatch_kmeans(
-            normalized.features, KMeansConfig(k=k, seed=cfg.seed)))
-    gt_frame = normalized.label if normalized.label is not None and np.all(normalized.label >= 0) else None
-    stats = _partition_stats(hierarchy, cfg.partition_index, partition, gt_frame)
-
-    if cfg.video_correction and len(cooc):
-        partition = timer.run("video_correction", lambda: apply_video_correction(
-            partition, cooc, normalized.features))
+    normalized, cooc = prepare_features(fs, timer)
+    hierarchy, partition, stats = select_partition(cfg, normalized, timer)
+    partition = correct_partition(cfg, partition, cooc, normalized, timer)
     stats["mining_num_clusters"] = int(partition.max()) + 1
-
-    mining_cfg = cfg.resolved_mining()
-    ranks = timer.run("rank_clusters", lambda: rank_clusters(
-        cluster_means(normalized.features, partition), mining_cfg.z_near, mining_cfg.z_far))
+    mine = pair_miner(cfg, normalized, partition, cooc, timer)
     epoch0: list = []  # training's epoch-0 batches, written as the pair audit
 
     def factory(epoch):
-        batches = mine_epoch(partition, ranks, cooc, mining_cfg, epoch)
+        batches = mine(epoch)
         if epoch == 0 and out_dir is not None:
             epoch0[:] = batches
         return batches
 
-    train_cfg = cfg.resolved_training()
-    epoch_losses: list[float] = []
-    model = timer.run("train", lambda: train(normalized, factory, train_cfg,
-                                             loss_log=epoch_losses))
+    model, epoch_losses = train_model(cfg, normalized, factory, timer)
     embedded = timer.run("embed", lambda: embed(model, normalized))
 
     num_clusters = cfg.num_clusters or fs.num_classes
     if num_clusters < 1:
         raise PipelineError("stage 'cluster' failed: no cluster count configured "
                             "and the features carry no labels")
-    points, gt, unit_ids, id_column = timer.run(
-        "aggregate", lambda: _eval_points(embedded, cfg.eval_level))
-    hac_result = timer.run("hac", lambda: ward_hac(points, num_clusters))
+    hac_result, gt, unit_ids, id_column = cluster_level(embedded, num_clusters, cfg.eval_level,
+                                                        timer)
 
     report: dict = {
         "config": cfg.to_dict(),
@@ -338,7 +392,9 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     }
     if gt is not None:
         ccl_metrics = timer.run("evaluate", lambda: evaluate_clustering(hac_result.labels, gt))
-        baseline = timer.run("baseline", lambda: run_baseline(fs, num_clusters, cfg.eval_level))
+        # same units and ground truth as the refined clustering above
+        baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_level(
+            normalized, num_clusters, cfg.eval_level, StageTimer())[0].labels, gt))
         report["ccl"] = ccl_metrics.to_dict()
         report["baseline"] = baseline.to_dict()
     report["timings"] = timer.timings
@@ -363,14 +419,12 @@ ABLATION_ROWS = [
 
 
 def run_ablation(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
-    """Baseline plus the six pair-source combinations, one report each."""
+    """Baseline (from the first run's report) plus the six pair-source combinations."""
     if fs is None:
         fs = load_any_features(cfg.features)
-    num_clusters = cfg.num_clusters or fs.num_classes
+    if _known(fs.label) is None:
+        raise ValueError("ablation needs ground-truth labels for every row")
     summary: dict = {"rows": []}
-    baseline = run_baseline(fs, num_clusters, cfg.eval_level)
-    summary["rows"].append({"name": "Base", "sources": {}, "acc": baseline.acc})
-
     out_root = Path(cfg.out_dir) if cfg.out_dir else None
     for name, (pos_c, neg_c, n_vid) in ABLATION_ROWS:
         row_cfg = replace(
@@ -382,6 +436,9 @@ def run_ablation(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
             out_dir=str(out_root / name.replace("+", "_")) if out_root else "",
         )
         report = run_pipeline(row_cfg, fs)
+        if not summary["rows"]:
+            summary["rows"].append({"name": "Base", "sources": {},
+                                    "acc": report["baseline"]["acc"]})
         summary["rows"].append({
             "name": name,
             "sources": {"PosC": pos_c, "NegC": neg_c, "NVid": n_vid},

@@ -330,15 +330,12 @@ def load_model(path) -> SiameseModel:
                   "proj_w": (hidden, out), "proj_b": (out,)}
         declared = header_fmt.size + 4 * sum(math.prod(shape) for shape in shapes.values())
         available = os.fstat(fh.fileno()).st_size
-        if declared > available:
-            raise ValueError(f"truncated checkpoint: header declares D={d}, H={hidden}, "
+        if declared != available:
+            problem = "truncated checkpoint" if declared > available else "trailing bytes"
+            raise ValueError(f"{problem}: header declares D={d}, H={hidden}, "
                              f"O={out} ({declared} bytes), file has {available}")
-        arrays = {}
-        for name, shape in shapes.items():
-            count = math.prod(shape)
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
-                raise ValueError(f"truncated checkpoint tensor {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        # the size check above guarantees every read below is complete
+        arrays = {name: np.frombuffer(fh.read(4 * math.prod(shape)), "<f4").reshape(shape).copy()
+                  for name, shape in shapes.items()}
     return SiameseModel(margin=float(margin), squared_hinge=bool(squared),
                         bn_eps=float(eps), bn_momentum=float(momentum), **arrays)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -111,9 +112,71 @@ def test_evaluate_rejects_mismatched_prediction(feature_file, tmp_path):
         main(["evaluate", "--pred", str(bad), "--gt", str(feature_file)])
 
 
-def test_train_rejects_cooc_pair_outside_feature_rows(feature_file, tmp_path):
+def test_train_rejects_cooc_pair_outside_feature_rows(feature_file, tmp_path, capsys):
     cooc = tmp_path / "cooc.csv"
     cooc.write_text("i,j\n0,1\n0,999999\n")
-    with pytest.raises(ValueError, match=r"cooc\.csv line 3: pair \(0, 999999\)"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["train", "--features", str(feature_file), "--cooc", str(cooc),
               "--seed", "0", "--out", str(tmp_path / "model.ccl")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"cooc\.csv line 3: pair \(0, 999999\)", err)
+
+
+@pytest.fixture(scope="module")
+def noisy_file(tmp_path_factory):
+    """Overlapping classes with dense co-occurrence: video correction evicts rows."""
+    path = tmp_path_factory.mktemp("noisy") / "noisy.cclf"
+    main(["synth", "--classes", "4", "--per-class", "50", "--noise", "0.6",
+          "--cooc-rate", "0.5", "--seed", "0", "--out", str(path)])
+    return path
+
+
+@pytest.mark.parametrize("key, seed_flags", [
+    ("pipeline.backend = kmeans", ["--seed", "2"]),
+    ("pipeline.partition_index = 1", ["--seed", "2"]),
+    ("pipeline.video_correction = false", ["--seed", "2"]),
+    ("pipeline.seed = 2", []),
+], ids=["kmeans", "partition-index-1", "no-video-correction", "config-seed"])
+def test_train_writes_the_model_run_writes(noisy_file, tmp_path, key, seed_flags):
+    config = tmp_path / "run.cfg"
+    config.write_text("train.epochs = 2\ntrain.hidden_dim = 16\n"
+                      f"mining.z_near = 3\nmining.z_far = 3\n{key}\n")
+    main(["run", "--features", str(noisy_file), "--config", str(config), *seed_flags,
+          "--out-dir", str(tmp_path / "run")])
+    main(["train", "--features", str(noisy_file), "--config", str(config), *seed_flags,
+          "--out", str(tmp_path / "model.ccl")])
+    assert (tmp_path / "model.ccl").read_bytes() == (tmp_path / "run" / "model.ccl").read_bytes()
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["config"]["seed"] == 2
+
+
+def test_mine_writes_the_pair_audit_run_writes(noisy_file, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("train.epochs = 1\ntrain.hidden_dim = 16\n")
+    main(["run", "--features", str(noisy_file), "--config", str(config), "--seed", "2",
+          "--out-dir", str(tmp_path / "run")])
+    main(["mine", "--features", str(noisy_file), "--seed", "2", "--out", str(tmp_path / "pairs.csv")])
+    audit = (tmp_path / "run" / "pairs_epoch0.csv").read_bytes()
+    assert (tmp_path / "pairs.csv").read_bytes() == audit
+    stats = json.loads((tmp_path / "run" / "report.json").read_text())["partition_stats"]
+    assert stats["mining_num_clusters"] > stats["selected_num_clusters"]  # rows were evicted
+
+
+def test_domain_errors_exit_2_with_one_line(feature_file, tmp_path, capsys):
+    partition = tmp_path / "partition.csv"
+    partition.write_text("sample_index,p1,p2\n0,0,0\n1,1,0\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--features", str(feature_file), "--partition", str(partition),
+              "--seed", "0", "--out", str(tmp_path / "model.ccl")])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (f"ccl train: error: {partition}: 2 partition rows, "
+                                       "expected one per feature row (150)\n")
+
+    padded = tmp_path / "padded.cclf"
+    padded.write_bytes(feature_file.read_bytes() + b"\x00" * 7)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cluster", "--features", str(padded), "--num-clusters", "3",
+              "--out", str(tmp_path / "labels.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ccl cluster: error: trailing bytes") and err.count("\n") == 1

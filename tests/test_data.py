@@ -17,6 +17,8 @@ from ccl.data import (
     write_features,
 )
 
+from corruption import corrupt, corruptions
+
 
 def make_fs(features, frame=None, track=None, label=None):
     return FeatureSet(np.asarray(features, dtype=np.float32), frame, track, label)
@@ -68,6 +70,28 @@ def test_header_larger_than_file_is_rejected_before_reading(tmp_path):
                      + np.ones(2, dtype="<f4").tobytes() + b"\x00" * 15)
     with pytest.raises(FeatureFileError, match="truncated"):
         load_features(path)
+
+
+@pytest.fixture(scope="module")
+def valid_cclf(tmp_path_factory):
+    rng = np.random.default_rng(3)
+    fs = FeatureSet(rng.normal(size=(6, 3)).astype(np.float32), frame_id=np.arange(6),
+                    track_id=np.arange(6) // 2, label=np.arange(6) % 2)
+    path = tmp_path_factory.mktemp("cclf") / "valid.cclf"
+    write_features(fs, path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruption=corruptions)
+def test_corrupted_feature_file_raises_only_domain_errors(valid_cclf, corruption):
+    path = valid_cclf.with_name("corrupt.cclf")
+    path.write_bytes(corrupt(valid_cclf.read_bytes(), corruption))
+    try:
+        load_features(path)
+    except FeatureFileError:
+        return
+    assert corruption[0] == "flip", "a file whose size differs from its header loaded"
 
 
 def test_bad_magic_and_version(tmp_path):

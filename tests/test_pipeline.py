@@ -10,6 +10,7 @@ from ccl.pipeline import (
     PipelineError,
     config_from_values,
     parse_config_file,
+    read_labels_csv,
     read_partition_csv,
     run_ablation,
     run_baseline,
@@ -184,12 +185,36 @@ def test_partition_csv_round_trip(tmp_path, small_dataset):
     from ccl.finch import finch_hierarchy
 
     hierarchy = finch_hierarchy(l2_normalize(small_dataset))
+    n = small_dataset.num_samples
     path = tmp_path / "partitions.csv"
     write_partition_csv(hierarchy, path)
     sidecar = json.loads((tmp_path / "partitions.csv.json").read_text())
     assert sidecar["cluster_counts"] == hierarchy.cluster_counts
     for level in range(1, hierarchy.num_partitions + 1):
-        np.testing.assert_array_equal(read_partition_csv(path, level),
+        np.testing.assert_array_equal(read_partition_csv(path, level, n),
                                       hierarchy.partitions[level - 1])
     with pytest.raises(ValueError, match="L="):
-        read_partition_csv(path, hierarchy.num_partitions + 1)
+        read_partition_csv(path, hierarchy.num_partitions + 1, n)
+
+
+def test_partition_csv_must_match_the_feature_rows(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("sample_index,p1\n0,0\n1,1\n")
+    with pytest.raises(ValueError, match=r"short\.csv: 2 partition rows, expected .* \(200\)"):
+        read_partition_csv(path, 1, 200)
+    path.write_text("sample_index,p1\n0,0\n1,5\n")
+    with pytest.raises(ValueError, match=r"short\.csv line 3: cluster id 5 outside \[0, 2\)"):
+        read_partition_csv(path, 1, 2)
+
+
+def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("sample_index,p1\n0,0\n1,x\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
+        read_partition_csv(path, 1, 2)
+    path.write_text("sample_index,label\n0,1\n1,1.5\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
+        read_labels_csv(path)
+    path.write_text("sample_index,label\n0,1\n1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
+        read_labels_csv(path)

@@ -22,6 +22,8 @@ from ccl.siamese import (
     train,
 )
 
+from corruption import corrupt, corruptions
+
 
 def small_model(seed=0, dim_in=9, hidden=6, out=2, dtype=np.float64, **kwargs):
     return init_model(dim_in, hidden, out, seed=seed, dtype=dtype, **kwargs)
@@ -273,3 +275,22 @@ def test_checkpoint_header_larger_than_file_is_rejected(tmp_path):
     short.write_bytes(raw[:-1])
     with pytest.raises(ValueError, match="truncated checkpoint"):
         load_model(short)
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ccl") / "valid.ccl"
+    save_model(init_model(5, 4, 2, seed=1, dtype=np.float32), path)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(corruption=corruptions)
+def test_corrupted_checkpoint_raises_only_domain_errors(valid_checkpoint, corruption):
+    path = valid_checkpoint.with_name("corrupt.ccl")
+    path.write_bytes(corrupt(valid_checkpoint.read_bytes(), corruption))
+    try:
+        load_model(path)
+    except ValueError:
+        return
+    assert corruption[0] == "flip", "a file whose size differs from its header loaded"
