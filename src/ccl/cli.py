@@ -242,13 +242,13 @@ def _run_command(args) -> None:
         pred = read_labels_csv(args.pred)
         fs = load_any_features(args.gt)
         if fs.label is None:
-            raise SystemExit("ground-truth feature file carries no labels")
+            raise ValueError("ground-truth feature file carries no labels")
         if pred.size == fs.num_samples:
             gt = fs.label
         else:
             tracks = aggregate_tracks(fs)
             if pred.size != tracks.num_tracks:
-                raise SystemExit(
+                raise ValueError(
                     f"prediction count {pred.size} matches neither samples "
                     f"({fs.num_samples}) nor tracks ({tracks.num_tracks})")
             gt = tracks.label
@@ -263,7 +263,7 @@ def _run_command(args) -> None:
                 p, r, f = bcubed(pred, gt)
                 report["bcubed"] = {"precision": p, "recall": r, "f": f}
             else:
-                raise SystemExit(f"unknown metric {metric!r}")
+                raise ValueError(f"unknown metric {metric!r}")
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
             Path(args.out).write_text(text + "\n")

@@ -274,13 +274,20 @@ def load_features_csv(path) -> FeatureSet:
         if d < 1 or header[3:] != expected:
             raise FeatureFileError("bad CSV header: feature columns must be f0..f{D-1}")
         frame, track, label, rows = [], [], [], []
-        for lineno, row in enumerate(reader):
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
             if len(row) != d + 3:
-                raise FeatureFileError(f"CSV row {lineno} has {len(row)} fields, expected {d + 3}")
-            frame.append(int(row[0]))
-            track.append(int(row[1]))
-            label.append(int(row[2]))
-            rows.append([float(v) for v in row[3:]])
+                raise FeatureFileError(f"{where}: {len(row)} fields, expected {d + 3}")
+            try:
+                ids = [int(v) for v in row[:3]]
+                rows.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise FeatureFileError(f"{where}: {exc}") from None
+            if not -2**63 <= min(ids) <= max(ids) < 2**63:
+                raise FeatureFileError(f"{where}: id outside the int64 range in {row[:3]}")
+            frame.append(ids[0])
+            track.append(ids[1])
+            label.append(ids[2])
     if not rows:
         raise FeatureFileError("CSV file has no data rows")
     features = np.asarray(rows, dtype=np.float32)

@@ -122,6 +122,17 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
     return ClusterRanks(nearest, farthest)
 
 
+def _clustered_pairs(labels: np.ndarray, cooc: CooccurrenceSet):
+    """Every co-occurrence pair touching the partition, ascending, as
+    (first, second, cluster of first, cluster of second); an endpoint
+    outside the partition (only ever the second) has cluster -1."""
+    first, second = cooc.touching_arrays(np.arange(labels.size))
+    inside = second < labels.size
+    second_cluster = np.full(second.size, -1, dtype=np.int64)
+    second_cluster[inside] = labels[second[inside]]
+    return first, second, labels[first], second_cluster
+
+
 def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
                            points: np.ndarray) -> np.ndarray:
     """Evict one endpoint of every co-occurring pair that shares a cluster.
@@ -138,12 +149,9 @@ def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
     # an eviction only shrinks its cluster and starts a singleton above m, so
     # a cluster's violating pairs are the ones found up front minus those
     # touching a row evicted since: the lowest left is what a re-scan finds
-    first, second = cooc.touching_arrays(np.arange(labels.size))
-    inside = second < labels.size
-    first, second = first[inside], second[inside]
-    shared = labels[first] == labels[second]
-    first, second = first[shared], second[shared]
-    pair_cluster = labels[first]
+    first, second, pair_cluster, second_cluster = _clustered_pairs(labels, cooc)
+    shared = pair_cluster == second_cluster
+    first, second, pair_cluster = first[shared], second[shared], pair_cluster[shared]
     for c in np.unique(pair_cluster).tolist():
         in_c = pair_cluster == c
         pending_i, pending_j = first[in_c], second[in_c]
@@ -212,7 +220,23 @@ def _far_negative_draws(rng, mem, members, far):
     return np.repeat(mem, 2), partners
 
 
-def _mine_cluster(rng, c, members, ranks, cooc, cfg):
+def _video_pairs(labels: np.ndarray, m: int, cooc: CooccurrenceSet):
+    """Every cluster's NVid candidates from one pass over the co-occurrence
+    index: cluster c's pairs are ``(first[s:e], second[s:e])`` with
+    ``s, e = indptr[c], indptr[c + 1]``, in ascending pair order, as
+    ``cooc.touching_arrays(members of c)`` lists them."""
+    first, second, first_cluster, second_cluster = _clustered_pairs(labels, cooc)
+    # a pair lists under the cluster of each endpoint, once when they share it
+    extra = np.flatnonzero((second_cluster >= 0) & (second_cluster != first_cluster))
+    pair = np.concatenate([np.arange(first.size), extra])
+    cluster = np.concatenate([first_cluster, second_cluster[extra]])
+    pair = pair[np.lexsort((pair, cluster))]
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cluster, minlength=m), out=indptr[1:])
+    return first[pair], second[pair], indptr
+
+
+def _mine_cluster(rng, c, members, ranks, cooc, video, cfg):
     """Chosen (a, b, source code) arrays for one cluster's positives and negatives."""
     mem = members[c]
     n = mem.size
@@ -226,8 +250,10 @@ def _mine_cluster(rng, c, members, ranks, cooc, cfg):
     far_a = far_b = video_a = video_b = _NO_ROWS
     if cfg.use_neg_cluster and ranks.farthest[c].size:
         far_a, far_b = _far_negative_draws(rng, mem, members, ranks.farthest[c])
-    if cfg.use_neg_video:
-        video_a, video_b = cooc.touching_arrays(mem)
+    if video is not None:
+        first, second, indptr = video
+        start, stop = indptr[c], indptr[c + 1]
+        video_a, video_b = first[start:stop], second[start:stop]
 
     pick = _subsample(rng, num_in_cluster + near_a.size, cfg.pos_per_cluster)
     in_cluster = pick < num_in_cluster
@@ -267,6 +293,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")
     members = members_by_label(labels)
+    video = _video_pairs(labels, m, cooc) if cfg.use_neg_video else None
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
     per_batch = cfg.clusters_per_batch
@@ -279,7 +306,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
         pos_rows: list = []
         neg_rows: list = []
         for c in extended[start:start + per_batch].tolist():
-            pos, neg = _mine_cluster(rng, c, members, ranks, cooc, cfg)
+            pos, neg = _mine_cluster(rng, c, members, ranks, cooc, video, cfg)
             pos_rows.append(pos)
             neg_rows.append(neg)
         batches.append(_batch_from(pos_rows, neg_rows))

@@ -13,6 +13,16 @@ both branches; at the hinge boundary d == m the zero branch is taken.
 
 Embeddings for clustering are the batch-normalized hidden layer in eval
 mode, l2-normalized.
+
+Memory of a training run: one workspace holds the gathered rows and every
+R x H activation and gradient intermediate of a step (R = 2 * pairs),
+allocated for the largest batch seen and reused by every step, and the
+gradients go into views of one flat buffer. Adam keeps the parameters and
+both moments as flat arrays; while training runs, the model's trainable
+tensors are views of the flat parameters, updated in place, and the model
+gets plain copies back when training ends. Every operation is the one the
+textbook expressions evaluate, in the same order, so results are bitwise
+those of a version that allocates every intermediate.
 """
 
 from __future__ import annotations
@@ -117,21 +127,76 @@ def init_model(dim_in: int, hidden_dim: int = 256, out_dim: int = 2,
     )
 
 
-def _forward_rows(model: SiameseModel, x: np.ndarray, train: bool):
-    """Shared forward over a stack of rows; returns (h, p, cache)."""
-    z = x @ model.enc_w + model.enc_b
+def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per named shape, in order."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
+class _Workspace:
+    """Buffers of one forward/backward pass over a stack of R rows.
+
+    ``x`` (R x D) holds the input rows, ``zhat`` and ``h`` (R x H) the
+    activations, ``gh`` and ``tmp`` (R x H) the backward's scratch and ``p``
+    (R x O) the projection. They are allocated for the largest R seen and
+    used through views of their first R rows. ``grads`` are views of the
+    flat buffer ``grad``, in TRAINABLE order.
+    """
+
+    def __init__(self, model: SiameseModel):
+        self.dtype = model.dtype
+        hidden = model.dim_hidden
+        self.widths = (model.dim_in, hidden, hidden, hidden, hidden, model.dim_out)
+        shapes = {name: getattr(model, name).shape for name in TRAINABLE}
+        self.grad = np.empty(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
+        self.grads = _flat_views(self.grad, shapes)
+        self.full: list[np.ndarray] = []
+
+    def resize(self, rows: int) -> np.ndarray:
+        """Point every buffer at ``rows`` rows; returns ``x`` for the caller to fill."""
+        if not self.full or self.full[0].shape[0] < rows:
+            self.full = [np.empty((rows, width), self.dtype) for width in self.widths]
+        self.x, self.zhat, self.h, self.gh, self.tmp, self.p = (
+            buf[:rows] for buf in self.full)
+        return self.x
+
+    def stack(self, x1: np.ndarray, x2: np.ndarray) -> None:
+        """Fill ``x`` with the rows of x1 over the rows of x2."""
+        np.concatenate([x1, x2], out=self.resize(x1.shape[0] + x2.shape[0]),
+                       casting="unsafe")
+
+
+def _forward_rows(model: SiameseModel, ws: _Workspace, train: bool):
+    """Forward the rows in ws.x into ws.zhat, ws.h and ws.p.
+
+    Returns (mu, var, inv_std): the batch statistics in train mode, the
+    running ones in eval mode.
+    """
+    rows = ws.x.shape[0]
+    z = np.matmul(ws.x, model.enc_w, out=ws.zhat)
+    z += model.enc_b
     if train:
-        mu = z.mean(axis=0)
-        var = z.var(axis=0)
+        # z.mean(axis=0) and z.var(axis=0) in NumPy's own reduction and
+        # division order, with z - mu formed once for var and zhat
+        mu = np.add.reduce(z, axis=0)
+        np.true_divide(mu, np.intp(rows), out=mu, casting="unsafe")
+        z -= mu
+        var = np.add.reduce(np.square(z, out=ws.h), axis=0)
+        np.true_divide(var, np.intp(rows), out=var, casting="unsafe")
     else:
         mu, var = model.bn_mean, model.bn_var
+        z -= mu
     inv_std = 1.0 / np.sqrt(var + model.bn_eps)
-    zhat = (z - mu) * inv_std
-    h = model.bn_gamma * zhat + model.bn_beta
-    p = h @ model.proj_w + model.proj_b
-    cache = {"x": x, "zhat": zhat, "inv_std": inv_std, "h": h,
-             "mu": mu, "var": var, "train": train}
-    return h, p, cache
+    zhat = np.multiply(z, inv_std, out=z)
+    h = np.multiply(zhat, model.bn_gamma, out=ws.h)
+    h += model.bn_beta
+    p = np.matmul(h, model.proj_w, out=ws.p)
+    p += model.proj_b
+    return mu, var, inv_std
 
 
 def forward(model: SiameseModel, x: np.ndarray, mode: str = "eval"):
@@ -143,14 +208,16 @@ def forward(model: SiameseModel, x: np.ndarray, mode: str = "eval"):
     rows = x[None, :] if single else x
     if rows.shape[1] != model.dim_in:
         raise ValueError(f"expected input dim {model.dim_in}, got {rows.shape[1]}")
-    h, p, _ = _forward_rows(model, rows, train=(mode == "train"))
+    ws = _Workspace(model)
+    ws.resize(rows.shape[0])[...] = rows
+    _forward_rows(model, ws, train=(mode == "train"))
     if single:
-        return h[0], p[0]
-    return h, p
+        return ws.h[0], ws.p[0]
+    return ws.h, ws.p
 
 
-def _pair_distance(p1: np.ndarray, p2: np.ndarray, squared_hinge: bool) -> np.ndarray:
-    dsq = np.sum((p1 - p2) ** 2, axis=-1)
+def _pair_distance(diff: np.ndarray, squared_hinge: bool) -> np.ndarray:
+    dsq = np.sum(diff ** 2, axis=-1)
     return dsq if squared_hinge else np.sqrt(dsq)
 
 
@@ -158,40 +225,39 @@ def contrastive_loss(p1, p2, y, margin: float = 1.0, squared_hinge: bool = False
     """Per-pair contrastive loss; y=0 pulls together, y=1 pushes past margin."""
     if margin <= 0:
         raise ValueError("margin must be positive")
-    d = _pair_distance(np.asarray(p1, dtype=np.float64), np.asarray(p2, dtype=np.float64),
+    d = _pair_distance(np.asarray(p1, dtype=np.float64) - np.asarray(p2, dtype=np.float64),
                        squared_hinge)
     hinge = np.maximum(0.0, margin - d)
     return float(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2))
 
 
-def batch_loss(model: SiameseModel, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> float:
-    """Mean train-mode loss over a pair batch (batch statistics span both branches)."""
-    x = np.concatenate([x1, x2]).astype(model.dtype)
-    _, p, _ = _forward_rows(model, x, train=True)
-    n = x1.shape[0]
-    d = _pair_distance(p[:n], p[n:], model.squared_hinge)
-    hinge = np.maximum(0.0, model.margin - d)
-    return float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
-
-
-def loss_and_gradients(model: SiameseModel, x1: np.ndarray, x2: np.ndarray,
-                       y: np.ndarray):
-    """Mean batch loss and its gradient for every trainable parameter."""
-    n = x1.shape[0]
-    if n == 0:
-        raise ValueError("empty pair batch")
-    x = np.concatenate([x1, x2]).astype(model.dtype)
-    y = np.asarray(y, dtype=model.dtype)
-    h, p, cache = _forward_rows(model, x, train=True)
-
+def _pair_loss(model: SiameseModel, p: np.ndarray, n: int, y: np.ndarray):
+    """Mean loss of the pairs (p[k], p[n + k]); also returns their
+    differences, distances and hinge terms."""
     diff = p[:n] - p[n:]
-    dsq = np.sum(diff ** 2, axis=1)
-    if model.squared_hinge:
-        d = dsq
-    else:
-        d = np.sqrt(dsq)
+    d = _pair_distance(diff, model.squared_hinge)
     hinge = np.maximum(0.0, model.margin - d)
     loss = float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
+    return loss, diff, d, hinge
+
+
+def batch_loss(model: SiameseModel, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> float:
+    """Mean train-mode loss over a pair batch (batch statistics span both branches)."""
+    ws = _Workspace(model)
+    ws.stack(x1, x2)
+    _forward_rows(model, ws, train=True)
+    return _pair_loss(model, ws.p, x1.shape[0], y)[0]
+
+
+def _train_step(model: SiameseModel, ws: _Workspace, n: int, y: np.ndarray):
+    """Train-mode loss of the n pairs stacked in ws.x (first branch over
+    second) and its gradients, written into ws.grads; returns
+    (loss, mu, var, inv_std)."""
+    if n == 0:
+        raise ValueError("empty pair batch")
+    y = np.asarray(y, dtype=model.dtype)
+    mu, var, inv_std = _forward_rows(model, ws, train=True)
+    loss, diff, d, hinge = _pair_loss(model, ws.p, n, y)
 
     # d(loss)/d(d) averaged over pairs, then chain to the pair difference
     ddist = ((1 - y) * d - y * hinge) / n
@@ -203,55 +269,87 @@ def loss_and_gradients(model: SiameseModel, x1: np.ndarray, x2: np.ndarray,
         gdiff = ddist[:, None] * direction
     gp = np.concatenate([gdiff, -gdiff]).astype(model.dtype)
 
-    grads: dict[str, np.ndarray] = {}
-    grads["proj_w"] = h.T @ gp
-    grads["proj_b"] = gp.sum(axis=0)
-    gh = gp @ model.proj_w.T
-
-    zhat, inv_std = cache["zhat"], cache["inv_std"]
-    grads["bn_gamma"] = np.sum(gh * zhat, axis=0)
-    grads["bn_beta"] = gh.sum(axis=0)
-    gzhat = gh * model.bn_gamma
-    rows = x.shape[0]
-    gz = (inv_std / rows) * (
-        rows * gzhat - gzhat.sum(axis=0) - zhat * np.sum(gzhat * zhat, axis=0))
-
-    grads["enc_w"] = x.T @ gz
-    grads["enc_b"] = gz.sum(axis=0)
-    return loss, grads, cache
-
-
-def _update_running_stats(model: SiameseModel, cache) -> None:
-    rows = cache["x"].shape[0]
-    var = cache["var"]
-    if rows > 1:
-        var = var * rows / (rows - 1)
-    mom = model.bn_momentum
-    model.bn_mean = ((1 - mom) * model.bn_mean + mom * cache["mu"]).astype(model.dtype)
-    model.bn_var = ((1 - mom) * model.bn_var + mom * var).astype(model.dtype)
+    grads, zhat, tmp = ws.grads, ws.zhat, ws.tmp
+    np.matmul(ws.h.T, gp, out=grads["proj_w"])
+    np.add.reduce(gp, axis=0, out=grads["proj_b"])
+    gh = np.matmul(gp, model.proj_w.T, out=ws.gh)
+    np.add.reduce(np.multiply(gh, zhat, out=tmp), axis=0, out=grads["bn_gamma"])
+    np.add.reduce(gh, axis=0, out=grads["bn_beta"])
+    gzhat = np.multiply(gh, model.bn_gamma, out=gh)
+    # gz = (inv_std / R) * (R * gzhat - sum(gzhat) - zhat * sum(gzhat * zhat)),
+    # sums over rows, built in gzhat's buffer
+    rows = 2 * n
+    sum_gzhat = np.add.reduce(gzhat, axis=0)
+    sum_gzhat_zhat = np.add.reduce(np.multiply(gzhat, zhat, out=tmp), axis=0)
+    gz = np.multiply(gzhat, rows, out=gzhat)
+    gz -= sum_gzhat
+    gz -= np.multiply(zhat, sum_gzhat_zhat, out=tmp)
+    gz *= inv_std / rows
+    np.matmul(ws.x.T, gz, out=grads["enc_w"])
+    np.add.reduce(gz, axis=0, out=grads["enc_b"])
+    return loss, mu, var, inv_std
 
 
-class Adam:
-    """Standard Adam with bias correction over a named parameter dict."""
+def loss_and_gradients(model: SiameseModel, x1: np.ndarray, x2: np.ndarray,
+                       y: np.ndarray):
+    """Mean batch loss and its gradient for every trainable parameter."""
+    ws = _Workspace(model)
+    ws.stack(x1, x2)
+    loss, mu, var, inv_std = _train_step(model, ws, x1.shape[0], y)
+    cache = {"x": ws.x, "zhat": ws.zhat, "inv_std": inv_std, "h": ws.h,
+             "mu": mu, "var": var, "train": True}
+    return loss, ws.grads, cache
 
-    def __init__(self, cfg: TrainConfig, params: dict[str, np.ndarray]):
+
+class _Adam:
+    """Adam with bias correction over flat parameter and moment buffers.
+
+    The trainable tensors are copied into one flat array and the model's
+    attributes become views of it, so a step updates every tensor with a
+    few in-place operations over the whole buffer.
+    """
+
+    def __init__(self, cfg: TrainConfig, model: SiameseModel):
         self.cfg = cfg
         self.step_count = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.param = np.concatenate([getattr(model, name).ravel() for name in TRAINABLE],
+                                    dtype=model.dtype)
+        self.m = np.zeros_like(self.param)
+        self.v = np.zeros_like(self.param)
+        self.scratch = (np.empty_like(self.param), np.empty_like(self.param))
+        shapes = {name: getattr(model, name).shape for name in TRAINABLE}
+        for name, view in _flat_views(self.param, shapes).items():
+            setattr(model, name, view)
 
-    def step(self, model: SiameseModel, grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, grad: np.ndarray, lr: float) -> None:
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        for name, g in grads.items():
-            m = self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
-            v = self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * g * g
-            mhat = m / (1 - cfg.beta1 ** t)
-            vhat = v / (1 - cfg.beta2 ** t)
-            param = getattr(model, name)
-            setattr(model, name,
-                    (param - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)).astype(param.dtype))
+        m, v, (a, b) = self.m, self.v, self.scratch
+        # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+        m *= cfg.beta1
+        m += np.multiply(grad, 1 - cfg.beta1, out=a)
+        v *= cfg.beta2
+        np.multiply(grad, 1 - cfg.beta2, out=a)
+        a *= grad
+        v += a
+        # param -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+        np.divide(m, 1 - cfg.beta1 ** t, out=a)
+        a *= lr
+        np.divide(v, 1 - cfg.beta2 ** t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.adam_eps
+        a /= b
+        self.param -= a
+
+
+def _update_running_stats(model: SiameseModel, mu: np.ndarray, var: np.ndarray,
+                          rows: int) -> None:
+    mom = model.bn_momentum
+    model.bn_mean *= 1 - mom
+    model.bn_mean += mom * mu
+    model.bn_var *= 1 - mom
+    model.bn_var += mom * (var * rows / (rows - 1))  # rows = 2 * pairs >= 2
 
 
 def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
@@ -262,6 +360,8 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     mining_factory(epoch) must yield PairBatch objects whose indices address
     fs rows. The learning rate divides by lr_drop_factor from lr_drop_epoch
     on. With epochs=0 the freshly initialized model is returned unchanged.
+    A given model is updated and returned; its tensors are replaced by new
+    arrays, so arrays it held before are left as they were.
     """
     cfg.validate()
     if model is None:
@@ -271,22 +371,29 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
         raise ValueError(f"model expects dim {model.dim_in}, features have {fs.dim}")
 
     features = fs.features.astype(model.dtype)
-    optimizer = Adam(cfg, model.params())
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr / cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else cfg.lr
-        losses = []
-        for batch_index, batch in enumerate(mining_factory(epoch)):
-            x1 = features[batch.a]
-            x2 = features[batch.b]
-            loss, grads, cache = loss_and_gradients(model, x1, x2, batch.y)
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
-            optimizer.step(model, grads, lr)
-            _update_running_stats(model, cache)
-            losses.append(loss)
-        if loss_log is not None:
-            loss_log.append(float(np.mean(losses)) if losses else float("nan"))
+    ws = _Workspace(model)
+    optimizer = _Adam(cfg, model)
+    model.bn_mean = model.bn_mean.astype(model.dtype)
+    model.bn_var = model.bn_var.astype(model.dtype)
+    try:
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr / cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else cfg.lr
+            losses = []
+            for batch_index, batch in enumerate(mining_factory(epoch)):
+                index = np.concatenate([batch.a, batch.b])
+                np.take(features, index, axis=0, out=ws.resize(index.size))
+                loss, mu, var, _ = _train_step(model, ws, batch.a.size, batch.y)
+                if not np.isfinite(loss):
+                    raise RuntimeError(
+                        f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
+                optimizer.step(ws.grad, lr)
+                _update_running_stats(model, mu, var, index.size)
+                losses.append(loss)
+            if loss_log is not None:
+                loss_log.append(float(np.mean(losses)) if losses else float("nan"))
+    finally:
+        for name in TRAINABLE:  # plain arrays again, not views of optimizer.param
+            setattr(model, name, getattr(model, name).copy())
     return model
 
 

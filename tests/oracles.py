@@ -328,3 +328,112 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
             neg_rows.extend(neg)
         batches.append(_naive_batch(pos_rows, neg_rows))
     return batches
+
+
+def _textbook_train_forward(model, x):
+    """Train-mode forward with fresh arrays for every intermediate."""
+    z = x @ model.enc_w + model.enc_b
+    mu = z.mean(axis=0)
+    var = z.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + model.bn_eps)
+    zhat = (z - mu) * inv_std
+    h = model.bn_gamma * zhat + model.bn_beta
+    p = h @ model.proj_w + model.proj_b
+    cache = {"x": x, "zhat": zhat, "inv_std": inv_std, "h": h, "mu": mu, "var": var}
+    return h, p, cache
+
+
+def textbook_loss_and_gradients(model, x1, x2, y):
+    """Mean contrastive batch loss and analytic gradients, written as plain
+    array expressions (every intermediate a new array)."""
+    n = x1.shape[0]
+    if n == 0:
+        raise ValueError("empty pair batch")
+    x = np.concatenate([x1, x2]).astype(model.dtype)
+    y = np.asarray(y, dtype=model.dtype)
+    h, p, cache = _textbook_train_forward(model, x)
+
+    diff = p[:n] - p[n:]
+    dsq = np.sum(diff ** 2, axis=1)
+    if model.squared_hinge:
+        d = dsq
+    else:
+        d = np.sqrt(dsq)
+    hinge = np.maximum(0.0, model.margin - d)
+    loss = float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
+
+    ddist = ((1 - y) * d - y * hinge) / n
+    if model.squared_hinge:
+        gdiff = (2.0 * ddist)[:, None] * diff
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            direction = np.where(d[:, None] > 0, diff / np.where(d == 0, 1.0, d)[:, None], 0.0)
+        gdiff = ddist[:, None] * direction
+    gp = np.concatenate([gdiff, -gdiff]).astype(model.dtype)
+
+    grads = {}
+    grads["proj_w"] = h.T @ gp
+    grads["proj_b"] = gp.sum(axis=0)
+    gh = gp @ model.proj_w.T
+
+    zhat, inv_std = cache["zhat"], cache["inv_std"]
+    grads["bn_gamma"] = np.sum(gh * zhat, axis=0)
+    grads["bn_beta"] = gh.sum(axis=0)
+    gzhat = gh * model.bn_gamma
+    rows = x.shape[0]
+    gz = (inv_std / rows) * (
+        rows * gzhat - gzhat.sum(axis=0) - zhat * np.sum(gzhat * zhat, axis=0))
+
+    grads["enc_w"] = x.T @ gz
+    grads["enc_b"] = gz.sum(axis=0)
+    return loss, grads, cache
+
+
+def _textbook_running_stats(model, cache) -> None:
+    rows = cache["x"].shape[0]
+    var = cache["var"]
+    if rows > 1:
+        var = var * rows / (rows - 1)
+    mom = model.bn_momentum
+    model.bn_mean = ((1 - mom) * model.bn_mean + mom * cache["mu"]).astype(model.dtype)
+    model.bn_var = ((1 - mom) * model.bn_var + mom * var).astype(model.dtype)
+
+
+class TextbookAdam:
+    """Adam with bias correction, one parameter tensor at a time."""
+
+    def __init__(self, cfg, params):
+        self.cfg = cfg
+        self.step_count = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, model, grads, lr) -> None:
+        cfg = self.cfg
+        self.step_count += 1
+        t = self.step_count
+        for name, g in grads.items():
+            m = self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
+            v = self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * g * g
+            mhat = m / (1 - cfg.beta1 ** t)
+            vhat = v / (1 - cfg.beta2 ** t)
+            param = getattr(model, name)
+            setattr(model, name,
+                    (param - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)).astype(param.dtype))
+
+
+def textbook_train(fs, mining_factory, cfg, model, loss_log: list) -> None:
+    """Reference training loop: updates ``model`` by rebinding fresh arrays
+    after every step and appends each epoch's mean loss to ``loss_log``."""
+    features = fs.features.astype(model.dtype)
+    optimizer = TextbookAdam(cfg, model.params())
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr / cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else cfg.lr
+        losses = []
+        for batch in mining_factory(epoch):
+            loss, grads, cache = textbook_loss_and_gradients(
+                model, features[batch.a], features[batch.b], batch.y)
+            optimizer.step(model, grads, lr)
+            _textbook_running_stats(model, cache)
+            losses.append(loss)
+        loss_log.append(float(np.mean(losses)) if losses else float("nan"))

@@ -105,11 +105,25 @@ def test_run_subcommand(feature_file, tmp_path):
     assert (out_dir / "labels.csv").exists()
 
 
-def test_evaluate_rejects_mismatched_prediction(feature_file, tmp_path):
+def test_evaluate_rejects_mismatched_prediction(feature_file, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("sample_index,label\n0,0\n1,1\n")
-    with pytest.raises(SystemExit, match="matches neither"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["evaluate", "--pred", str(bad), "--gt", str(feature_file)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == ("ccl evaluate: error: prediction count 2 matches "
+                                       "neither samples (150) nor tracks (30)\n")
+
+
+def test_evaluate_rejects_unknown_metric(feature_file, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    main(["cluster", "--features", str(feature_file), "--num-clusters", "3",
+          "--out", str(labels)])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", "--pred", str(labels), "--gt", str(feature_file),
+              "--metrics", "wcp,nmi"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("ccl evaluate: error: unknown metric 'nmi'\n")
 
 
 def test_train_rejects_cooc_pair_outside_feature_rows(feature_file, tmp_path, capsys):

@@ -134,6 +134,21 @@ def test_csv_import(tmp_path):
     np.testing.assert_allclose(fs.features[0], [0.5, 0.25])
 
 
+@pytest.mark.parametrize("bad_line, message", [
+    ("x,0,1,0.5,0.25", "invalid literal for int"),
+    ("0,1.5,1,0.5,0.25", "invalid literal for int"),
+    ("0,0,,0.5,0.25", "invalid literal for int"),
+    ("0,0,1,0.5,abc", "could not convert string to float"),
+    ("0,0,1,0.5", "4 fields, expected 5"),
+    ("0,99999999999999999999,1,0.5,0.25", "id outside the int64 range"),
+])
+def test_csv_bad_cell_names_file_and_line(tmp_path, bad_line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("frame_id,track_id,label,f0,f1\n0,0,1,0.5,0.25\n" + bad_line + "\n")
+    with pytest.raises(FeatureFileError, match=rf"bad\.csv line 3: {message}"):
+        load_features_csv(path)
+
+
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c,f0\n0,0,0,1.0\n")

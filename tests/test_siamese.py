@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 
@@ -23,6 +24,7 @@ from ccl.siamese import (
 )
 
 from corruption import corrupt, corruptions
+from oracles import textbook_train
 
 
 def small_model(seed=0, dim_in=9, hidden=6, out=2, dtype=np.float64, **kwargs):
@@ -216,6 +218,75 @@ def test_train_deterministic():
     b = train(fs, constant_epoch_factory(batches), cfg)
     for name in ("enc_w", "enc_b", "bn_gamma", "bn_beta", "bn_mean", "bn_var", "proj_w", "proj_b"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+STATE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "bn_mean", "bn_var", "proj_w", "proj_b")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 64)] * 3),
+       batch_sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       epochs=st.integers(1, 4), lr_drop_epoch=st.integers(0, 4),
+       squared_hinge=st.booleans(), boundary=st.booleans(), given_model=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_train_matches_textbook_loop_bitwise(seed, dims, batch_sizes, epochs, lr_drop_epoch,
+                                             squared_hinge, boundary, given_model, dtype):
+    dim_in, hidden, out = dims
+    rng = np.random.default_rng(seed)
+    num_rows = 30
+    fs = FeatureSet(rng.normal(size=(num_rows, dim_in)).astype(np.float32))
+    batches = []
+    for size in batch_sizes:
+        a = rng.integers(0, num_rows, size)
+        b = rng.integers(0, num_rows, size)
+        b[0] = a[0]  # a pair at distance zero
+        y = rng.integers(0, 2, size)
+        y[-1] = 1
+        batches.append(PairBatch(a, b, y, np.full(size, "PosC")))
+
+    # the batch order rotates with the epoch, so the row count changes
+    # between steps and the workspace is resized up and down
+    def factory(epoch):
+        shift = epoch % len(batches)
+        return batches[shift:] + batches[:shift]
+
+    margin = 1.0
+    # train() initializes a float32 model; a given model may be float64
+    start = init_model(dim_in, hidden, out, seed=seed % 1000,
+                       dtype=dtype if given_model else np.float32, squared_hinge=squared_hinge)
+    if boundary:
+        # the last pair of the first step sits exactly on the hinge
+        x = fs.features.astype(dtype)
+        _, p = forward(start, np.concatenate([x[batches[0].a], x[batches[0].b]]), mode="train")
+        n = batches[0].a.size
+        dsq = np.sum((p[:n] - p[n:]) ** 2, axis=1)
+        d = dsq if squared_hinge else np.sqrt(dsq)
+        if d[-1] > 0:
+            margin = float(d[-1])
+            start.margin = margin
+    cfg = TrainConfig(epochs=epochs, lr=1e-2, lr_drop_epoch=lr_drop_epoch, seed=seed % 1000,
+                      hidden_dim=hidden, out_dim=out, margin=margin,
+                      squared_hinge=squared_hinge)
+
+    reference = copy.deepcopy(start)
+    expected_losses = []
+    textbook_train(fs, factory, cfg, reference, expected_losses)
+    losses = []
+    if given_model:
+        model = copy.deepcopy(start)
+        before = {name: getattr(model, name) for name in STATE}
+        originals = {name: arr.copy() for name, arr in before.items()}
+        assert train(fs, factory, cfg, model=model, loss_log=losses) is model
+        for name in STATE:
+            assert before[name].tobytes() == originals[name].tobytes()
+            assert getattr(model, name).base is None
+    else:
+        model = train(fs, factory, cfg, loss_log=losses)
+    assert losses == expected_losses
+    for name in STATE:
+        got, want = getattr(model, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_train_aborts_on_non_finite_loss():
