@@ -14,6 +14,9 @@ Nothing follows the last array: the file size must equal the declared size.
 
 The CSV import path expects a header row ``frame_id,track_id,label,f0,...,f{D-1}``
 with -1 marking unknown track/label entries.
+
+Frame co-occurrence is one sorted, duplicate-free int64 array of pair codes
+``i * n + j`` (i < j, n feature rows) in a ``CooccurrenceSet``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +38,17 @@ class FeatureFileError(ValueError):
     """Raised for malformed, truncated, or non-finite feature files."""
 
 
-def _check_rows(features: np.ndarray, *, reject_zero_rows: bool) -> None:
+def _check_rows(features: np.ndarray, *, reject_zero_rows: bool, where=None) -> None:
+    """Reject the first non-finite (or zero-norm) row; ``where(r)``, when
+    given, names row r's place in its file."""
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    problem = "non-finite value in feature row"
+    if not bad.size and reject_zero_rows:
+        bad = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
+        problem = "zero-norm feature row"
     if bad.size:
-        raise FeatureFileError(f"non-finite value in feature row {bad[0]}")
-    if reject_zero_rows:
-        zero = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
-        if zero.size:
-            raise FeatureFileError(f"zero-norm feature row {zero[0]}")
+        r = int(bad[0])
+        raise FeatureFileError(f"{problem} {r}" if where is None else f"{where(r)}: {problem}")
 
 
 def _as_index(values, n: int, name: str) -> np.ndarray:
@@ -119,95 +124,38 @@ class TrackFeatureSet:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class _CooccurrenceIndex:
-    """Array form of a co-occurrence set over rows 0..n-1.
-
-    ``codes`` holds ``i * n + j`` for every stored pair (i, j), ascending, so
-    it sorts in lexicographic pair order. ``indptr``/``partners`` is the CSR
-    adjacency: row r's partners are ``partners[indptr[r]:indptr[r + 1]]``.
-    """
-
-    n: int
-    codes: np.ndarray
-    indptr: np.ndarray
-    partners: np.ndarray
-
-    @classmethod
-    def build(cls, pairs: frozenset) -> "_CooccurrenceIndex":
-        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        lo, hi = arr[:, 0], arr[:, 1]
-        if np.any(lo < 0) or np.any(lo > hi):
-            raise ValueError("co-occurrence pairs must be stored as (i, j) with 0 <= i <= j")
-        n = int(hi.max()) + 1 if hi.size else 0
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(n, np.sort(lo * n + hi), indptr, dst[order])
-
-    def pair_codes(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Codes of the unordered pairs (a[k], b[k]) and whether each is in range."""
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return lo * self.n + hi, (lo >= 0) & (hi < self.n)
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(row, partner) for every adjacency entry of the in-range ``rows``."""
-        rows = rows[(rows >= 0) & (rows < self.n)]
-        start = self.indptr[rows]
-        count = self.indptr[rows + 1] - start
-        offsets = np.repeat(start - (np.cumsum(count) - count), count)
-        return np.repeat(rows, count), self.partners[offsets + np.arange(offsets.size)]
-
-
-def _as_rows(rows) -> np.ndarray:
-    if not isinstance(rows, np.ndarray):
-        rows = list(rows)
-    return np.asarray(rows, dtype=np.int64).reshape(-1)
-
-
-@dataclass(frozen=True)
 class CooccurrenceSet:
-    """Unordered pairs of row indices whose faces appear in the same frame.
+    """Unordered pairs of distinct rows 0..n-1 whose faces share a frame.
 
-    Each pair is stored as (i, j) with i <= j. Lookups go through an array
-    index built on first use and cached on the instance.
+    ``codes`` is the sorted, duplicate-free int64 array of ``i * n + j`` for
+    each pair i < j; ``np.divmod(codes, n)`` gives the pairs back in
+    lexicographic order. ``CooccurrenceSet()`` is the empty set.
     """
 
-    pairs: frozenset = field(default_factory=frozenset)
+    def __init__(self, n: int = 0, first=(), second=()):
+        first = np.asarray(first, dtype=np.int64).reshape(-1)
+        second = np.asarray(second, dtype=np.int64).reshape(-1)
+        lo, hi = np.minimum(first, second), np.maximum(first, second)
+        bad = np.flatnonzero((lo < 0) | (hi >= n) | (lo == hi))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"co-occurrence pair ({first[k]}, {second[k]}) is not two "
+                             f"distinct rows in [0, {n})")
+        self.n = n
+        self.codes = np.unique(lo * n + hi)
 
     def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        return (min(i, j), max(i, j)) in self.pairs
-
-    @cached_property
-    def _index(self) -> _CooccurrenceIndex:
-        return _CooccurrenceIndex.build(self.pairs)
+        return self.codes.size
 
     def contains_pairs(self, a, b) -> np.ndarray:
-        """Elementwise ``(a[k], b[k]) in self`` as a bool array."""
-        index = self._index
-        codes, valid = index.pair_codes(_as_rows(a), _as_rows(b))
-        pos = np.searchsorted(index.codes, codes)
-        found = valid & (pos < index.codes.size)
-        found[found] = index.codes[pos[found]] == codes[found]
+        """Elementwise ``(a[k], b[k])`` is a stored pair, as a bool array."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        codes = lo * self.n + hi
+        pos = np.searchsorted(self.codes, codes)
+        found = (lo >= 0) & (hi < self.n) & (pos < self.codes.size)
+        found[found] = self.codes[pos[found]] == codes[found]
         return found
-
-    def touching_arrays(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """``touching(rows)`` as arrays of first and second pair endpoints."""
-        index = self._index
-        row, partner = index.gather(_as_rows(rows))
-        codes = np.unique(index.pair_codes(row, partner)[0])
-        return np.divmod(codes, index.n)
-
-    def touching(self, rows) -> list[tuple[int, int]]:
-        """Pairs with at least one endpoint in ``rows``, ascending order."""
-        first, second = self.touching_arrays(rows)
-        return list(zip(first.tolist(), second.tolist()))
 
 
 def write_features(fs: FeatureSet, path) -> None:
@@ -273,7 +221,7 @@ def load_features_csv(path) -> FeatureSet:
         expected = [f"f{i}" for i in range(d)]
         if d < 1 or header[3:] != expected:
             raise FeatureFileError("bad CSV header: feature columns must be f0..f{D-1}")
-        frame, track, label, rows = [], [], [], []
+        frame, track, label, rows, lines = [], [], [], [], []
         for row in reader:
             where = f"{path} line {reader.line_num}"
             if len(row) != d + 3:
@@ -288,10 +236,11 @@ def load_features_csv(path) -> FeatureSet:
             frame.append(ids[0])
             track.append(ids[1])
             label.append(ids[2])
+            lines.append(reader.line_num)
     if not rows:
         raise FeatureFileError("CSV file has no data rows")
     features = np.asarray(rows, dtype=np.float32)
-    _check_rows(features, reject_zero_rows=True)
+    _check_rows(features, reject_zero_rows=True, where=lambda r: f"{path} line {lines[r]}")
     return FeatureSet(features, np.asarray(frame), np.asarray(track), np.asarray(label))
 
 
@@ -337,22 +286,15 @@ def aggregate_tracks(fs: FeatureSet) -> TrackFeatureSet:
 
 
 def build_cooccurrence(fs: FeatureSet) -> CooccurrenceSet:
-    """All unordered pairs of distinct rows sharing a frame_id."""
+    """All unordered pairs of distinct rows sharing a frame_id >= 0."""
     if fs.frame_id is None:
         raise ValueError("build_cooccurrence requires frame_id for every row")
-    pairs = set()
     order = np.argsort(fs.frame_id, kind="stable")
-    sorted_frames = fs.frame_id[order]
-    start = 0
-    n = fs.num_samples
-    while start < n:
-        end = start
-        while end < n and sorted_frames[end] == sorted_frames[start]:
-            end += 1
-        if sorted_frames[start] >= 0 and end - start > 1:
-            members = np.sort(order[start:end])
-            for a in range(members.size):
-                for b in range(a + 1, members.size):
-                    pairs.add((int(members[a]), int(members[b])))
-        start = end
-    return CooccurrenceSet(frozenset(pairs))
+    order = order[fs.frame_id[order] >= 0]
+    frames = fs.frame_id[order]
+    # position p pairs with every later position of its frame group
+    group_end = np.searchsorted(frames, frames, side="right")
+    count = group_end - np.arange(order.size) - 1
+    first = np.repeat(np.arange(order.size), count)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+    return CooccurrenceSet(fs.num_samples, order[first], order[first + 1 + offset])

@@ -56,4 +56,4 @@ def members_by_label(labels: np.ndarray) -> list[np.ndarray]:
     m = int(labels.max()) + 1
     order = np.argsort(labels, kind="stable")
     bounds = np.searchsorted(labels[order], np.arange(m + 1))
-    return [np.sort(order[bounds[c]:bounds[c + 1]]) for c in range(m)]
+    return [order[bounds[c]:bounds[c + 1]] for c in range(m)]

@@ -122,15 +122,16 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
     return ClusterRanks(nearest, farthest)
 
 
+def _check_cover(labels: np.ndarray, cooc: CooccurrenceSet) -> None:
+    if len(cooc) and cooc.n != labels.size:
+        raise ValueError(f"co-occurrence set covers {cooc.n} rows, partition has {labels.size}")
+
+
 def _clustered_pairs(labels: np.ndarray, cooc: CooccurrenceSet):
-    """Every co-occurrence pair touching the partition, ascending, as
-    (first, second, cluster of first, cluster of second); an endpoint
-    outside the partition (only ever the second) has cluster -1."""
-    first, second = cooc.touching_arrays(np.arange(labels.size))
-    inside = second < labels.size
-    second_cluster = np.full(second.size, -1, dtype=np.int64)
-    second_cluster[inside] = labels[second[inside]]
-    return first, second, labels[first], second_cluster
+    """Every co-occurrence pair, ascending, as (first, second, cluster of
+    first, cluster of second)."""
+    first, second = np.divmod(cooc.codes, cooc.n)
+    return first, second, labels[first], labels[second]
 
 
 def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
@@ -143,6 +144,7 @@ def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
     so no cluster retains a co-occurring pair.
     """
     labels = np.asarray(partition, dtype=np.int64).copy()
+    _check_cover(labels, cooc)
     points = np.asarray(points, dtype=np.float64)
     m = int(labels.max()) + 1
     next_label = m
@@ -222,12 +224,12 @@ def _far_negative_draws(rng, mem, members, far):
 
 def _video_pairs(labels: np.ndarray, m: int, cooc: CooccurrenceSet):
     """Every cluster's NVid candidates from one pass over the co-occurrence
-    index: cluster c's pairs are ``(first[s:e], second[s:e])`` with
-    ``s, e = indptr[c], indptr[c + 1]``, in ascending pair order, as
-    ``cooc.touching_arrays(members of c)`` lists them."""
+    codes: cluster c's pairs are ``(first[s:e], second[s:e])`` with
+    ``s, e = indptr[c], indptr[c + 1]``, the pairs with an endpoint in c in
+    ascending pair order."""
     first, second, first_cluster, second_cluster = _clustered_pairs(labels, cooc)
     # a pair lists under the cluster of each endpoint, once when they share it
-    extra = np.flatnonzero((second_cluster >= 0) & (second_cluster != first_cluster))
+    extra = np.flatnonzero(second_cluster != first_cluster)
     pair = np.concatenate([np.arange(first.size), extra])
     cluster = np.concatenate([first_cluster, second_cluster[extra]])
     pair = pair[np.lexsort((pair, cluster))]
@@ -289,6 +291,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     shuffle so every batch carries the full quota."""
     cfg.validate()
     labels = np.asarray(partition, dtype=np.int64)
+    _check_cover(labels, cooc)
     m = int(labels.max()) + 1
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")

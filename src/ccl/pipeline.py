@@ -218,18 +218,19 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def read_cooc_csv(path, num_rows: int) -> CooccurrenceSet:
-    """Load co-occurring row pairs; every index must lie in [0, num_rows)."""
-    pairs = set()
+    """Load co-occurring row pairs: two distinct indices in [0, num_rows) per line."""
+    first, second = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         for row in reader:
             i, j = _int_cell(path, reader, row, 0), _int_cell(path, reader, row, 1)
-            if not (0 <= i < num_rows and 0 <= j < num_rows):
-                raise ValueError(f"{path} line {reader.line_num}: pair ({i}, {j}) "
-                                 f"indexes outside the {num_rows} feature rows")
-            pairs.add((min(i, j), max(i, j)))
-    return CooccurrenceSet(frozenset(pairs))
+            if not (0 <= i < num_rows and 0 <= j < num_rows) or i == j:
+                raise ValueError(f"{path} line {reader.line_num}: pair ({i}, {j}) is not "
+                                 f"two distinct rows of the {num_rows} feature rows")
+            first.append(i)
+            second.append(j)
+    return CooccurrenceSet(num_rows, first, second)
 
 
 def load_any_features(path) -> FeatureSet:

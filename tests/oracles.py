@@ -201,17 +201,43 @@ def brute_wcp(pred, gt) -> float:
     return total / len(pred)
 
 
+def pair_set(cooc) -> set[tuple[int, int]]:
+    """The (i, j), i < j, pairs a co-occurrence set's codes stand for."""
+    return {(int(c) // cooc.n, int(c) % cooc.n) for c in cooc.codes}
+
+
+def naive_cooccurrence(fs) -> set[tuple[int, int]]:
+    """Pairs of distinct rows sharing a frame_id >= 0, by a per-frame double loop."""
+    pairs = set()
+    order = np.argsort(fs.frame_id, kind="stable")
+    sorted_frames = fs.frame_id[order]
+    start = 0
+    n = fs.num_samples
+    while start < n:
+        end = start
+        while end < n and sorted_frames[end] == sorted_frames[start]:
+            end += 1
+        if sorted_frames[start] >= 0 and end - start > 1:
+            members = np.sort(order[start:end])
+            for a in range(members.size):
+                for b in range(a + 1, members.size):
+                    pairs.add((int(members[a]), int(members[b])))
+        start = end
+    return pairs
+
+
 def naive_video_correction(partition, cooc, points) -> np.ndarray:
     """Video correction re-scanning every co-occurrence pair after each move."""
     labels = np.asarray(partition, dtype=np.int64).copy()
     points = np.asarray(points, dtype=np.float64)
     m = int(labels.max()) + 1
     next_label = m
+    pairs = pair_set(cooc)
     for c in range(m):
         while True:
             member_set = set(np.flatnonzero(labels == c).tolist())
             violating = sorted(
-                p for p in cooc.pairs if p[0] in member_set and p[1] in member_set)
+                p for p in pairs if p[0] in member_set and p[1] in member_set)
             if not violating:
                 break
             i, j = violating[0]
@@ -224,14 +250,14 @@ def naive_video_correction(partition, cooc, points) -> np.ndarray:
     return labels
 
 
-def naive_touching(cooc, rows) -> list[tuple[int, int]]:
-    """Co-occurrence pairs with an endpoint in ``rows``, by a linear scan."""
+def _naive_touching(pairs, rows) -> list[tuple[int, int]]:
+    """Pairs with an endpoint in ``rows``, by a linear scan."""
     rows = set(int(r) for r in rows)
-    return sorted(p for p in cooc.pairs if p[0] in rows or p[1] in rows)
+    return sorted(p for p in pairs if p[0] in rows or p[1] in rows)
 
 
-def _naive_contains(cooc, a, b) -> bool:
-    return (min(a, b), max(a, b)) in cooc.pairs
+def _naive_contains(pairs, a, b) -> bool:
+    return (min(a, b), max(a, b)) in pairs
 
 
 def _naive_subsample(rng, candidates: list, quota: int) -> list:
@@ -244,7 +270,7 @@ def _naive_subsample(rng, candidates: list, quota: int) -> list:
     return [candidates[int(i)] for i in chosen]
 
 
-def _naive_near_positive_draws(rng, mem, members, near, cooc):
+def _naive_near_positive_draws(rng, mem, members, near, pairs):
     if near.size == 0:
         return []
     g = int(rng.choice(near))
@@ -252,7 +278,7 @@ def _naive_near_positive_draws(rng, mem, members, near, cooc):
     draws = []
     for a in mem.tolist():
         b = int(rng.choice(partner_pool))
-        if not _naive_contains(cooc, a, b):
+        if not _naive_contains(pairs, a, b):
             draws.append((a, b, POS_NEAR))
     if draws:
         return draws
@@ -260,12 +286,12 @@ def _naive_near_positive_draws(rng, mem, members, near, cooc):
     for g in near.tolist():
         for a in mem.tolist():
             for b in members[g].tolist():
-                if not _naive_contains(cooc, a, b):
+                if not _naive_contains(pairs, a, b):
                     draws.append((a, b, POS_NEAR))
     return draws
 
 
-def _naive_mine_cluster(rng, c, members, ranks, cooc, cfg):
+def _naive_mine_cluster(rng, c, members, ranks, pairs, cfg):
     mem = members[c]
     positives: list[tuple[int, int, str]] = []
     if cfg.use_pos_cluster:
@@ -275,7 +301,7 @@ def _naive_mine_cluster(rng, c, members, ranks, cooc, cfg):
                 positives.append((int(mem[i]), int(mem[j]), POS_CLUSTER))
         if n < cfg.small_cluster_threshold or cfg.near_positives_for_all:
             positives.extend(
-                _naive_near_positive_draws(rng, mem, members, ranks.nearest[c], cooc))
+                _naive_near_positive_draws(rng, mem, members, ranks.nearest[c], pairs))
 
     negatives: list[tuple[int, int, str]] = []
     if cfg.use_neg_cluster:
@@ -286,7 +312,7 @@ def _naive_mine_cluster(rng, c, members, ranks, cooc, cfg):
                     g = int(rng.choice(far))
                     negatives.append((a, int(rng.choice(members[g])), NEG_CLUSTER))
     if cfg.use_neg_video:
-        negatives.extend((i, j, NEG_VIDEO) for i, j in naive_touching(cooc, mem))
+        negatives.extend((i, j, NEG_VIDEO) for i, j in _naive_touching(pairs, mem))
 
     return (_naive_subsample(rng, positives, cfg.pos_per_cluster),
             _naive_subsample(rng, negatives, cfg.neg_per_cluster))
@@ -311,6 +337,7 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")
     members = [np.flatnonzero(labels == c) for c in range(m)]
+    pairs = pair_set(cooc)
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
     per_batch = cfg.clusters_per_batch
@@ -323,7 +350,7 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
         pos_rows: list = []
         neg_rows: list = []
         for c in extended[start:start + per_batch].tolist():
-            pos, neg = _naive_mine_cluster(rng, c, members, ranks, cooc, cfg)
+            pos, neg = _naive_mine_cluster(rng, c, members, ranks, pairs, cfg)
             pos_rows.extend(pos)
             neg_rows.extend(neg)
         batches.append(_naive_batch(pos_rows, neg_rows))

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import naive_cooccurrence
 
 from ccl.cli import main
 from ccl.data import load_features
@@ -135,6 +136,34 @@ def test_train_rejects_cooc_pair_outside_feature_rows(feature_file, tmp_path, ca
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert re.search(r"cooc\.csv line 3: pair \(0, 999999\)", err)
+
+
+def test_train_rejects_cooc_self_pair(feature_file, tmp_path, capsys):
+    cooc = tmp_path / "cooc.csv"
+    cooc.write_text("i,j\n0,1\n3,3\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--features", str(feature_file), "--cooc", str(cooc),
+              "--seed", "0", "--out", str(tmp_path / "model.ccl")])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (f"ccl train: error: {cooc} line 3: pair (3, 3) is not "
+                                       "two distinct rows of the 150 feature rows\n")
+
+
+def test_train_cooc_file_of_frame_pairs_matches_frame_ids(feature_file, tmp_path):
+    pairs = sorted(naive_cooccurrence(load_features(feature_file)))
+    assert len(pairs) > 10
+    rng = np.random.default_rng(0)
+    listed = [pairs[k] for k in rng.permutation(len(pairs))] + [pairs[0]]  # one duplicate
+    lines = [f"{j},{i}" if k % 3 == 0 else f"{i},{j}" for k, (i, j) in enumerate(listed)]
+    cooc = tmp_path / "cooc.csv"
+    cooc.write_text("i,j\n" + "\n".join(lines) + "\n")
+    config = tmp_path / "train.cfg"
+    config.write_text("train.epochs = 2\ntrain.hidden_dim = 16\n"
+                      "mining.z_near = 3\nmining.z_far = 3\n")
+    common = ["train", "--features", str(feature_file), "--config", str(config), "--seed", "1"]
+    main([*common, "--out", str(tmp_path / "frames.ccl")])
+    main([*common, "--cooc", str(cooc), "--out", str(tmp_path / "file.ccl")])
+    assert (tmp_path / "file.ccl").read_bytes() == (tmp_path / "frames.ccl").read_bytes()
 
 
 @pytest.fixture(scope="module")

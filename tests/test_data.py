@@ -18,6 +18,7 @@ from ccl.data import (
 )
 
 from corruption import corrupt, corruptions
+from oracles import naive_cooccurrence, pair_set
 
 
 def make_fs(features, frame=None, track=None, label=None):
@@ -141,6 +142,8 @@ def test_csv_import(tmp_path):
     ("0,0,1,0.5,abc", "could not convert string to float"),
     ("0,0,1,0.5", "4 fields, expected 5"),
     ("0,99999999999999999999,1,0.5,0.25", "id outside the int64 range"),
+    ("0,0,1,0.5,nan", "non-finite value in feature row"),
+    ("0,0,1,0.0,0.0", "zero-norm feature row"),
 ])
 def test_csv_bad_cell_names_file_and_line(tmp_path, bad_line, message):
     path = tmp_path / "bad.csv"
@@ -225,7 +228,7 @@ def test_aggregate_rejects_missing_track():
 def test_cooccurrence_single_shared_frame():
     fs = make_fs([[1, 0], [0, 1], [1, 1]], frame=[0, 0, 1])
     cooc = build_cooccurrence(fs)
-    assert cooc.pairs == {(0, 1)}
+    assert pair_set(cooc) == {(0, 1)}
 
 
 def test_cooccurrence_all_distinct():
@@ -252,8 +255,21 @@ def test_cooccurrence_permutation_invariant(r):
     permuted = build_cooccurrence(make_fs(feats[perm], frame=[frames[p] for p in perm]))
     # map base pairs through the permutation
     inv = {p: i for i, p in enumerate(perm)}
-    remapped = {tuple(sorted((inv[a], inv[b]))) for a, b in base.pairs}
-    assert remapped == set(permuted.pairs)
+    remapped = {tuple(sorted((inv[a], inv[b]))) for a, b in pair_set(base)}
+    assert remapped == pair_set(permuted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.one_of(
+    st.lists(st.integers(-1, 6), min_size=1, max_size=40),       # -1 = no frame
+    st.lists(st.integers(-1, 1000), min_size=1, max_size=40),    # mostly singletons
+    st.integers(1, 40).map(lambda n: [3] * n)))                  # one frame holds every row
+def test_cooccurrence_matches_naive_oracle(frames):
+    fs = make_fs(np.ones((len(frames), 2)), frame=frames)
+    cooc = build_cooccurrence(fs)
+    assert cooc.n == len(frames) and cooc.codes.dtype == np.int64
+    assert np.all(np.diff(cooc.codes) > 0)
+    assert pair_set(cooc) == naive_cooccurrence(fs)
 
 
 def test_feature_set_validation():

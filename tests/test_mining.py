@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_mine_epoch, naive_touching, naive_video_correction
+from oracles import naive_mine_epoch, naive_video_correction, pair_set
 
 from ccl.data import CooccurrenceSet
 from ccl.finch import cluster_means
@@ -58,7 +58,7 @@ def test_rank_clusters_matches_sort_oracle():
 
 def test_correction_identity_without_violations():
     points, labels = six_cluster_instance()
-    cooc = CooccurrenceSet(frozenset({(0, 6)}))  # endpoints in different clusters
+    cooc = CooccurrenceSet(labels.size, [0], [6])  # endpoints in different clusters
     np.testing.assert_array_equal(apply_video_correction(labels, cooc, points), labels)
 
 
@@ -66,7 +66,7 @@ def test_correction_moves_farther_endpoint():
     # cluster {0,1,2}: rows 0 and 2 co-occur, row 0 sits nearer the mean
     points = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [5.0, 5.0]])
     labels = np.array([0, 0, 0, 1])
-    cooc = CooccurrenceSet(frozenset({(0, 2)}))
+    cooc = CooccurrenceSet(4, [0], [2])
     corrected = apply_video_correction(labels, cooc, points)
     np.testing.assert_array_equal(corrected, [0, 0, 2, 1])
 
@@ -80,7 +80,7 @@ def test_correction_clears_all_violations():
     while len(pairs) < 25:
         i, j = rng.choice(40, size=2, replace=False)
         pairs.add((min(i, j), max(i, j)))
-    cooc = CooccurrenceSet(frozenset(pairs))
+    cooc = CooccurrenceSet(40, *np.array(sorted(pairs)).T)
     corrected = apply_video_correction(labels, cooc, points)
     for i, j in pairs:
         assert corrected[i] != corrected[j]
@@ -93,7 +93,7 @@ def default_mining_setup(cooc_pairs=(), **cfg_kwargs):
     means = cluster_means(points, labels)
     cfg = MiningConfig(seed=5, **cfg_kwargs)
     ranks = rank_clusters(means, cfg.z_near, cfg.z_far)
-    cooc = CooccurrenceSet(frozenset(cooc_pairs))
+    cooc = CooccurrenceSet(labels.size, *np.array(cooc_pairs, dtype=np.int64).reshape(-1, 2).T)
     return points, labels, ranks, cooc, cfg
 
 
@@ -120,6 +120,7 @@ def test_singleton_cluster_positives_come_from_near_clusters():
 
 def test_pair_sources_audit():
     _, labels, ranks, cooc, cfg = default_mining_setup(cooc_pairs=[(0, 7), (1, 13)])
+    pairs = pair_set(cooc)
     for epoch in range(3):
         for batch in mine_epoch(labels, ranks, cooc, cfg, epoch=epoch):
             for a, b, y, source in batch.as_tuples():
@@ -127,13 +128,13 @@ def test_pair_sources_audit():
                     assert y == 0 and labels[a] == labels[b]
                 elif source == "PosC-near":
                     assert y == 0 and labels[a] != labels[b]
-                    assert (min(a, b), max(a, b)) not in cooc.pairs
+                    assert (min(a, b), max(a, b)) not in pairs
                 elif source == "NegC":
                     assert y == 1
                     assert labels[b] in ranks.farthest[labels[a]]
                 else:
                     assert source == "NVid" and y == 1
-                    assert (min(a, b), max(a, b)) in cooc.pairs
+                    assert (min(a, b), max(a, b)) in pairs
 
 
 def test_mining_deterministic():
@@ -198,7 +199,7 @@ def random_instance(seed, kind, density):
     i, j = np.triu_indices(n, k=1)
     rate = np.where(labels[i] == labels[j], density / 2, density)
     keep = rng.random(i.size) < rate
-    cooc = CooccurrenceSet(frozenset(zip(i[keep].tolist(), j[keep].tolist())))
+    cooc = CooccurrenceSet(n, i[keep], j[keep])
     return points, labels, cooc
 
 
@@ -237,15 +238,18 @@ def test_mine_epoch_matches_naive_oracle(seed, kind, density, toggles, near_for_
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
 def test_cooccurrence_lookups_match_linear_scan(seed, density):
-    _, labels, cooc = random_instance(seed, "random", density)
     rng = np.random.default_rng(seed)
-    n = labels.size
-    rows = rng.choice(n + 3, size=int(rng.integers(0, n + 3)), replace=False)
-    assert cooc.touching(rows) == naive_touching(cooc, rows)
-    assert cooc.touching(set(rows.tolist())) == naive_touching(cooc, rows)
-    a = rng.integers(0, n + 3, 50)
-    b = rng.integers(0, n + 3, 50)
-    expected = [(min(i, j), max(i, j)) in cooc.pairs for i, j in zip(a.tolist(), b.tolist())]
+    n = int(rng.integers(2, 30))
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(i.size) < density
+    pairs = set(zip(i[keep].tolist(), j[keep].tolist()))
+    flip = rng.random(i.size) < 0.5  # some pairs given as (j, i)
+    cooc = CooccurrenceSet(n, np.where(flip, j, i)[keep], np.where(flip, i, j)[keep])
+    assert pair_set(cooc) == pairs and len(cooc) == len(pairs)
+    assert np.all(np.diff(cooc.codes) > 0)
+    a = rng.integers(-2, n + 3, 50)
+    b = rng.integers(-2, n + 3, 50)
+    expected = [(min(x, y), max(x, y)) in pairs for x, y in zip(a.tolist(), b.tolist())]
     assert cooc.contains_pairs(a, b).tolist() == expected
 
 
@@ -259,6 +263,26 @@ def test_correction_matches_naive_oracle(seed, kind, density):
                                   naive_video_correction(labels, cooc, points))
 
 
-def test_cooccurrence_rejects_unordered_pairs():
-    with pytest.raises(ValueError, match="i <= j"):
-        CooccurrenceSet(frozenset({(3, 1)})).touching([1])
+def test_cooccurrence_orders_and_merges_pairs():
+    cooc = CooccurrenceSet(5, [3, 1, 4, 0], [1, 3, 0, 4])
+    assert cooc.codes.tolist() == [0 * 5 + 4, 1 * 5 + 3] and cooc.codes.dtype == np.int64
+    assert len(CooccurrenceSet()) == 0 and not CooccurrenceSet().contains_pairs([0], [1])[0]
+
+
+@pytest.mark.parametrize("first, second", [([0, 3], [1, 3]), ([0, -1], [1, 2]), ([0, 4], [1, 5])],
+                         ids=["self-pair", "negative", "past-n"])
+def test_cooccurrence_rejects_pairs_that_are_not_two_rows(first, second):
+    with pytest.raises(ValueError, match=rf"pair \({first[1]}, {second[1]}\) is not two "
+                                         r"distinct rows in \[0, 5\)"):
+        CooccurrenceSet(5, first, second)
+
+
+def test_cooccurrence_must_cover_the_partition():
+    points, labels, ranks, _, cfg = default_mining_setup()
+    short = CooccurrenceSet(labels.size - 1, [0], [7])
+    with pytest.raises(ValueError, match="covers 35 rows, partition has 36"):
+        apply_video_correction(labels, short, points)
+    with pytest.raises(ValueError, match="covers 35 rows, partition has 36"):
+        mine_epoch(labels, ranks, short, cfg)
+    empty = CooccurrenceSet(3)  # an empty set of any size is no constraint
+    np.testing.assert_array_equal(apply_video_correction(labels, empty, points), labels)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import pair_set
+
 from ccl.data import build_cooccurrence
 from ccl.finch import finch_hierarchy, partition_purity
 from ccl.synth import synth_generate
@@ -21,7 +23,7 @@ def test_cooc_pairs_never_share_a_label():
     fs = synth_generate(4, 50, 16, noise=0.2, frames_per_track=5, cooc_rate=0.6, seed=2)
     cooc = build_cooccurrence(fs)
     assert len(cooc) > 0
-    for i, j in cooc.pairs:
+    for i, j in pair_set(cooc):
         assert fs.label[i] != fs.label[j]
 
 
