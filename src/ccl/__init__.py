@@ -3,7 +3,6 @@
 from .data import (
     CooccurrenceSet,
     FeatureSet,
-    TrackFeatureSet,
     aggregate_tracks,
     build_cooccurrence,
     l2_normalize,
@@ -23,7 +22,6 @@ from .synth import synth_generate
 __all__ = [
     "CooccurrenceSet",
     "FeatureSet",
-    "TrackFeatureSet",
     "aggregate_tracks",
     "build_cooccurrence",
     "l2_normalize",

@@ -247,10 +247,10 @@ def _run_command(args) -> None:
             gt = fs.label
         else:
             tracks = aggregate_tracks(fs)
-            if pred.size != tracks.num_tracks:
+            if pred.size != tracks.num_samples:
                 raise ValueError(
                     f"prediction count {pred.size} matches neither samples "
-                    f"({fs.num_samples}) nor tracks ({tracks.num_tracks})")
+                    f"({fs.num_samples}) nor tracks ({tracks.num_samples})")
             gt = tracks.label
         wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
         report = {}

@@ -17,6 +17,10 @@ with -1 marking unknown track/label entries.
 
 Frame co-occurrence is one sorted, duplicate-free int64 array of pair codes
 ``i * n + j`` (i < j, n feature rows) in a ``CooccurrenceSet``.
+
+Row primitives shared by every stage: ``unit_rows`` (float64 rows over their
+norms), ``cluster_means`` (l2-normalized mean of each group of rows: FINCH's
+clusters, cluster ranking, tracks) and ``sq_distances`` (squared distances).
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ def _check_rows(features: np.ndarray, *, reject_zero_rows: bool, where=None) -> 
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
     problem = "non-finite value in feature row"
     if not bad.size and reject_zero_rows:
-        bad = np.flatnonzero(np.linalg.norm(features, axis=1) == 0.0)
+        # zero norm iff every entry is 0; a float32 norm underflows on tiny rows
+        bad = np.flatnonzero(~features.any(axis=1))
         problem = "zero-norm feature row"
     if bad.size:
         r = int(bad[0])
@@ -102,26 +107,6 @@ class FeatureSet:
     def with_features(self, features: np.ndarray) -> "FeatureSet":
         """Same index arrays over a new feature matrix (row-aligned)."""
         return FeatureSet(features, self.frame_id, self.track_id, self.label)
-
-
-@dataclass(frozen=True)
-class TrackFeatureSet:
-    """One l2-normalized mean feature row per track, ascending track_id."""
-
-    features: np.ndarray
-    track_id: np.ndarray
-    label: np.ndarray
-
-    def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float32)
-        object.__setattr__(self, "features", feats)
-        t = feats.shape[0]
-        object.__setattr__(self, "track_id", _as_index(self.track_id, t, "track_id"))
-        object.__setattr__(self, "label", _as_index(self.label, t, "label"))
-
-    @property
-    def num_tracks(self) -> int:
-        return self.features.shape[0]
 
 
 class CooccurrenceSet:
@@ -244,18 +229,46 @@ def load_features_csv(path) -> FeatureSet:
     return FeatureSet(features, np.asarray(frame), np.asarray(track), np.asarray(label))
 
 
-def l2_normalize(fs: FeatureSet) -> FeatureSet:
-    """Divide every row by its Euclidean norm; errors on a zero-norm row."""
-    norms = np.linalg.norm(fs.features.astype(np.float64), axis=1)
+def unit_rows(x, name=lambda r: f"row {r}") -> np.ndarray:
+    """Float64 rows over their norms; ValueError names a zero-norm row ``name(r)``."""
+    x = np.array(x, dtype=np.float64)  # a copy, divided in place
+    norms = np.linalg.norm(x, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"cannot normalize zero-norm row {zero[0]}")
-    scaled = fs.features.astype(np.float64) / norms[:, None]
-    return fs.with_features(scaled.astype(np.float32))
+        raise ValueError(f"zero-norm {name(int(zero[0]))}")
+    x /= norms[:, None]
+    return x
 
 
-def aggregate_tracks(fs: FeatureSet) -> TrackFeatureSet:
-    """Mean-pool rows per track, l2-normalize, order by ascending track_id.
+def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.ndarray:
+    """Per-cluster mean of rows, l2-normalized; labels must be contiguous."""
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    m = int(labels.max()) + 1
+    counts = np.bincount(labels, minlength=m)
+    if np.any(counts == 0):
+        raise ValueError(f"empty cluster {int(np.flatnonzero(counts == 0)[0])}")
+    sums = np.zeros((m, points.shape[1]), dtype=np.float64)
+    np.add.at(sums, labels, points)
+    return unit_rows(sums / counts[:, None], name)
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from each row of ``a`` to each row of ``b``."""
+    aa = np.einsum("ij,ij->i", a, a)[:, None]
+    bb = np.einsum("ij,ij->i", b, b)[None, :]
+    # (2.0 * a) @ b.T stays a general GEMM when a is b; a @ a.T rounds differently
+    return np.maximum(aa + bb - 2.0 * a @ b.T, 0.0)
+
+
+def l2_normalize(fs: FeatureSet) -> FeatureSet:
+    """Divide every row by its Euclidean norm; errors on a zero-norm row."""
+    return fs.with_features(unit_rows(fs.features).astype(np.float32))
+
+
+def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
+    """One row per track, by ascending track_id: the l2-normalized mean of
+    the track's rows, with its track_id and label and no frame ids.
 
     Every row must carry a track_id >= 0, and all rows of a track must agree
     on the ground-truth label (tracks with mixed labels are rejected).
@@ -266,23 +279,15 @@ def aggregate_tracks(fs: FeatureSet) -> TrackFeatureSet:
         bad = int(np.flatnonzero(fs.track_id < 0)[0])
         raise ValueError(f"row {bad} has no track_id (-1)")
 
-    track_ids = np.unique(fs.track_id)
+    ids, first, inverse = np.unique(fs.track_id, return_index=True, return_inverse=True)
     labels = fs.label if fs.label is not None else np.full(fs.num_samples, -1, dtype=np.int64)
-    means = np.empty((track_ids.size, fs.dim), dtype=np.float64)
-    track_labels = np.empty(track_ids.size, dtype=np.int64)
-    for t, tid in enumerate(track_ids):
-        member = np.flatnonzero(fs.track_id == tid)
-        distinct = np.unique(labels[member])
-        if distinct.size > 1:
-            raise ValueError(f"track {tid} has mixed labels {distinct.tolist()}")
-        track_labels[t] = distinct[0]
-        means[t] = fs.features[member].astype(np.float64).mean(axis=0)
-
-    norms = np.linalg.norm(means, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"track {track_ids[zero[0]]} has a zero-norm mean")
-    return TrackFeatureSet((means / norms[:, None]).astype(np.float32), track_ids, track_labels)
+    mixed = labels != labels[first][inverse]
+    if mixed.any():
+        tid = fs.track_id[mixed].min()
+        distinct = np.unique(labels[fs.track_id == tid])
+        raise ValueError(f"track {tid} has mixed labels {distinct.tolist()}")
+    means = cluster_means(fs.features, inverse, lambda t: f"mean of track {ids[t]}")
+    return FeatureSet(means.astype(np.float32), track_id=ids, label=labels[first])
 
 
 def build_cooccurrence(fs: FeatureSet) -> CooccurrenceSet:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, cluster_means, unit_rows
 from .labeling import UnionFind, relabel_contiguous
 from .metrics import wcp
 
@@ -44,15 +44,6 @@ class PartitionHierarchy:
         return self.partitions[index - 1]
 
 
-def _unit_rows(points: np.ndarray) -> np.ndarray:
-    points = np.asarray(points, dtype=np.float64)
-    norms = np.linalg.norm(points, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm row {zero[0]}")
-    return points / norms[:, None]
-
-
 def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> np.ndarray:
     """Index of each row's nearest other row under cosine distance.
 
@@ -64,7 +55,7 @@ def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) ->
     m = points.shape[0]
     if m < 2:
         raise ValueError(f"first_neighbors needs at least 2 rows, got {m}")
-    unit = _unit_rows(points)
+    unit = unit_rows(points)
     kappa = np.empty(m, dtype=np.int64)
     for start in range(0, m, chunk_rows):
         stop = min(start + chunk_rows, m)
@@ -88,25 +79,7 @@ def link_components(kappa: np.ndarray) -> np.ndarray:
     return uf.labels()
 
 
-def cluster_means(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-cluster mean of rows, l2-normalized; labels must be contiguous."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    m = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=m)
-    if np.any(counts == 0):
-        raise ValueError(f"empty cluster {int(np.flatnonzero(counts == 0)[0])}")
-    sums = np.zeros((m, points.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, points)
-    means = sums / counts[:, None]
-    norms = np.linalg.norm(means, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"cluster {zero[0]} has a zero-norm mean")
-    return means / norms[:, None]
-
-
-def finch_hierarchy(data, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> PartitionHierarchy:
+def finch_hierarchy(data) -> PartitionHierarchy:
     """Build the full partition hierarchy for a FeatureSet or matrix.
 
     The recursion links l2-normalized cluster means of the original samples
@@ -117,13 +90,13 @@ def finch_hierarchy(data, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> PartitionHier
     if points.shape[0] < 2:
         raise ValueError("hierarchy needs at least 2 samples")
 
-    labels = link_components(first_neighbors(points, chunk_rows))
+    labels = link_components(first_neighbors(points))
     partitions = [labels]
     counts = [int(labels.max()) + 1]
     means = [cluster_means(points, labels)]
 
     while counts[-1] > 2:
-        kappa = first_neighbors(means[-1], chunk_rows)
+        kappa = first_neighbors(means[-1])
         meta = link_components(kappa)
         merged = relabel_contiguous(meta[partitions[-1]])
         m = int(merged.max()) + 1

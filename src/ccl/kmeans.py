@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import sq_distances
 from .labeling import relabel_contiguous
 
 log = logging.getLogger(__name__)
@@ -32,19 +33,13 @@ class KMeansConfig:
             raise ValueError("batch_size must be >= 1 and max_iters >= 0")
 
 
-def _sq_dist_to_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    pp = np.einsum("ij,ij->i", points, points)[:, None]
-    cc = np.einsum("ij,ij->i", centers, centers)[None, :]
-    return np.maximum(pp + cc - 2.0 * points @ centers.T, 0.0)
-
-
 def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: subsequent centers drawn with prob proportional to
     squared distance from the nearest already-chosen center."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[rng.integers(n)]
-    best = _sq_dist_to_centers(points, centers[:1])[:, 0]
+    best = sq_distances(points, centers[:1])[:, 0]
     for c in range(1, k):
         total = best.sum()
         if total == 0.0:
@@ -52,14 +47,14 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = rng.choice(n, p=best / total)
         centers[c] = points[idx]
-        best = np.minimum(best, _sq_dist_to_centers(points, centers[c:c + 1])[:, 0])
+        best = np.minimum(best, sq_distances(points, centers[c:c + 1])[:, 0])
     return centers
 
 
 def quantization_cost(points: np.ndarray, centers: np.ndarray) -> float:
     """Mean squared distance of every point to its nearest center."""
     points = np.asarray(points, dtype=np.float64)
-    return float(_sq_dist_to_centers(points, centers).min(axis=1).mean())
+    return float(sq_distances(points, centers).min(axis=1).mean())
 
 
 def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
@@ -85,7 +80,7 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
     batch_size = min(cfg.batch_size, n)
     for _ in range(cfg.max_iters):
         batch = rng.choice(n, size=batch_size, replace=False)
-        assign = np.argmin(_sq_dist_to_centers(points[batch], centers), axis=1)
+        assign = np.argmin(sq_distances(points[batch], centers), axis=1)
         for c in np.unique(assign):
             member = points[batch[assign == c]]
             new_count = counts[c] + member.shape[0]
@@ -93,7 +88,7 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
             centers[c] = (counts[c] * centers[c] + member.sum(axis=0)) / new_count
             counts[c] = new_count
 
-    labels = np.argmin(_sq_dist_to_centers(points, centers), axis=1)
+    labels = np.argmin(sq_distances(points, centers), axis=1)
     used = np.unique(labels)
     if used.size < cfg.k:
         log.warning("minibatch_kmeans: %d of %d clusters ended up empty; relabeling",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CooccurrenceSet
+from .data import CooccurrenceSet, sq_distances, unit_rows
 from .labeling import members_by_label
 
 POS_CLUSTER = "PosC"
@@ -109,9 +109,8 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
     m = means.shape[0]
     if m < 2:
         raise ValueError("ranking needs at least 2 clusters")
-    unit = means / np.linalg.norm(means, axis=1)[:, None]
-    sq = np.einsum("ij,ij->i", unit, unit)
-    dist = np.maximum(sq[:, None] + sq[None, :] - 2.0 * unit @ unit.T, 0.0)
+    unit = unit_rows(means, lambda c: f"mean of cluster {c}")
+    dist = sq_distances(unit, unit)
     nearest, farthest = [], []
     idx = np.arange(m)
     for c in range(m):

@@ -26,11 +26,12 @@ from .data import (
     FeatureSet,
     aggregate_tracks,
     build_cooccurrence,
+    cluster_means,
     l2_normalize,
     load_features,
     load_features_csv,
 )
-from .finch import cluster_means, finch_hierarchy, partition_purity
+from .finch import finch_hierarchy, partition_purity
 from .hac import ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import ClusteringReport, evaluate_clustering
@@ -92,7 +93,7 @@ class PipelineConfig:
 
 _SECTIONS = {
     "pipeline": ("partition_index", "num_clusters", "eval_level", "backend", "seed",
-                 "features", "out_dir", "video_correction"),
+                 "video_correction"),
     "sources": ("pos_cluster", "neg_cluster", "neg_video"),
     "mining": ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
                "pos_per_cluster", "neg_per_cluster", "near_positives_for_all"),
@@ -113,8 +114,15 @@ def _parse_value(raw: str):
     return raw
 
 
+def _field_type(section: str, name: str) -> type:
+    """Type of the default of the config field that ``section.name`` sets."""
+    cfg = PipelineConfig()
+    owner = {"mining": cfg.mining, "train": cfg.training}.get(section, cfg)
+    return type(getattr(owner, f"use_{name}" if section == "sources" else name))
+
+
 def parse_config_file(path) -> dict[str, object]:
-    """Flat ``section.key = value`` lines; '#' starts a comment."""
+    """Flat ``section.key = value`` lines, each typed as its field; '#' starts a comment."""
     values: dict[str, object] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -126,7 +134,10 @@ def parse_config_file(path) -> dict[str, object]:
         section, _, name = key.partition(".")
         if section not in _SECTIONS or name not in _SECTIONS[section]:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_value(raw)
+        value, expected = _parse_value(raw), _field_type(section, name)
+        if type(value) is not expected and not (expected is float and type(value) is int):
+            raise ValueError(f"{path}:{lineno}: {key} must be {expected.__name__}, got {raw!r}")
+        values[key] = value
     return values
 
 
@@ -177,10 +188,10 @@ def write_partition_csv(hierarchy, path) -> None:
 
 def _int_cell(path, reader, row: list[str], column: int) -> int:
     try:
-        return int(row[column])
-    except (IndexError, ValueError):
+        return int(np.int64(row[column]))
+    except (IndexError, ValueError, OverflowError):
         raise ValueError(f"{path} line {reader.line_num}: expected an integer "
-                         f"in column {column + 1}, got {row!r}") from None
+                         f"in the int64 range in column {column + 1}, got {row!r}") from None
 
 
 def read_partition_csv(path, index: int, num_rows: int) -> np.ndarray:

@@ -30,14 +30,16 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, unit_rows
 
 CHECKPOINT_MAGIC = b"CCLM"
 CHECKPOINT_VERSION = 1
+
+EMBED_CHUNK_ROWS = 4096  # rows per eval-mode forward pass in `embed`
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 
@@ -75,13 +77,6 @@ class SiameseModel:
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TRAINABLE}
-
-    def astype(self, dtype) -> "SiameseModel":
-        arrays = {
-            name: getattr(self, name).astype(dtype)
-            for name in (*TRAINABLE, "bn_mean", "bn_var")
-        }
-        return replace(self, **arrays)
 
 
 @dataclass(frozen=True)
@@ -397,18 +392,14 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     return model
 
 
-def embed(model: SiameseModel, fs: FeatureSet, chunk_rows: int = 4096) -> FeatureSet:
+def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     """Eval-mode hidden embeddings, l2-normalized, indices carried through."""
     out = np.empty((fs.num_samples, model.dim_hidden), dtype=np.float32)
-    for start in range(0, fs.num_samples, chunk_rows):
-        stop = min(start + chunk_rows, fs.num_samples)
+    for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
+        stop = min(start + EMBED_CHUNK_ROWS, fs.num_samples)
         h, _ = forward(model, fs.features[start:stop], mode="eval")
         out[start:stop] = h.astype(np.float32)
-    norms = np.linalg.norm(out.astype(np.float64), axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"embedding row {zero[0]} has zero norm")
-    return fs.with_features((out / norms[:, None]).astype(np.float32))
+    return fs.with_features(unit_rows(out, lambda r: f"embedding row {r}").astype(np.float32))
 
 
 def save_model(model: SiameseModel, path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import FeatureSet
+from .data import FeatureSet, unit_rows
 
 _MAX_CENTER_TRIES = 10_000
 
@@ -49,11 +49,9 @@ def synth_generate(num_classes: int, per_class: int, dim: int, noise: float,
 
     n = num_classes * per_class
     label = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    features = centers[label] + noise * rng.normal(size=(n, dim))
-    norms = np.linalg.norm(features, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("noise produced a zero-norm sample; choose another seed")
-    features = (features / norms[:, None]).astype(np.float32)
+    features = unit_rows(centers[label] + noise * rng.normal(size=(n, dim)),
+                         lambda r: f"sample {r} from the noise; choose another seed"
+                         ).astype(np.float32)
 
     track_id = np.empty(n, dtype=np.int64)
     next_track = 0

@@ -226,6 +226,24 @@ def naive_cooccurrence(fs) -> set[tuple[int, int]]:
     return pairs
 
 
+def naive_aggregate_tracks(fs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-track loop over ascending track ids: (float32 l2-normalized mean
+    rows, track ids, labels, -1 without labels); mixed labels raise."""
+    track_ids = np.unique(fs.track_id)
+    labels = fs.label if fs.label is not None else np.full(fs.num_samples, -1, dtype=np.int64)
+    means = np.empty((track_ids.size, fs.dim), dtype=np.float64)
+    track_labels = np.empty(track_ids.size, dtype=np.int64)
+    for t, tid in enumerate(track_ids):
+        member = np.flatnonzero(fs.track_id == tid)
+        distinct = np.unique(labels[member])
+        if distinct.size > 1:
+            raise ValueError(f"track {tid} has mixed labels {distinct.tolist()}")
+        track_labels[t] = distinct[0]
+        means[t] = fs.features[member].astype(np.float64).mean(axis=0)
+    unit = means / np.linalg.norm(means, axis=1)[:, None]
+    return unit.astype(np.float32), track_ids, track_labels
+
+
 def naive_video_correction(partition, cooc, points) -> np.ndarray:
     """Video correction re-scanning every co-occurrence pair after each move."""
     labels = np.asarray(partition, dtype=np.int64).copy()

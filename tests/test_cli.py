@@ -149,6 +149,34 @@ def test_train_rejects_cooc_self_pair(feature_file, tmp_path, capsys):
                                        "two distinct rows of the 150 feature rows\n")
 
 
+def test_train_rejects_partition_cell_outside_int64(feature_file, tmp_path, capsys):
+    partition = tmp_path / "partition.csv"
+    partition.write_text("sample_index,p1,p2\n0,0,0\n1,0,1180591620717411303424\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", "--features", str(feature_file), "--partition", str(partition),
+              "--seed", "0", "--out", str(tmp_path / "model.ccl")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ccl train: error: {partition} line 3: expected an integer")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line", ["pipeline.partition_index = abc", "train.epochs = 2.5",
+                                  "pipeline.seed = 1.5", "mining.z_near = true"])
+def test_run_rejects_config_value_of_the_wrong_type_before_any_stage(feature_file, tmp_path,
+                                                                     capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--features", str(feature_file), "--config", str(config),
+              "--out-dir", str(out_dir)])
+    assert exit_info.value.code == 2
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(f"ccl run: error: {config}:1: {key} must be ")
+    assert not out_dir.exists()
+
+
 def test_train_cooc_file_of_frame_pairs_matches_frame_ids(feature_file, tmp_path):
     pairs = sorted(naive_cooccurrence(load_features(feature_file)))
     assert len(pairs) > 10

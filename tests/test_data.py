@@ -1,5 +1,7 @@
 import math
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +16,12 @@ from ccl.data import (
     l2_normalize,
     load_features,
     load_features_csv,
+    unit_rows,
     write_features,
 )
 
 from corruption import corrupt, corruptions
-from oracles import naive_cooccurrence, pair_set
+from oracles import naive_aggregate_tracks, naive_cooccurrence, pair_set
 
 
 def make_fs(features, frame=None, track=None, label=None):
@@ -119,6 +122,31 @@ def test_load_rejects_nonfinite_and_zero_rows(tmp_path):
         load_features(path)
 
 
+def test_load_accepts_tiny_and_huge_rows_and_rejects_zero_rows(tmp_path):
+    # a float32 norm underflows to 0 on [1e-30, 0] and overflows on 3e38
+    feats = np.array([[1e-30, 0.0], [3e38, -3e38], [0.0, 1.0]], dtype=np.float32)
+    path = tmp_path / "extreme.cclf"
+    write_features(FeatureSet(feats), path)
+    csv_path = tmp_path / "extreme.csv"
+    csv_path.write_text("frame_id,track_id,label,f0,f1\n"
+                        + "".join(f"0,0,0,{a!r},{b!r}\n" for a, b in feats.tolist()))
+    for loaded in (load_features(path), load_features_csv(csv_path)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(loaded.features, feats)
+            unit = l2_normalize(loaded).features
+        np.testing.assert_array_equal(unit[0], [1.0, 0.0])
+        np.testing.assert_allclose(unit[1], [2 ** -0.5, -(2 ** -0.5)], rtol=1e-6)
+
+    feats[2] = 0.0
+    write_features(FeatureSet(feats), path)
+    with pytest.raises(FeatureFileError, match="zero-norm feature row 2"):
+        load_features(path)
+    csv_path.write_text(csv_path.read_text().replace("0,0,0,0.0,1.0", "0,0,0,0.0,-0.0"))
+    with pytest.raises(FeatureFileError, match=r"extreme\.csv line 4: zero-norm feature row"):
+        load_features_csv(csv_path)
+
+
 def test_csv_import(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text(
@@ -186,7 +214,7 @@ def test_l2_normalize_zero_row_errors():
 def test_aggregate_identical_rows():
     fs = make_fs([[0.6, 0.8], [0.6, 0.8]], track=[4, 4], label=[2, 2])
     tr = aggregate_tracks(fs)
-    assert tr.num_tracks == 1
+    assert tr.num_samples == 1
     np.testing.assert_allclose(tr.features[0], [0.6, 0.8], atol=1e-6)
     assert tr.label[0] == 2 and tr.track_id[0] == 4
 
@@ -203,12 +231,70 @@ def test_aggregate_matches_groupby_oracle():
     track = rng.integers(0, 3, 30)
     label = track.copy()  # one label per track
     tr = aggregate_tracks(make_fs(feats, track=track, label=label))
-    assert tr.num_tracks == 3
+    assert tr.num_samples == 3
     np.testing.assert_array_equal(tr.track_id, [0, 1, 2])
     for t in range(3):
         mean = feats[track == t].astype(np.float64).mean(axis=0)
         mean /= math.sqrt(float((mean ** 2).sum()))
         np.testing.assert_allclose(tr.features[t], mean, atol=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tracks=st.one_of(
+    st.lists(st.integers(0, 6), min_size=1, max_size=40),        # a few interleaved tracks
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=40),   # mostly singleton tracks
+    st.integers(1, 40).map(lambda n: [7] * n)),                   # one track holds every row
+    labels=st.sampled_from(["none", "per track", "per row"]),
+    dim=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_aggregate_matches_naive_oracle(tracks, labels, dim, seed):
+    rng = np.random.default_rng(seed)
+    track = np.asarray(tracks, dtype=np.int64)
+    label = {"none": None, "per track": track % 3 - 1,
+             "per row": rng.integers(-1, 2, track.size)}[labels]
+    fs = make_fs(rng.normal(size=(track.size, dim)), track=track, label=label)
+    try:
+        features, track_ids, track_labels = naive_aggregate_tracks(fs)
+    except ValueError as exc:  # mixed labels: the same track must be named
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            aggregate_tracks(fs)
+        return
+    tr = aggregate_tracks(fs)
+    assert tr.features.dtype == np.float32 and tr.features.shape == features.shape
+    assert tr.features.tobytes() == features.tobytes()
+    np.testing.assert_array_equal(tr.track_id, track_ids)
+    np.testing.assert_array_equal(tr.label, track_labels)
+    assert tr.frame_id is None
+
+
+def test_aggregate_names_the_track_of_a_zero_norm_mean():
+    fs = make_fs([[0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], track=[3, 9, 9])
+    with pytest.raises(ValueError, match="zero-norm mean of track 9"):
+        aggregate_tracks(fs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 30), dim=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_unit_rows_matches_the_expressions_it_replaces(rows, dim, seed):
+    wide = np.random.default_rng(seed).normal(size=(rows, dim))
+    narrow = wide.astype(np.float32)
+    # l2_normalize: float32 rows widened, then divided by their float64 norms
+    as_f64 = narrow.astype(np.float64)
+    expected = (as_f64 / np.linalg.norm(as_f64, axis=1)[:, None]).astype(np.float32)
+    assert unit_rows(narrow).astype(np.float32).tobytes() == expected.tobytes()
+    # embed: float32 rows divided by float64 norms
+    expected = (narrow / np.linalg.norm(as_f64, axis=1)[:, None]).astype(np.float32)
+    assert unit_rows(narrow).astype(np.float32).tobytes() == expected.tobytes()
+    # cluster_means: float64 rows
+    expected = wide / np.linalg.norm(wide, axis=1)[:, None]
+    assert unit_rows(wide).tobytes() == expected.tobytes()
+
+
+def test_unit_rows_names_the_zero_row():
+    rows = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]], dtype=np.float32)
+    with pytest.raises(ValueError, match="zero-norm row 1$"):
+        unit_rows(rows)
+    with pytest.raises(ValueError, match="zero-norm embedding row 1$"):
+        unit_rows(rows, lambda r: f"embedding row {r}")
 
 
 def test_aggregate_rejects_mixed_labels():

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,31 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("pipeline.partition_index = abc", "pipeline.partition_index must be int, got 'abc'"),
+    ("pipeline.seed = 1.5", "pipeline.seed must be int"),
+    ("train.epochs = 2.5", "train.epochs must be int"),
+    ("mining.z_near = true", "mining.z_near must be int"),
+    ("train.lr = false", "train.lr must be float"),
+    ("sources.neg_video = 0", "sources.neg_video must be bool"),
+    ("pipeline.backend = 3", "pipeline.backend must be str"),
+    ("pipeline.features = x.cclf", "unknown config key 'pipeline.features'"),
+    ("pipeline.out_dir = out", "unknown config key 'pipeline.out_dir'"),
+])
+def test_config_file_rejects_values_of_the_wrong_type(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"train.epochs = 2\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+        parse_config_file(path)
+
+
+def test_config_file_accepts_an_int_for_a_float(tmp_path):
+    path = tmp_path / "ccl.cfg"
+    path.write_text("train.lr = 1\ntrain.margin = 2\n")
+    cfg = config_from_values(parse_config_file(path))
+    assert cfg.training.lr == 1 and cfg.training.margin == 2
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="partition_index"):
         quick_config(partition_index=0).validate()
@@ -216,5 +242,11 @@ def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path):
     with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
         read_labels_csv(path)
     path.write_text("sample_index,label\n0,1\n1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
+        read_labels_csv(path)
+    path.write_text("sample_index,p1\n0,0\n1,1180591620717411303424\n")
+    with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
+        read_partition_csv(path, 1, 2)
+    path.write_text("sample_index,label\n0,1\n1,-9223372036854775809\n")
     with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
         read_labels_csv(path)
