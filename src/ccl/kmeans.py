@@ -31,6 +31,8 @@ class KMeansConfig:
             raise ValueError(f"k={self.k} must lie in [1, {n}]")
         if self.batch_size < 1 or self.max_iters < 0:
             raise ValueError("batch_size must be >= 1 and max_iters >= 0")
+        if self.seed < 0:
+            raise ValueError(f"k-means seed (--seed) must be >= 0, got {self.seed}")
 
 
 def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -49,11 +49,3 @@ def relabel_contiguous(labels) -> np.ndarray:
         out[i] = code
     return out
 
-
-def members_by_label(labels: np.ndarray) -> list[np.ndarray]:
-    """Member row indices per contiguous label, ascending within each."""
-    labels = np.asarray(labels, dtype=np.int64)
-    m = int(labels.max()) + 1
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(m + 1))
-    return [order[bounds[c]:bounds[c + 1]] for c in range(m)]

@@ -1,27 +1,23 @@
 """Training-pair mining from a cluster partition plus frame co-occurrence.
 
-Positive candidates are all pairs inside a cluster (PosC), topped up for
-small clusters by pairing members with random samples from one of the
-nearest clusters (PosC-near). Negative candidates pair each member twice
-with random samples from the farthest clusters (NegC) and add every
-co-occurrence pair touching the cluster (NVid). Each cluster contributes a
-fixed quota of positives and negatives; pair label y is 0 for positives and
-1 for negatives.
+An epoch's slots are the clusters in seeded-shuffled order, wrapped around
+so every batch holds ``clusters_per_batch`` of them. A slot's positive
+candidates are its cluster's pairs (i, j) (PosC, row-major i < j over the
+ascending members), then for small clusters one draw per member from one of
+the nearest clusters that does not co-occur with it (PosC-near; when every
+draw co-occurs, all allowed pairs with the near clusters, drawing nothing).
+Its negative candidates are two draws per member from the farthest clusters
+(NegC), then every co-occurrence pair touching the cluster (NVid), ascending.
+Each slot contributes a fixed quota of positives (y = 0) and negatives (y = 1).
 
 Pair streams are a pure function of (partition, ranks, co-occurrence,
-config, epoch): one generator seeded with ``[seed, epoch]`` draws the
-cluster shuffle, then, for each cluster in batch order:
-
-1. PosC-near (when enabled for the cluster): the near cluster, then one
-   partner per member, in member order;
-2. NegC: per member, in member order, (far cluster, member of it) twice;
-3. the positive subsample over the candidate list;
-4. the negative subsample over the candidate list.
-
-Candidate lists are ordered PosC pairs (i, j) by row-major i < j over the
-ascending members, then PosC-near draws; NegC draws, then NVid pairs in
-ascending order. A subsample is one ``rng.choice(total, size=quota)``,
-without replacement unless the list is shorter than the quota. Changing
+config, epoch). One generator seeded with ``[seed, epoch]`` draws the
+shuffle, then makes one ``rng.integers`` call with per-element bounds per
+draw kind, over all slots in slot order: (1) near cluster, per slot taking
+PosC-near (a cluster under ``small_cluster_threshold``, or any with
+``near_positives_for_all``); (2) near partner, per member of those slots;
+(3) far cluster, twice per member; (4) far member, per far cluster drawn;
+(5) the positive, then the negative subsample (`draw_subsamples`). Changing
 this draw order or the candidate order changes every mined pair after it.
 """
 
@@ -32,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CooccurrenceSet, sq_distances, unit_rows
-from .labeling import members_by_label
 
 POS_CLUSTER = "PosC"
 POS_NEAR = "PosC-near"
@@ -41,7 +36,6 @@ NEG_VIDEO = "NVid"
 
 _SOURCE_NAMES = np.array([POS_CLUSTER, POS_NEAR, NEG_CLUSTER, NEG_VIDEO], dtype="U9")
 _POS_CLUSTER, _POS_NEAR, _NEG_CLUSTER, _NEG_VIDEO = range(4)
-_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -65,6 +59,8 @@ class MiningConfig:
                   self.clusters_per_batch, self.pos_per_cluster, self.neg_per_cluster)
         if any(v < 1 for v in counts):
             raise ValueError("all mining sizes must be positive")
+        if self.seed < 0:
+            raise ValueError(f"mining seed must be >= 0, got {self.seed}")
         if self.pos_per_cluster != self.neg_per_cluster:
             raise ValueError("pos_per_cluster and neg_per_cluster must match")
         if not (self.use_pos_cluster or self.use_neg_cluster or self.use_neg_video):
@@ -93,16 +89,17 @@ class PairBatch:
 
 @dataclass(frozen=True)
 class ClusterRanks:
-    """Per cluster: indices of the nearest and the farthest other clusters."""
+    """Row c: indices of the nearest and of the farthest other clusters of
+    cluster c, as (M, z) arrays."""
 
-    nearest: list[np.ndarray]
-    farthest: list[np.ndarray]
+    nearest: np.ndarray
+    farthest: np.ndarray
 
 
 def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> ClusterRanks:
     """Sort other clusters by Euclidean distance between normalized means.
 
-    Lists truncate to M-1 entries when fewer than z other clusters exist;
+    Rows truncate to M-1 entries when fewer than z other clusters exist;
     distance ties resolve toward the smaller cluster index.
     """
     means = np.asarray(means, dtype=np.float64)
@@ -111,14 +108,10 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
         raise ValueError("ranking needs at least 2 clusters")
     unit = unit_rows(means, lambda c: f"mean of cluster {c}")
     dist = sq_distances(unit, unit)
-    nearest, farthest = [], []
-    idx = np.arange(m)
-    for c in range(m):
-        others = idx[idx != c]
-        row = dist[c, others]
-        nearest.append(others[np.lexsort((others, row))][:z_near])
-        farthest.append(others[np.lexsort((others, -row))][:z_far])
-    return ClusterRanks(nearest, farthest)
+    np.fill_diagonal(dist, -np.inf)  # a cluster sorts last among its own farthest
+    farthest = np.argsort(-dist, axis=1, kind="stable")[:, :min(z_far, m - 1)]
+    np.fill_diagonal(dist, np.inf)  # and last among its own nearest
+    return ClusterRanks(np.argsort(dist, axis=1, kind="stable")[:, :min(z_near, m - 1)], farthest)
 
 
 def _check_cover(labels: np.ndarray, cooc: CooccurrenceSet) -> None:
@@ -171,56 +164,6 @@ def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
     return labels
 
 
-def _subsample(rng: np.random.Generator, total: int, quota: int) -> np.ndarray:
-    """Indices of ``quota`` picks out of ``total`` candidates; with
-    replacement only when there are fewer candidates than the quota."""
-    if total == 0:
-        return _NO_ROWS
-    return rng.choice(total, size=quota, replace=total < quota)
-
-
-def _triangle_pairs(mem: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode indices into the row-major list of pairs (mem[i], mem[j]), i < j."""
-    n = mem.size
-    i = np.arange(n, dtype=np.int64)
-    row_start = i * n - i * (i + 1) // 2
-    row = np.searchsorted(row_start, k, side="right") - 1
-    col = k - row_start[row] + row + 1
-    return mem[row], mem[col]
-
-
-def _near_positive_draws(rng, mem, members, near, cooc):
-    if near.size == 0:
-        return _NO_ROWS, _NO_ROWS
-    pool = members[int(near[rng.integers(0, near.size)])]
-    partners = pool[rng.integers(0, pool.size, size=mem.size)]
-    keep = ~cooc.contains_pairs(mem, partners)
-    if keep.any():
-        return mem[keep], partners[keep]
-    # every draw hit a co-occurrence: fall back to enumerating allowed pairs
-    a_parts, b_parts = [], []
-    for g in near.tolist():
-        pool = members[g]
-        a = np.repeat(mem, pool.size)
-        b = np.tile(pool, mem.size)
-        keep = ~cooc.contains_pairs(a, b)
-        a_parts.append(a[keep])
-        b_parts.append(b[keep])
-    return np.concatenate(a_parts), np.concatenate(b_parts)
-
-
-def _far_negative_draws(rng, mem, members, far):
-    """Two (far cluster, member) draws per member, each bound set by the
-    cluster just drawn, so the draws stay scalar."""
-    integers = rng.integers
-    far_list = far.tolist()
-    partners = np.empty(2 * mem.size, dtype=np.int64)
-    for t in range(partners.size):
-        pool = members[far_list[integers(0, len(far_list))]]
-        partners[t] = pool[integers(0, pool.size)]
-    return np.repeat(mem, 2), partners
-
-
 def _video_pairs(labels: np.ndarray, m: int, cooc: CooccurrenceSet):
     """Every cluster's NVid candidates from one pass over the co-occurrence
     codes: cluster c's pairs are ``(first[s:e], second[s:e])`` with
@@ -237,82 +180,138 @@ def _video_pairs(labels: np.ndarray, m: int, cooc: CooccurrenceSet):
     return first[pair], second[pair], indptr
 
 
-def _mine_cluster(rng, c, members, ranks, cooc, video, cfg):
-    """Chosen (a, b, source code) arrays for one cluster's positives and negatives."""
-    mem = members[c]
-    n = mem.size
-    num_in_cluster = 0
-    near_a = near_b = _NO_ROWS
-    if cfg.use_pos_cluster:
-        num_in_cluster = n * (n - 1) // 2
-        if n < cfg.small_cluster_threshold or cfg.near_positives_for_all:
-            near_a, near_b = _near_positive_draws(rng, mem, members, ranks.nearest[c], cooc)
-
-    far_a = far_b = video_a = video_b = _NO_ROWS
-    if cfg.use_neg_cluster and ranks.farthest[c].size:
-        far_a, far_b = _far_negative_draws(rng, mem, members, ranks.farthest[c])
-    if video is not None:
-        first, second, indptr = video
-        start, stop = indptr[c], indptr[c + 1]
-        video_a, video_b = first[start:stop], second[start:stop]
-
-    pick = _subsample(rng, num_in_cluster + near_a.size, cfg.pos_per_cluster)
-    in_cluster = pick < num_in_cluster
-    pos_a = np.empty(pick.size, dtype=np.int64)
-    pos_b = np.empty(pick.size, dtype=np.int64)
-    pos_a[in_cluster], pos_b[in_cluster] = _triangle_pairs(mem, pick[in_cluster])
-    near_pick = pick[~in_cluster] - num_in_cluster
-    pos_a[~in_cluster], pos_b[~in_cluster] = near_a[near_pick], near_b[near_pick]
-    pos_src = np.where(in_cluster, _POS_CLUSTER, _POS_NEAR)
-
-    pick = _subsample(rng, far_a.size + video_a.size, cfg.neg_per_cluster)
-    neg_a = np.concatenate([far_a, video_a])[pick]
-    neg_b = np.concatenate([far_b, video_b])[pick]
-    neg_src = np.where(pick < far_a.size, _NEG_CLUSTER, _NEG_VIDEO)
-    return (pos_a, pos_b, pos_src), (neg_a, neg_b, neg_src)
+def draw_subsamples(rng: np.random.Generator, counts, quota: int):
+    """``quota`` picks for each slot s with ``counts[s] > 0`` candidates, as
+    flat (slot, pick) arrays in slot order: with replacement, in one call,
+    where the count is below the quota; otherwise distinct, by Floyd's
+    algorithm (Bentley & Floyd, CACM 1987) in one call per step t over all
+    such slots, drawing from [0, count - quota + t] and taking that bound
+    itself on a repeat."""
+    counts = np.asarray(counts, dtype=np.int64)
+    slot = np.flatnonzero(counts)
+    picks = np.empty((slot.size, quota), dtype=np.int64)
+    small = counts[slot] < quota
+    picks[small] = rng.integers(0, np.repeat(counts[slot[small]], quota)).reshape(-1, quota)
+    top = counts[slot[~small]] - quota
+    distinct = np.empty((top.size, quota), dtype=np.int64)
+    for t in range(quota):
+        draw = rng.integers(0, top + t + 1)
+        distinct[:, t] = np.where((distinct[:, :t] == draw[:, None]).any(axis=1), top + t, draw)
+    picks[~small] = distinct
+    return np.repeat(slot, quota), picks.ravel()
 
 
-def _batch_from(pos: list, neg: list) -> PairBatch:
-    rows = pos + neg
-    a = np.concatenate([r[0] for r in rows])
-    b = np.concatenate([r[1] for r in rows])
-    num_pos = sum(r[0].size for r in pos)
-    y = np.zeros(a.size, dtype=np.int64)
-    y[num_pos:] = 1
-    source = _SOURCE_NAMES[np.concatenate([r[2] for r in rows])]
-    return PairBatch(a, b, y, source)
+def _triangle_pairs(n: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) at index k of the row-major list of pairs i < j < n."""
+    b = 2 * n - 1
+    i = ((b - np.sqrt(b * b - 8 * k)) // 2).astype(np.int64)
+    # row i starts at i * (b - i) / 2; the float root can land one row off
+    i -= i * (b - i) // 2 > k
+    i += (i + 1) * (b - i - 1) // 2 <= k
+    return i, k - i * (b - i) // 2 + i + 1
+
+
+def _expand(members, clusters: np.ndarray, times: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of each given cluster in turn, each listed ``times`` times,
+    and for each the index into ``clusters`` it came from."""
+    rows, start, size = members
+    lengths = times * size[clusters]
+    run = np.repeat(np.arange(clusters.size), lengths)
+    offset = np.arange(run.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return rows[start[clusters][run] + offset // times], run
+
+
+def _near_positives(rng, slots, takes, nearest, members, cooc):
+    """PosC-near candidates of the slots flagged ``takes``: (a, b) in slot
+    order, and each slot's count."""
+    rows, start, size = members
+    near_slots = np.flatnonzero(takes)
+    pick = rng.integers(0, np.full(near_slots.size, nearest.shape[1]))
+    a, run = _expand(members, slots[near_slots])
+    near = nearest[slots[near_slots], pick][run]
+    b = rows[start[near] + rng.integers(0, size[near])]
+    keep = ~cooc.contains_pairs(a, b)
+    parts = [(a[keep], b[keep], near_slots[run[keep]])]
+    for s in np.setdiff1d(near_slots, parts[0][2]).tolist():
+        # every draw hit a co-occurrence: each allowed pair with a near cluster
+        mem = rows[start[slots[s]]:start[slots[s]] + size[slots[s]]]
+        for g in nearest[slots[s]].tolist():
+            pool = rows[start[g]:start[g] + size[g]]
+            a, b = np.repeat(mem, pool.size), np.tile(pool, mem.size)
+            keep = ~cooc.contains_pairs(a, b)
+            parts.append((a[keep], b[keep], np.full(keep.sum(), s)))
+    a, b, owner = (np.concatenate(column) for column in zip(*parts))
+    arrange = np.argsort(owner, kind="stable")
+    return a[arrange], b[arrange], np.bincount(owner, minlength=slots.size)
 
 
 def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet,
                cfg: MiningConfig, epoch: int = 0) -> list[PairBatch]:
-    """One epoch of batches: clusters in seeded-shuffled order, a fixed
-    number per batch; a short final group wraps around to the start of the
-    shuffle so every batch carries the full quota."""
+    """One epoch of batches of ``clusters_per_batch`` cluster slots each.
+
+    Each slot adds ``pos_per_cluster`` positives and as many negatives (none
+    of a kind it has no candidates for); a batch lists its positives first.
+    """
     cfg.validate()
+    if epoch < 0:
+        raise ValueError(f"epoch must be >= 0, got {epoch}")
     labels = np.asarray(partition, dtype=np.int64)
     _check_cover(labels, cooc)
     m = int(labels.max()) + 1
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")
-    members = members_by_label(labels)
-    video = _video_pairs(labels, m, cooc) if cfg.use_neg_video else None
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
     per_batch = cfg.clusters_per_batch
     num_batches = -(-m // per_batch)
     reps = -(-num_batches * per_batch // m)
-    extended = np.tile(order, reps)[: num_batches * per_batch]
+    slots = np.tile(order, reps)[: num_batches * per_batch]
 
-    batches = []
-    for start in range(0, extended.size, per_batch):
-        pos_rows: list = []
-        neg_rows: list = []
-        for c in extended[start:start + per_batch].tolist():
-            pos, neg = _mine_cluster(rng, c, members, ranks, cooc, video, cfg)
-            pos_rows.append(pos)
-            neg_rows.append(neg)
-        batches.append(_batch_from(pos_rows, neg_rows))
-    return batches
+    # cluster c's rows, ascending: rows[start[c]:start[c] + size[c]]
+    rows = np.argsort(labels, kind="stable")
+    size = np.bincount(labels, minlength=m)
+    start = np.cumsum(size) - size
+    members, n = (rows, start, size), size[slots]
+    in_cluster = n * (n - 1) // 2 * cfg.use_pos_cluster
+    takes_near = (cfg.use_pos_cluster and ranks.nearest.shape[1] > 0) & (
+        (n < cfg.small_cluster_threshold) | cfg.near_positives_for_all)
+    near_a, near_b, near_count = _near_positives(rng, slots, takes_near, ranks.nearest,
+                                                 members, cooc)
+    use_far = cfg.use_neg_cluster and ranks.farthest.shape[1] > 0
+    far_a, run = _expand(members, slots if use_far else slots[:0], times=2)
+    far = ranks.farthest[slots[run], rng.integers(0, np.full(run.size, ranks.farthest.shape[1]))]
+    far_b = rows[start[far] + rng.integers(0, size[far])]
+    far_count = 2 * n * use_far
+    video_a, video_b, indptr = _video_pairs(labels, m, cooc)
+    video_count = (indptr[slots + 1] - indptr[slots]) * cfg.use_neg_video
+
+    pos_slot, pick = draw_subsamples(rng, in_cluster + near_count, cfg.pos_per_cluster)
+    near = pick >= in_cluster[pos_slot]
+    pos_a, pos_b = np.empty((2, pick.size), dtype=np.int64)
+    i, j = _triangle_pairs(n[pos_slot[~near]], pick[~near])
+    base = start[slots[pos_slot[~near]]]
+    pos_a[~near], pos_b[~near] = rows[base + i], rows[base + j]
+    k = (np.cumsum(near_count) - near_count - in_cluster)[pos_slot[near]] + pick[near]
+    pos_a[near], pos_b[near] = near_a[k], near_b[k]
+
+    neg_slot, pick = draw_subsamples(rng, far_count + video_count, cfg.neg_per_cluster)
+    video = pick >= far_count[neg_slot]
+    # offsets into far_a + video_a of each slot's NegC and NVid candidates
+    far_start = np.cumsum(far_count) - far_count
+    video_start = far_a.size + indptr[slots] - far_count
+    k = np.where(video, video_start[neg_slot], far_start[neg_slot]) + pick
+    neg_a = np.concatenate([far_a, video_a])[k]
+    neg_b = np.concatenate([far_b, video_b])[k]
+
+    batch = np.concatenate([pos_slot, neg_slot]) // per_batch
+    y = np.repeat(np.array([0, 1], dtype=np.int64), [pos_slot.size, neg_slot.size])
+    source = np.concatenate([np.where(near, _POS_NEAR, _POS_CLUSTER),
+                             np.where(video, _NEG_VIDEO, _NEG_CLUSTER)])
+    arrange = np.lexsort((y, batch))
+    bounds = np.cumsum(np.bincount(batch, minlength=num_batches))[:-1]
+    columns = (np.concatenate([pos_a, neg_a]), np.concatenate([pos_b, neg_b]), y,
+               _SOURCE_NAMES[source])
+    return [PairBatch(*parts) for parts in zip(*(np.split(c[arrange], bounds) for c in columns))]
 
 
 def write_pairs_csv(batches: list[PairBatch], path) -> None:

@@ -62,6 +62,11 @@ class PipelineConfig:
     training: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"pipeline.seed (--seed) must be >= 0, got {self.seed}")
+        if self.num_clusters < 0:
+            raise ValueError(f"pipeline.num_clusters (--num-clusters) must be >= 0, "
+                             f"got {self.num_clusters}")
         if self.partition_index < 1:
             raise ValueError("partition_index must be >= 1")
         if self.eval_level not in ("track", "frame"):
@@ -359,6 +364,26 @@ def run_baseline(fs: FeatureSet, num_clusters: int, level: str = "track") -> Clu
     return evaluate_clustering(result.labels, gt)
 
 
+def _num_clusters(cfg: PipelineConfig, fs: FeatureSet) -> int:
+    """The final cluster count, checked against the evaluation units (rows
+    at frame level, distinct track ids at track level) before any stage runs."""
+    num_clusters = cfg.num_clusters or fs.num_classes
+    if num_clusters < 1:
+        raise PipelineError("stage 'cluster' failed: no cluster count configured "
+                            "and the features carry no labels")
+    if cfg.eval_level == "track":
+        if fs.track_id is None or np.any(fs.track_id < 0):
+            raise PipelineError("stage 'aggregate' failed: track-level evaluation needs a "
+                                "track id >= 0 on every row")
+        units = np.unique(fs.track_id).size
+    else:
+        units = fs.num_samples
+    if num_clusters > units:
+        raise PipelineError(f"stage 'cluster' failed: {num_clusters} clusters requested, but "
+                            f"there are only {units} {cfg.eval_level}-level units to cluster")
+    return num_clusters
+
+
 def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     """Execute the full refinement pipeline; returns the report dict.
 
@@ -373,6 +398,7 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
 
     if fs is None:
         fs = timer.run("load", lambda: load_any_features(cfg.features))
+    num_clusters = _num_clusters(cfg, fs)
     normalized, cooc = prepare_features(fs, timer)
     hierarchy, partition, stats = select_partition(cfg, normalized, timer)
     partition = correct_partition(cfg, partition, cooc, normalized, timer)
@@ -389,10 +415,6 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     model, epoch_losses = train_model(cfg, normalized, factory, timer)
     embedded = timer.run("embed", lambda: embed(model, normalized))
 
-    num_clusters = cfg.num_clusters or fs.num_classes
-    if num_clusters < 1:
-        raise PipelineError("stage 'cluster' failed: no cluster count configured "
-                            "and the features carry no labels")
     hac_result, gt, unit_ids, id_column = cluster_level(embedded, num_clusters, cfg.eval_level,
                                                         timer)
 

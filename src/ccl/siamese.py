@@ -99,6 +99,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0, lr and lr_drop_factor positive")
         if self.margin <= 0:
             raise ValueError("margin must be positive")
+        if self.seed < 0:
+            raise ValueError(f"training seed must be >= 0, got {self.seed}")
 
 
 def init_model(dim_in: int, hidden_dim: int = 256, out_dim: int = 2,

@@ -278,62 +278,27 @@ def _naive_contains(pairs, a, b) -> bool:
     return (min(a, b), max(a, b)) in pairs
 
 
-def _naive_subsample(rng, candidates: list, quota: int) -> list:
-    if not candidates:
-        return []
-    if len(candidates) >= quota:
-        chosen = rng.choice(len(candidates), size=quota, replace=False)
-    else:
-        chosen = rng.choice(len(candidates), size=quota, replace=True)
-    return [candidates[int(i)] for i in chosen]
+def naive_draw_subsamples(rng, counts: list[int], quota: int) -> list[list[int]]:
+    """`draw_subsamples` over counts >= 1 by per-slot loops, making the same
+    draw calls: one call for every pick of the counts below the quota, then
+    Floyd's algorithm, one call per step over the other counts. Returns each
+    count's picks."""
+    small = [c for c in counts if c < quota]
+    flat = _bounded(rng, [c for c in small for _ in range(quota)])
+    drawn = iter([flat[r * quota:(r + 1) * quota] for r in range(len(small))])
+    big = [c for c in counts if c >= quota]
+    chosen: list[list[int]] = [[] for _ in big]
+    for t in range(quota):
+        draws = _bounded(rng, [c - quota + t + 1 for c in big])
+        for picked, c, x in zip(chosen, big, draws):
+            picked.append(c - quota + t if x in picked else x)
+    distinct = iter(chosen)
+    return [next(drawn) if c < quota else next(distinct) for c in counts]
 
 
-def _naive_near_positive_draws(rng, mem, members, near, pairs):
-    if near.size == 0:
-        return []
-    g = int(rng.choice(near))
-    partner_pool = members[g]
-    draws = []
-    for a in mem.tolist():
-        b = int(rng.choice(partner_pool))
-        if not _naive_contains(pairs, a, b):
-            draws.append((a, b, POS_NEAR))
-    if draws:
-        return draws
-    # every draw hit a co-occurrence: fall back to enumerating allowed pairs
-    for g in near.tolist():
-        for a in mem.tolist():
-            for b in members[g].tolist():
-                if not _naive_contains(pairs, a, b):
-                    draws.append((a, b, POS_NEAR))
-    return draws
-
-
-def _naive_mine_cluster(rng, c, members, ranks, pairs, cfg):
-    mem = members[c]
-    positives: list[tuple[int, int, str]] = []
-    if cfg.use_pos_cluster:
-        n = mem.size
-        for i in range(n):
-            for j in range(i + 1, n):
-                positives.append((int(mem[i]), int(mem[j]), POS_CLUSTER))
-        if n < cfg.small_cluster_threshold or cfg.near_positives_for_all:
-            positives.extend(
-                _naive_near_positive_draws(rng, mem, members, ranks.nearest[c], pairs))
-
-    negatives: list[tuple[int, int, str]] = []
-    if cfg.use_neg_cluster:
-        far = ranks.farthest[c]
-        if far.size:
-            for a in mem.tolist():
-                for _ in range(2):
-                    g = int(rng.choice(far))
-                    negatives.append((a, int(rng.choice(members[g])), NEG_CLUSTER))
-    if cfg.use_neg_video:
-        negatives.extend((i, j, NEG_VIDEO) for i, j in _naive_touching(pairs, mem))
-
-    return (_naive_subsample(rng, positives, cfg.pos_per_cluster),
-            _naive_subsample(rng, negatives, cfg.neg_per_cluster))
+def _bounded(rng, bounds: list[int]) -> list[int]:
+    """One ``rng.integers`` call with a per-element upper bound."""
+    return rng.integers(0, np.array(bounds, dtype=np.int64)).tolist()
 
 
 def _naive_batch(pos, neg) -> PairBatch:
@@ -346,32 +311,72 @@ def _naive_batch(pos, neg) -> PairBatch:
 
 
 def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBatch]:
-    """Pair mining by per-pair Python loops: every in-cluster pair is listed
-    as a tuple, every draw is a scalar ``rng.choice``, co-occurrence lookups
-    scan the pair set."""
+    """Pair mining by per-pair Python loops making the same draw calls as
+    `mine_epoch`: every candidate is a tuple, in-cluster pairs are listed by
+    a double loop, co-occurrence lookups scan the pair set."""
     cfg.validate()
+    if epoch < 0:
+        raise ValueError(f"epoch must be >= 0, got {epoch}")
     labels = np.asarray(partition, dtype=np.int64)
     m = int(labels.max()) + 1
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")
-    members = [np.flatnonzero(labels == c) for c in range(m)]
+    members = [np.flatnonzero(labels == c).tolist() for c in range(m)]
     pairs = pair_set(cooc)
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
     per_batch = cfg.clusters_per_batch
     num_batches = -(-m // per_batch)
     reps = -(-num_batches * per_batch // m)
-    extended = np.tile(order, reps)[: num_batches * per_batch]
+    slots = np.tile(order, reps)[: num_batches * per_batch].tolist()
 
+    positives: list[list] = []
+    for c in slots:
+        mem = members[c]
+        positives.append([(mem[i], mem[j], POS_CLUSTER) for i in range(len(mem))
+                          for j in range(i + 1, len(mem))] if cfg.use_pos_cluster else [])
+    near_slots = [s for s, c in enumerate(slots)
+                  if cfg.use_pos_cluster and ranks.nearest[c].size
+                  and (len(members[c]) < cfg.small_cluster_threshold
+                       or cfg.near_positives_for_all)]
+    picks = _bounded(rng, [ranks.nearest[slots[s]].size for s in near_slots])
+    near = [int(ranks.nearest[slots[s]][p]) for s, p in zip(near_slots, picks)]
+    picks = iter(_bounded(rng, [len(members[g]) for s, g in zip(near_slots, near)
+                                for _ in members[slots[s]]]))
+    for s, g in zip(near_slots, near):
+        draws = [(a, members[g][next(picks)]) for a in members[slots[s]]]
+        allowed = [(a, b) for a, b in draws if not _naive_contains(pairs, a, b)]
+        if not allowed:
+            # every draw hit a co-occurrence: enumerate the allowed pairs
+            allowed = [(a, b) for g2 in ranks.nearest[slots[s]].tolist()
+                       for a in members[slots[s]] for b in members[g2]
+                       if not _naive_contains(pairs, a, b)]
+        positives[s].extend((a, b, POS_NEAR) for a, b in allowed)
+
+    negatives: list[list] = [[] for _ in slots]
+    far_rows = [(s, a) for s, c in enumerate(slots)
+                if cfg.use_neg_cluster and ranks.farthest[c].size
+                for a in members[c] for _ in range(2)]
+    picks = _bounded(rng, [ranks.farthest[slots[s]].size for s, _ in far_rows])
+    far = [int(ranks.farthest[slots[s]][p]) for (s, _), p in zip(far_rows, picks)]
+    picks = _bounded(rng, [len(members[g]) for g in far])
+    for (s, a), g, p in zip(far_rows, far, picks):
+        negatives[s].append((a, members[g][p], NEG_CLUSTER))
+    if cfg.use_neg_video:
+        for s, c in enumerate(slots):
+            negatives[s].extend((i, j, NEG_VIDEO) for i, j in _naive_touching(pairs, members[c]))
+
+    chosen = []
+    for candidates, quota in ((positives, cfg.pos_per_cluster),
+                              (negatives, cfg.neg_per_cluster)):
+        listed = [rows for rows in candidates if rows]
+        picked = iter(naive_draw_subsamples(rng, [len(rows) for rows in listed], quota))
+        chosen.append([[rows[k] for k in next(picked)] if rows else [] for rows in candidates])
     batches = []
-    for start in range(0, extended.size, per_batch):
-        pos_rows: list = []
-        neg_rows: list = []
-        for c in extended[start:start + per_batch].tolist():
-            pos, neg = _naive_mine_cluster(rng, c, members, ranks, pairs, cfg)
-            pos_rows.extend(pos)
-            neg_rows.extend(neg)
-        batches.append(_naive_batch(pos_rows, neg_rows))
+    for start in range(0, len(slots), per_batch):
+        batch = range(start, start + per_batch)
+        batches.append(_naive_batch([row for s in batch for row in chosen[0][s]],
+                                    [row for s in batch for row in chosen[1][s]]))
     return batches
 
 

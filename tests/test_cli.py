@@ -6,7 +6,7 @@ import pytest
 from oracles import naive_cooccurrence
 
 from ccl.cli import main
-from ccl.data import load_features
+from ccl.data import FeatureSet, load_features, write_features
 from ccl.pipeline import read_labels_csv
 
 
@@ -251,3 +251,51 @@ def test_domain_errors_exit_2_with_one_line(feature_file, tmp_path, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("ccl cluster: error: trailing bytes") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--seed", "-3"], "pipeline.seed (--seed) must be >= 0, got -3"),
+    (["run", "--seed", "-3", "--backend", "kmeans"], "pipeline.seed (--seed) must be >= 0, got -3"),
+    (["train", "--seed", "-1"], "pipeline.seed (--seed) must be >= 0, got -1"),
+    (["mine", "--seed", "-1"], "pipeline.seed (--seed) must be >= 0, got -1"),
+    (["mine", "--epoch", "-1"], "epoch must be >= 0, got -1"),
+    (["kmeans", "--k", "3", "--seed", "-1"], "k-means seed (--seed) must be >= 0, got -1"),
+    (["run", "--num-clusters", "-2"], "pipeline.num_clusters (--num-clusters) must be >= 0, got -2"),
+], ids=["run", "run-kmeans", "train", "mine-seed", "mine-epoch", "kmeans", "run-num-clusters"])
+def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    out_flag = "--out-dir" if argv[0] == "run" else "--out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--features", str(feature_file), out_flag, str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"ccl {argv[0]}: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("level, units", [("frame", 150), ("track", 30)])
+def test_run_rejects_more_clusters_than_units_before_training(feature_file, tmp_path, capsys,
+                                                              level, units):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--features", str(feature_file), "--out-dir", str(out),
+              "--num-clusters", str(units + 1), "--level", level])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ccl run: error: stage 'cluster' failed: {units + 1} clusters requested, but there "
+        f"are only {units} {level}-level units to cluster\n")
+    assert not (out / "model.ccl").exists()
+
+
+def test_track_level_run_rejects_untracked_rows_before_training(feature_file, tmp_path, capsys):
+    fs = load_features(feature_file)
+    track_id = fs.track_id.copy()
+    track_id[7] = -1
+    untracked = tmp_path / "untracked.cclf"
+    write_features(FeatureSet(fs.features, fs.frame_id, track_id, fs.label), untracked)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--features", str(untracked), "--out-dir", str(out), "--level", "track"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == ("ccl run: error: stage 'aggregate' failed: track-level "
+                                       "evaluation needs a track id >= 0 on every row\n")
+    assert not (out / "model.ccl").exists()

@@ -102,7 +102,7 @@ def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
     assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 511, 513, 1100])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 511, 513, 1100])
 def test_blocked_distances_match_full_build_bitwise(n):
     points = np.random.default_rng(n).normal(size=(n, 7))
     assert _half_sq_distances(points).tobytes() == (sq_dist_to_all(points) / 2.0).tobytes()

@@ -1,16 +1,24 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_mine_epoch, naive_video_correction, pair_set
+from oracles import (
+    naive_draw_subsamples,
+    naive_mine_epoch,
+    naive_video_correction,
+    pair_set,
+)
 
 from ccl.data import CooccurrenceSet
 from ccl.finch import cluster_means
 from ccl.mining import (
     MiningConfig,
+    _triangle_pairs,
     apply_video_correction,
+    draw_subsamples,
     mine_epoch,
     rank_clusters,
     write_pairs_csv,
@@ -286,3 +294,60 @@ def test_cooccurrence_must_cover_the_partition():
         mine_epoch(labels, ranks, short, cfg)
     empty = CooccurrenceSet(3)  # an empty set of any size is no constraint
     np.testing.assert_array_equal(apply_video_correction(labels, empty, points), labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), counts=st.lists(st.integers(0, 60), max_size=8),
+       quota=st.integers(1, 30))
+def test_draw_subsamples_distinct_or_in_range(seed, counts, quota):
+    slot, pick = draw_subsamples(np.random.default_rng(seed), np.array(counts, dtype=np.int64),
+                                 quota)
+    assert slot.tolist() == [s for s, count in enumerate(counts) if count for _ in range(quota)]
+    assert pick.dtype == np.int64
+    listed = [count for count in counts if count]
+    rows = pick.reshape(-1, quota).tolist()
+    for count, row in zip(listed, rows):
+        assert all(0 <= p < count for p in row)
+        if count >= quota:
+            assert len(set(row)) == quota
+    assert rows == naive_draw_subsamples(np.random.default_rng(seed), listed, quota)
+
+
+def test_draw_subsamples_picks_each_candidate_at_quota_over_count():
+    quota, trials = 25, 4000
+    counts = np.array([25, 26, 40, 100])
+    _, pick = draw_subsamples(np.random.default_rng(0), np.tile(counts, trials), quota)
+    pick = pick.reshape(trials, counts.size, quota)
+    for column, count in enumerate(counts.tolist()):
+        hits = np.bincount(pick[:, column].ravel(), minlength=count)
+        rate = quota / count
+        sigma = np.sqrt(trials * rate * (1 - rate))
+        assert np.all(np.abs(hits - trials * rate) <= 5 * sigma), (count, hits)
+
+
+def test_mine_epoch_never_lists_the_pairs_of_a_cluster():
+    labels = np.zeros(20_000, dtype=np.int64)
+    labels[-1] = 1  # one cluster of 19,999 rows: ~2e8 in-cluster pairs, 1.6 GB as int64
+    ranks = rank_clusters(np.eye(2), z_near=1, z_far=1)
+    cfg = MiningConfig(seed=0)
+    tracemalloc.start()
+    try:
+        batches = mine_epoch(labels, ranks, CooccurrenceSet(), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(batches) == 1 and len(batches[0]) == 2 * cfg.clusters_per_batch * cfg.pos_per_cluster
+    giant = batches[0].source == "PosC"
+    a, b = batches[0].a[giant], batches[0].b[giant]
+    assert np.all(labels[a] == 0) and np.all(labels[b] == 0) and np.all(a < b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 19_999, 100_003])
+def test_triangle_pairs_decode_the_ends_of_every_row(n):
+    i = np.arange(n - 1)
+    first = i * n - i * (i + 1) // 2  # index of (i, i + 1); (i, n - 1) ends the row
+    for k, j in ((first, i + 1), (first + n - 2 - i, np.full(n - 1, n - 1))):
+        got_i, got_j = _triangle_pairs(np.full(n - 1, n), k)
+        np.testing.assert_array_equal(got_i, i)
+        np.testing.assert_array_equal(got_j, j)
