@@ -212,6 +212,8 @@ def _run_command(args) -> None:
         print(f"wrote {int(labels.max()) + 1} clusters to {args.out}")
 
     elif args.command == "mine":
+        if args.epoch < 0:
+            raise ValueError(f"epoch must be >= 0, got {args.epoch}")
         _, factory = _pair_miner(args, _pipeline_config(args))
         batches = factory(args.epoch)
         write_pairs_csv(batches, args.out)

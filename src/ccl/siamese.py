@@ -11,18 +11,30 @@ switches d to the squared distance. Gradients are computed analytically,
 including the flow through batch statistics and the summed contribution of
 both branches; at the hinge boundary d == m the zero branch is taken.
 
+Train mode has no nonlinearity. A step stacks both branches into R rows x
+(R = 2 * pairs), centres them on their column means and projects
+
+    p = x_c @ M + (bn_beta @ proj_w + proj_b),
+    M = enc_w @ diag(s) @ proj_w,   s = bn_gamma / sqrt(var + eps),
+
+where var_j = w_j' C w_j is the batch variance of hidden unit j, read from
+the D x D covariance C = x_c' x_c / R. Forward and backward work on D x D,
+D x H, H x O and D x O products and never form the R x H activations. The
+loss depends on p only through pair differences, so the gradients of enc_b,
+bn_beta and proj_b are exactly zero and training leaves those tensors as
+they were. var_j read from C carries an absolute error of order
+eps * |w_j|' |C| |w_j|, which matters only for a hidden unit nearly
+orthogonal to a batch of fewer rows than features.
+
 Embeddings for clustering are the batch-normalized hidden layer in eval
 mode, l2-normalized.
 
-Memory of a training run: one workspace holds the gathered rows and every
-R x H activation and gradient intermediate of a step (R = 2 * pairs),
-allocated for the largest batch seen and reused by every step, and the
-gradients go into views of one flat buffer. Adam keeps the parameters and
-both moments as flat arrays; while training runs, the model's trainable
-tensors are views of the flat parameters, updated in place, and the model
-gets plain copies back when training ends. Every operation is the one the
-textbook expressions evaluate, in the same order, so results are bitwise
-those of a version that allocates every intermediate.
+Memory of a training run: one buffer holds the gathered rows of a step,
+allocated for the largest batch seen and reused, and the gradients go into
+views of one flat buffer. Adam keeps the parameters and both moments as
+flat arrays; while training runs, the model's trainable tensors are views of
+the flat parameters, updated in place, and the model gets plain copies back
+when training ends.
 """
 
 from __future__ import annotations
@@ -135,30 +147,26 @@ def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
 
 
 class _Workspace:
-    """Buffers of one forward/backward pass over a stack of R rows.
+    """The rows of one step and the gradient buffer.
 
-    ``x`` (R x D) holds the input rows, ``zhat`` and ``h`` (R x H) the
-    activations, ``gh`` and ``tmp`` (R x H) the backward's scratch and ``p``
-    (R x O) the projection. They are allocated for the largest R seen and
-    used through views of their first R rows. ``grads`` are views of the
-    flat buffer ``grad``, in TRAINABLE order.
+    ``x`` (R x D) holds the stacked rows; it is allocated for the largest R
+    seen and used through a view of its first R rows. ``grads`` are views of
+    the flat buffer ``grad``, in TRAINABLE order; those of enc_b, bn_beta and
+    proj_b are never written and stay zero.
     """
 
     def __init__(self, model: SiameseModel):
         self.dtype = model.dtype
-        hidden = model.dim_hidden
-        self.widths = (model.dim_in, hidden, hidden, hidden, hidden, model.dim_out)
         shapes = {name: getattr(model, name).shape for name in TRAINABLE}
-        self.grad = np.empty(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
+        self.grad = np.zeros(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
         self.grads = _flat_views(self.grad, shapes)
-        self.full: list[np.ndarray] = []
+        self.full = np.empty((0, model.dim_in), self.dtype)
 
     def resize(self, rows: int) -> np.ndarray:
-        """Point every buffer at ``rows`` rows; returns ``x`` for the caller to fill."""
-        if not self.full or self.full[0].shape[0] < rows:
-            self.full = [np.empty((rows, width), self.dtype) for width in self.widths]
-        self.x, self.zhat, self.h, self.gh, self.tmp, self.p = (
-            buf[:rows] for buf in self.full)
+        """Point ``x`` at ``rows`` rows and return it for the caller to fill."""
+        if self.full.shape[0] < rows:
+            self.full = np.empty((rows, self.full.shape[1]), self.dtype)
+        self.x = self.full[:rows]
         return self.x
 
     def stack(self, x1: np.ndarray, x2: np.ndarray) -> None:
@@ -167,33 +175,25 @@ class _Workspace:
                        casting="unsafe")
 
 
-def _forward_rows(model: SiameseModel, ws: _Workspace, train: bool):
-    """Forward the rows in ws.x into ws.zhat, ws.h and ws.p.
+def _train_projection(model: SiameseModel, x: np.ndarray):
+    """Centre the rows of x in place and project them with batch statistics.
 
-    Returns (mu, var, inv_std): the batch statistics in train mode, the
-    running ones in eval mode.
+    Returns (p, mean, var, inv_std, scale, cw): the projection, the column
+    means of the rows, the hidden units' batch variances, 1 / sqrt(var + eps),
+    the batch-norm scale bn_gamma * inv_std and C @ enc_w, C being the
+    covariance of the rows.
     """
-    rows = ws.x.shape[0]
-    z = np.matmul(ws.x, model.enc_w, out=ws.zhat)
-    z += model.enc_b
-    if train:
-        # z.mean(axis=0) and z.var(axis=0) in NumPy's own reduction and
-        # division order, with z - mu formed once for var and zhat
-        mu = np.add.reduce(z, axis=0)
-        np.true_divide(mu, np.intp(rows), out=mu, casting="unsafe")
-        z -= mu
-        var = np.add.reduce(np.square(z, out=ws.h), axis=0)
-        np.true_divide(var, np.intp(rows), out=var, casting="unsafe")
-    else:
-        mu, var = model.bn_mean, model.bn_var
-        z -= mu
+    mean = x.mean(axis=0)
+    x -= mean
+    cov = x.T @ x
+    cov /= x.shape[0]
+    cw = cov @ model.enc_w
+    var = np.einsum("dh,dh->h", model.enc_w, cw)
     inv_std = 1.0 / np.sqrt(var + model.bn_eps)
-    zhat = np.multiply(z, inv_std, out=z)
-    h = np.multiply(zhat, model.bn_gamma, out=ws.h)
-    h += model.bn_beta
-    p = np.matmul(h, model.proj_w, out=ws.p)
-    p += model.proj_b
-    return mu, var, inv_std
+    scale = model.bn_gamma * inv_std
+    p = x @ ((model.enc_w * scale) @ model.proj_w)
+    p += model.bn_beta @ model.proj_w + model.proj_b
+    return p, mean, var, inv_std, scale, cw
 
 
 def forward(model: SiameseModel, x: np.ndarray, mode: str = "eval"):
@@ -205,12 +205,24 @@ def forward(model: SiameseModel, x: np.ndarray, mode: str = "eval"):
     rows = x[None, :] if single else x
     if rows.shape[1] != model.dim_in:
         raise ValueError(f"expected input dim {model.dim_in}, got {rows.shape[1]}")
-    ws = _Workspace(model)
-    ws.resize(rows.shape[0])[...] = rows
-    _forward_rows(model, ws, train=(mode == "train"))
+    if mode == "train":
+        centred = rows.copy()
+        p, _, _, _, scale, _ = _train_projection(model, centred)
+        h = centred @ model.enc_w
+        h *= scale
+        h += model.bn_beta
+    else:
+        h = rows @ model.enc_w
+        h += model.enc_b
+        h -= model.bn_mean
+        h *= 1.0 / np.sqrt(model.bn_var + model.bn_eps)
+        h *= model.bn_gamma
+        h += model.bn_beta
+        p = h @ model.proj_w
+        p += model.proj_b
     if single:
-        return ws.h[0], ws.p[0]
-    return ws.h, ws.p
+        return h[0], p[0]
+    return h, p
 
 
 def _pair_distance(diff: np.ndarray, squared_hinge: bool) -> np.ndarray:
@@ -242,19 +254,20 @@ def batch_loss(model: SiameseModel, x1: np.ndarray, x2: np.ndarray, y: np.ndarra
     """Mean train-mode loss over a pair batch (batch statistics span both branches)."""
     ws = _Workspace(model)
     ws.stack(x1, x2)
-    _forward_rows(model, ws, train=True)
-    return _pair_loss(model, ws.p, x1.shape[0], y)[0]
+    p = _train_projection(model, ws.x)[0]
+    return _pair_loss(model, p, x1.shape[0], y)[0]
 
 
 def _train_step(model: SiameseModel, ws: _Workspace, n: int, y: np.ndarray):
     """Train-mode loss of the n pairs stacked in ws.x (first branch over
     second) and its gradients, written into ws.grads; returns
-    (loss, mu, var, inv_std)."""
+    (loss, mu, var), mu and var being the hidden units' batch statistics.
+    Centres ws.x in place."""
     if n == 0:
         raise ValueError("empty pair batch")
     y = np.asarray(y, dtype=model.dtype)
-    mu, var, inv_std = _forward_rows(model, ws, train=True)
-    loss, diff, d, hinge = _pair_loss(model, ws.p, n, y)
+    p, mean, var, inv_std, scale, cw = _train_projection(model, ws.x)
+    loss, diff, d, hinge = _pair_loss(model, p, n, y)
 
     # d(loss)/d(d) averaged over pairs, then chain to the pair difference
     ddist = ((1 - y) * d - y * hinge) / n
@@ -266,36 +279,29 @@ def _train_step(model: SiameseModel, ws: _Workspace, n: int, y: np.ndarray):
         gdiff = ddist[:, None] * direction
     gp = np.concatenate([gdiff, -gdiff]).astype(model.dtype)
 
-    grads, zhat, tmp = ws.grads, ws.zhat, ws.tmp
-    np.matmul(ws.h.T, gp, out=grads["proj_w"])
-    np.add.reduce(gp, axis=0, out=grads["proj_b"])
-    gh = np.matmul(gp, model.proj_w.T, out=ws.gh)
-    np.add.reduce(np.multiply(gh, zhat, out=tmp), axis=0, out=grads["bn_gamma"])
-    np.add.reduce(gh, axis=0, out=grads["bn_beta"])
-    gzhat = np.multiply(gh, model.bn_gamma, out=gh)
-    # gz = (inv_std / R) * (R * gzhat - sum(gzhat) - zhat * sum(gzhat * zhat)),
-    # sums over rows, built in gzhat's buffer
-    rows = 2 * n
-    sum_gzhat = np.add.reduce(gzhat, axis=0)
-    sum_gzhat_zhat = np.add.reduce(np.multiply(gzhat, zhat, out=tmp), axis=0)
-    gz = np.multiply(gzhat, rows, out=gzhat)
-    gz -= sum_gzhat
-    gz -= np.multiply(zhat, sum_gzhat_zhat, out=tmp)
-    gz *= inv_std / rows
-    np.matmul(ws.x.T, gz, out=grads["enc_w"])
-    np.add.reduce(gz, axis=0, out=grads["enc_b"])
-    return loss, mu, var, inv_std
+    # p = x @ M + const with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
+    grads = ws.grads
+    gm = ws.x.T @ gp
+    g_scaled_proj = model.enc_w.T @ gm
+    np.multiply(g_scaled_proj, scale[:, None], out=grads["proj_w"])
+    g_scale = np.einsum("ho,ho->h", g_scaled_proj, model.proj_w)
+    np.multiply(g_scale, inv_std, out=grads["bn_gamma"])
+    # enc_w enters M directly and through var_j = w_j' C w_j, where
+    # d(loss)/d(var) = -g_scale * scale * inv_std^2 / 2
+    g_enc = np.matmul(gm, model.proj_w.T, out=grads["enc_w"])
+    g_enc *= scale
+    g_enc -= cw * (g_scale * scale * inv_std ** 2)
+    return loss, mean @ model.enc_w + model.enc_b, var
 
 
 def loss_and_gradients(model: SiameseModel, x1: np.ndarray, x2: np.ndarray,
                        y: np.ndarray):
-    """Mean batch loss and its gradient for every trainable parameter."""
+    """Mean batch loss, its gradient for every trainable parameter and the
+    batch statistics {"mu", "var"} of the hidden units."""
     ws = _Workspace(model)
     ws.stack(x1, x2)
-    loss, mu, var, inv_std = _train_step(model, ws, x1.shape[0], y)
-    cache = {"x": ws.x, "zhat": ws.zhat, "inv_std": inv_std, "h": ws.h,
-             "mu": mu, "var": var, "train": True}
-    return loss, ws.grads, cache
+    loss, mu, var = _train_step(model, ws, x1.shape[0], y)
+    return loss, ws.grads, {"mu": mu, "var": var}
 
 
 class _Adam:
@@ -379,7 +385,7 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
             for batch_index, batch in enumerate(mining_factory(epoch)):
                 index = np.concatenate([batch.a, batch.b])
                 np.take(features, index, axis=0, out=ws.resize(index.size))
-                loss, mu, var, _ = _train_step(model, ws, batch.a.size, batch.y)
+                loss, mu, var = _train_step(model, ws, batch.a.size, batch.y)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")

@@ -43,6 +43,8 @@ def synth_generate(num_classes: int, per_class: int, dim: int, noise: float,
         raise ValueError("num_classes, per_class, dim, frames_per_track must be positive")
     if noise < 0 or not 0.0 <= cooc_rate <= 1.0:
         raise ValueError("noise must be >= 0 and cooc_rate within [0, 1]")
+    if seed < 0:
+        raise ValueError(f"synth seed (--seed) must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     centers = _class_centers(num_classes, dim, rng)

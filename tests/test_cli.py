@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from oracles import naive_cooccurrence
 
+from ccl import cli, pipeline
 from ccl.cli import main
 from ccl.data import FeatureSet, load_features, write_features
-from ccl.pipeline import read_labels_csv
+from ccl.pipeline import load_any_features, read_labels_csv
 
 
 @pytest.fixture(scope="module")
@@ -262,13 +263,33 @@ def test_domain_errors_exit_2_with_one_line(feature_file, tmp_path, capsys):
     (["kmeans", "--k", "3", "--seed", "-1"], "k-means seed (--seed) must be >= 0, got -1"),
     (["run", "--num-clusters", "-2"], "pipeline.num_clusters (--num-clusters) must be >= 0, got -2"),
 ], ids=["run", "run-kmeans", "train", "mine-seed", "mine-epoch", "kmeans", "run-num-clusters"])
-def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, argv, message):
+def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, monkeypatch,
+                                               argv, message):
+    loaded = []
+
+    def recording_load(path):
+        loaded.append(path)
+        return load_any_features(path)
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "load_any_features", recording_load)
     out = tmp_path / "out"
     out_flag = "--out-dir" if argv[0] == "run" else "--out"
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--features", str(feature_file), out_flag, str(out)])
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"ccl {argv[0]}: error: {message}\n"
+    assert not out.exists()
+    if argv[0] != "kmeans":  # k-means checks k against the row count, so it loads first
+        assert loaded == [], "a stage ran: every stage starts by loading the features"
+
+
+def test_synth_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "synth.cclf"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", "--classes", "2", "--per-class", "5", "--seed", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "ccl synth: error: synth seed (--seed) must be >= 0, got -1\n"
     assert not out.exists()
 
 
