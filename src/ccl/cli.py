@@ -206,8 +206,10 @@ def _run_command(args) -> None:
         print(f"partitions: {hierarchy.cluster_counts}")
 
     elif args.command == "kmeans":
+        cfg = KMeansConfig(k=args.k, seed=args.seed)
+        cfg.validate()
         fs = l2_normalize(load_any_features(args.features))
-        labels = minibatch_kmeans(fs.features, KMeansConfig(k=args.k, seed=args.seed))
+        labels = minibatch_kmeans(fs.features, cfg)
         write_labels_csv(np.arange(labels.size), labels, args.out, "sample_index")
         print(f"wrote {int(labels.max()) + 1} clusters to {args.out}")
 

@@ -26,9 +26,9 @@ class KMeansConfig:
     seed: int = 0
     init_subsample_factor: int = 10
 
-    def validate(self, n: int) -> None:
-        if not 1 <= self.k <= n:
-            raise ValueError(f"k={self.k} must lie in [1, {n}]")
+    def validate(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k-means k (--k) must be >= 1, got {self.k}")
         if self.batch_size < 1 or self.max_iters < 0:
             raise ValueError("batch_size must be >= 1 and max_iters >= 0")
         if self.seed < 0:
@@ -71,8 +71,10 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
     points = np.asarray(points, dtype=np.float64)
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
+    cfg.validate()
     n = points.shape[0]
-    cfg.validate(n)
+    if cfg.k > n:
+        raise ValueError(f"k={cfg.k} exceeds the {n} points to cluster")
 
     rng = np.random.default_rng(cfg.seed)
     sub = rng.choice(n, size=min(n, cfg.init_subsample_factor * cfg.k), replace=False)

@@ -55,10 +55,10 @@ class MiningConfig:
     near_positives_for_all: bool = False
 
     def validate(self) -> None:
-        counts = (self.z_near, self.z_far, self.small_cluster_threshold,
-                  self.clusters_per_batch, self.pos_per_cluster, self.neg_per_cluster)
-        if any(v < 1 for v in counts):
-            raise ValueError("all mining sizes must be positive")
+        for key in ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
+                    "pos_per_cluster", "neg_per_cluster"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"mining.{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ValueError(f"mining seed must be >= 0, got {self.seed}")
         if self.pos_per_cluster != self.neg_per_cluster:

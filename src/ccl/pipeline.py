@@ -73,8 +73,8 @@ class PipelineConfig:
             raise ValueError(f"eval_level must be 'track' or 'frame', got {self.eval_level!r}")
         if self.backend not in ("finch", "kmeans"):
             raise ValueError(f"backend must be 'finch' or 'kmeans', got {self.backend!r}")
-        if not (self.use_pos_cluster or self.use_neg_cluster or self.use_neg_video):
-            raise ValueError("every pair source is disabled; nothing to train on")
+        self.resolved_mining().validate()
+        self.resolved_training().validate()
         if not (self.use_neg_cluster or self.use_neg_video):
             log.warning("no negative pair source enabled; training may collapse embeddings")
 

@@ -29,12 +29,12 @@ orthogonal to a batch of fewer rows than features.
 Embeddings for clustering are the batch-normalized hidden layer in eval
 mode, l2-normalized.
 
-Memory of a training run: one buffer holds the gathered rows of a step,
-allocated for the largest batch seen and reused, and the gradients go into
-views of one flat buffer. Adam keeps the parameters and both moments as
-flat arrays; while training runs, the model's trainable tensors are views of
-the flat parameters, updated in place, and the model gets plain copies back
-when training ends.
+Memory of a training run: a step gathers its R x D rows into a fresh
+array, which it centres in place; no array of a step has R x H elements.
+Adam holds the tensors the loss depends on, OPTIMIZED, in flat parameter,
+moment and gradient arrays; while training runs, the model's OPTIMIZED
+tensors are views of the flat parameters, updated in place, and the model
+gets plain copies of all TRAINABLE tensors back when training ends.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,7 @@ CHECKPOINT_VERSION = 1
 EMBED_CHUNK_ROWS = 4096  # rows per eval-mode forward pass in `embed`
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
+OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients
 
 
 @dataclass
@@ -107,10 +108,12 @@ class TrainConfig:
     squared_hinge: bool = False
 
     def validate(self) -> None:
-        if self.epochs < 0 or self.lr <= 0 or self.lr_drop_factor <= 0:
-            raise ValueError("epochs must be >= 0, lr and lr_drop_factor positive")
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        for key, low in (("epochs", 0), ("hidden_dim", 1), ("out_dim", 1)):
+            if getattr(self, key) < low:
+                raise ValueError(f"train.{key} must be >= {low}, got {getattr(self, key)}")
+        for key in ("lr", "lr_drop_factor", "margin"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"train.{key} must be positive, got {getattr(self, key)}")
         if self.seed < 0:
             raise ValueError(f"training seed must be >= 0, got {self.seed}")
 
@@ -144,35 +147,6 @@ def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
         views[name] = flat[start:stop].reshape(shape)
         start = stop
     return views
-
-
-class _Workspace:
-    """The rows of one step and the gradient buffer.
-
-    ``x`` (R x D) holds the stacked rows; it is allocated for the largest R
-    seen and used through a view of its first R rows. ``grads`` are views of
-    the flat buffer ``grad``, in TRAINABLE order; those of enc_b, bn_beta and
-    proj_b are never written and stay zero.
-    """
-
-    def __init__(self, model: SiameseModel):
-        self.dtype = model.dtype
-        shapes = {name: getattr(model, name).shape for name in TRAINABLE}
-        self.grad = np.zeros(sum(math.prod(shape) for shape in shapes.values()), self.dtype)
-        self.grads = _flat_views(self.grad, shapes)
-        self.full = np.empty((0, model.dim_in), self.dtype)
-
-    def resize(self, rows: int) -> np.ndarray:
-        """Point ``x`` at ``rows`` rows and return it for the caller to fill."""
-        if self.full.shape[0] < rows:
-            self.full = np.empty((rows, self.full.shape[1]), self.dtype)
-        self.x = self.full[:rows]
-        return self.x
-
-    def stack(self, x1: np.ndarray, x2: np.ndarray) -> None:
-        """Fill ``x`` with the rows of x1 over the rows of x2."""
-        np.concatenate([x1, x2], out=self.resize(x1.shape[0] + x2.shape[0]),
-                       casting="unsafe")
 
 
 def _train_projection(model: SiameseModel, x: np.ndarray):
@@ -252,21 +226,20 @@ def _pair_loss(model: SiameseModel, p: np.ndarray, n: int, y: np.ndarray):
 
 def batch_loss(model: SiameseModel, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> float:
     """Mean train-mode loss over a pair batch (batch statistics span both branches)."""
-    ws = _Workspace(model)
-    ws.stack(x1, x2)
-    p = _train_projection(model, ws.x)[0]
+    x = np.concatenate([x1, x2]).astype(model.dtype)
+    p = _train_projection(model, x)[0]
     return _pair_loss(model, p, x1.shape[0], y)[0]
 
 
-def _train_step(model: SiameseModel, ws: _Workspace, n: int, y: np.ndarray):
-    """Train-mode loss of the n pairs stacked in ws.x (first branch over
-    second) and its gradients, written into ws.grads; returns
+def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads: dict):
+    """Train-mode loss of the n pairs stacked in x (first branch over second)
+    and its gradients for the OPTIMIZED tensors, written into grads; returns
     (loss, mu, var), mu and var being the hidden units' batch statistics.
-    Centres ws.x in place."""
+    Centres x in place."""
     if n == 0:
         raise ValueError("empty pair batch")
     y = np.asarray(y, dtype=model.dtype)
-    p, mean, var, inv_std, scale, cw = _train_projection(model, ws.x)
+    p, mean, var, inv_std, scale, cw = _train_projection(model, x)
     loss, diff, d, hinge = _pair_loss(model, p, n, y)
 
     # d(loss)/d(d) averaged over pairs, then chain to the pair difference
@@ -280,8 +253,7 @@ def _train_step(model: SiameseModel, ws: _Workspace, n: int, y: np.ndarray):
     gp = np.concatenate([gdiff, -gdiff]).astype(model.dtype)
 
     # p = x @ M + const with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
-    grads = ws.grads
-    gm = ws.x.T @ gp
+    gm = x.T @ gp
     g_scaled_proj = model.enc_w.T @ gm
     np.multiply(g_scaled_proj, scale[:, None], out=grads["proj_w"])
     g_scale = np.einsum("ho,ho->h", g_scaled_proj, model.proj_w)
@@ -298,37 +270,42 @@ def loss_and_gradients(model: SiameseModel, x1: np.ndarray, x2: np.ndarray,
                        y: np.ndarray):
     """Mean batch loss, its gradient for every trainable parameter and the
     batch statistics {"mu", "var"} of the hidden units."""
-    ws = _Workspace(model)
-    ws.stack(x1, x2)
-    loss, mu, var = _train_step(model, ws, x1.shape[0], y)
-    return loss, ws.grads, {"mu": mu, "var": var}
+    grads = {name: np.zeros(getattr(model, name).shape, model.dtype) for name in TRAINABLE}
+    x = np.concatenate([x1, x2]).astype(model.dtype)
+    loss, mu, var = _train_step(model, x, x1.shape[0], y, grads)
+    return loss, grads, {"mu": mu, "var": var}
 
 
 class _Adam:
-    """Adam with bias correction over flat parameter and moment buffers.
+    """Adam with bias correction over flat buffers of the OPTIMIZED tensors.
 
-    The trainable tensors are copied into one flat array and the model's
-    attributes become views of it, so a step updates every tensor with a
-    few in-place operations over the whole buffer.
+    Those tensors are copied into one flat array and the model's attributes
+    become views of it. ``grad`` has the same layout and ``grads`` are its
+    views by name, for a train step to fill; ``step`` then updates every
+    optimized tensor with a few in-place operations over the whole buffer.
+    The other trainable tensors have zero gradients, on which Adam would
+    never move them, so it keeps no state for them.
     """
 
     def __init__(self, cfg: TrainConfig, model: SiameseModel):
         self.cfg = cfg
         self.step_count = 0
-        self.param = np.concatenate([getattr(model, name).ravel() for name in TRAINABLE],
+        self.param = np.concatenate([getattr(model, name).ravel() for name in OPTIMIZED],
                                     dtype=model.dtype)
+        self.grad = np.zeros_like(self.param)
         self.m = np.zeros_like(self.param)
         self.v = np.zeros_like(self.param)
         self.scratch = (np.empty_like(self.param), np.empty_like(self.param))
-        shapes = {name: getattr(model, name).shape for name in TRAINABLE}
+        shapes = {name: getattr(model, name).shape for name in OPTIMIZED}
+        self.grads = _flat_views(self.grad, shapes)
         for name, view in _flat_views(self.param, shapes).items():
             setattr(model, name, view)
 
-    def step(self, grad: np.ndarray, lr: float) -> None:
+    def step(self, lr: float) -> None:
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        m, v, (a, b) = self.m, self.v, self.scratch
+        grad, m, v, (a, b) = self.grad, self.m, self.v, self.scratch
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
         m *= cfg.beta1
         m += np.multiply(grad, 1 - cfg.beta1, out=a)
@@ -374,7 +351,6 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
         raise ValueError(f"model expects dim {model.dim_in}, features have {fs.dim}")
 
     features = fs.features.astype(model.dtype)
-    ws = _Workspace(model)
     optimizer = _Adam(cfg, model)
     model.bn_mean = model.bn_mean.astype(model.dtype)
     model.bn_var = model.bn_var.astype(model.dtype)
@@ -384,12 +360,12 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
             losses = []
             for batch_index, batch in enumerate(mining_factory(epoch)):
                 index = np.concatenate([batch.a, batch.b])
-                np.take(features, index, axis=0, out=ws.resize(index.size))
-                loss, mu, var = _train_step(model, ws, batch.a.size, batch.y)
+                loss, mu, var = _train_step(model, features[index], batch.a.size, batch.y,
+                                            optimizer.grads)
                 if not np.isfinite(loss):
                     raise RuntimeError(
                         f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
-                optimizer.step(ws.grad, lr)
+                optimizer.step(lr)
                 _update_running_stats(model, mu, var, index.size)
                 losses.append(loss)
             if loss_log is not None:

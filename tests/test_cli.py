@@ -254,6 +254,20 @@ def test_domain_errors_exit_2_with_one_line(feature_file, tmp_path, capsys):
     assert err.startswith("ccl cluster: error: trailing bytes") and err.count("\n") == 1
 
 
+@pytest.fixture
+def loaded(monkeypatch):
+    """Paths the CLI loads features from; every stage starts by loading them."""
+    paths = []
+
+    def recording_load(path):
+        paths.append(path)
+        return load_any_features(path)
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "load_any_features", recording_load)
+    return paths
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--seed", "-3"], "pipeline.seed (--seed) must be >= 0, got -3"),
     (["run", "--seed", "-3", "--backend", "kmeans"], "pipeline.seed (--seed) must be >= 0, got -3"),
@@ -261,18 +275,12 @@ def test_domain_errors_exit_2_with_one_line(feature_file, tmp_path, capsys):
     (["mine", "--seed", "-1"], "pipeline.seed (--seed) must be >= 0, got -1"),
     (["mine", "--epoch", "-1"], "epoch must be >= 0, got -1"),
     (["kmeans", "--k", "3", "--seed", "-1"], "k-means seed (--seed) must be >= 0, got -1"),
+    (["kmeans", "--k", "0"], "k-means k (--k) must be >= 1, got 0"),
     (["run", "--num-clusters", "-2"], "pipeline.num_clusters (--num-clusters) must be >= 0, got -2"),
-], ids=["run", "run-kmeans", "train", "mine-seed", "mine-epoch", "kmeans", "run-num-clusters"])
-def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, monkeypatch,
+], ids=["run", "run-kmeans", "train", "mine-seed", "mine-epoch", "kmeans", "kmeans-k",
+        "run-num-clusters"])
+def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, loaded,
                                                argv, message):
-    loaded = []
-
-    def recording_load(path):
-        loaded.append(path)
-        return load_any_features(path)
-
-    for module in (cli, pipeline):
-        monkeypatch.setattr(module, "load_any_features", recording_load)
     out = tmp_path / "out"
     out_flag = "--out-dir" if argv[0] == "run" else "--out"
     with pytest.raises(SystemExit) as exit_info:
@@ -280,8 +288,39 @@ def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, m
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"ccl {argv[0]}: error: {message}\n"
     assert not out.exists()
-    if argv[0] != "kmeans":  # k-means checks k against the row count, so it loads first
-        assert loaded == [], "a stage ran: every stage starts by loading the features"
+    assert loaded == [], "a stage ran"
+
+
+@pytest.mark.parametrize("command", ["run", "train", "mine"])
+@pytest.mark.parametrize("line, message", [
+    ("mining.z_near = 0", "mining.z_near must be >= 1, got 0"),
+    ("mining.pos_per_cluster = 10", "pos_per_cluster and neg_per_cluster must match"),
+    ("train.lr = -1", "train.lr must be positive, got -1"),
+    ("train.epochs = -2", "train.epochs must be >= 0, got -2"),
+    ("train.margin = 0", "train.margin must be positive, got 0"),
+    ("train.hidden_dim = 0", "train.hidden_dim must be >= 1, got 0"),
+    ("train.out_dim = 0", "train.out_dim must be >= 1, got 0"),
+], ids=["z-near", "pos-per-cluster", "lr", "epochs", "margin", "hidden-dim", "out-dim"])
+def test_out_of_range_config_is_rejected_before_any_stage(feature_file, tmp_path, capsys,
+                                                          monkeypatch, loaded, command,
+                                                          line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [command, "--features", str(feature_file),
+            "--out-dir" if command == "run" else "--out", str(out)]
+    if command == "mine":  # mine takes no --config: the bad value becomes a default
+        bad = pipeline.parse_config_file(config)
+        monkeypatch.setattr(cli, "config_from_values",
+                            lambda values: pipeline.config_from_values({**bad, **values}))
+    else:
+        argv += ["--config", str(config)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"ccl {command}: error: {message}\n"
+    assert not out.exists()
+    assert loaded == [], "a stage ran"
 
 
 def test_synth_rejects_negative_seed(tmp_path, capsys):

@@ -322,8 +322,8 @@ def test_train_matches_textbook_loop_within_tolerance(seed, dims, batch_sizes, e
         y[-1] = 1
         batches.append(PairBatch(a, b, y, np.full(size, "PosC")))
 
-    # the batch order rotates with the epoch, so the row count changes
-    # between steps and the workspace is resized up and down
+    # the batch order rotates with the epoch, so consecutive steps see
+    # different row counts
     def factory(epoch):
         shift = epoch % len(batches)
         return batches[shift:] + batches[:shift]
@@ -331,6 +331,9 @@ def test_train_matches_textbook_loop_within_tolerance(seed, dims, batch_sizes, e
     # train() initializes a float32 model; a given model may be float64
     start = init_model(dim_in, hidden, out, seed=seed % 1000,
                        dtype=dtype if given_model else np.float32, squared_hinge=squared_hinge)
+    if given_model:  # non-zero tensors that training must still leave as given
+        for name in ZERO_GRADIENT:
+            getattr(start, name)[:] = rng.normal(size=getattr(start, name).shape)
     # Adam moves a parameter by up to lr * (gradient error) / adam_eps per
     # step; at the default adam_eps a round-off difference in a near-zero
     # gradient becomes a step of up to lr, so the comparison uses an
