@@ -1,7 +1,9 @@
 """First-neighbor clustering hierarchy used to derive weak labels.
 
 Each sample is linked to its single nearest neighbor and connected
-components of the resulting undirected graph form the first partition;
+components of the resulting undirected graph form the first partition
+(samples sharing a first neighbor meet at that common endpoint, so the
+shared-neighbor adjacency clause needs no edges of its own);
 subsequent partitions repeat the linking over cluster means of the
 original samples until the cluster count would stop shrinking past 2.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureSet, cluster_means, unit_rows
-from .labeling import UnionFind, relabel_contiguous
+from .labeling import link_components, relabel_contiguous
 from .metrics import wcp
 
 DEFAULT_CHUNK_ROWS = 512
@@ -63,20 +65,6 @@ def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) ->
         dist[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
         kappa[start:stop] = np.argmin(dist, axis=1)
     return kappa
-
-
-def link_components(kappa: np.ndarray) -> np.ndarray:
-    """Connected components of the graph with an edge (i, kappa[i]) per i.
-
-    Samples sharing a first neighbor land in one component through their
-    common endpoint, so the shared-neighbor adjacency clause needs no extra
-    edges. Labels are contiguous, numbered by first occurrence.
-    """
-    kappa = np.asarray(kappa, dtype=np.int64)
-    uf = UnionFind(kappa.size)
-    for i, j in enumerate(kappa.tolist()):
-        uf.union(i, j)
-    return uf.labels()
 
 
 def finch_hierarchy(data) -> PartitionHierarchy:

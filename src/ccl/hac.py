@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labeling import UnionFind, relabel_contiguous
+from .labeling import link_components
 
 
 @dataclass(frozen=True)
@@ -150,19 +150,18 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
         return HacResult(np.arange(n, dtype=np.int64), [])
 
     merges = _nn_chain_merges(points)
-    costs = np.array([m[2] for m in merges])
-    order = np.argsort(costs, kind="stable")
+    order = np.argsort([m[2] for m in merges], kind="stable")
 
-    uf = UnionFind(n)
-    cluster_id = np.arange(n, dtype=np.int64)
+    # Replay the n-c cheapest merges. By Ward's reducibility each sorts after the
+    # merges that formed its clusters, so a dropped point j never represents a
+    # cluster again: node[i] alone holds the dendrogram id and succ[j] = i links.
+    node = list(range(n))
+    succ = np.arange(n)
     merge_log: list[tuple[int, int, float]] = []
-    for t, idx in enumerate(order[: n - c]):
+    for t, idx in enumerate(order[: n - c].tolist()):
         i, j, cost = merges[idx]
-        a = int(cluster_id[uf.find(i)])
-        b = int(cluster_id[uf.find(j)])
+        a, b = node[i], node[j]
         merge_log.append((min(a, b), max(a, b), cost))
-        uf.union(i, j)
-        cluster_id[uf.find(i)] = n + t
-
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    return HacResult(relabel_contiguous(roots), merge_log)
+        node[i] = n + t
+        succ[j] = i
+    return HacResult(link_components(succ), merge_log)

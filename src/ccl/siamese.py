@@ -114,6 +114,11 @@ class TrainConfig:
         for key in ("lr", "lr_drop_factor", "margin"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"train.{key} must be positive, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"train.{key} must lie in [0, 1), got {getattr(self, key)}")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError(f"train.adam_eps must be positive and finite, got {self.adam_eps}")
         if self.seed < 0:
             raise ValueError(f"training seed must be >= 0, got {self.seed}")
 

@@ -41,8 +41,10 @@ def synth_generate(num_classes: int, per_class: int, dim: int, noise: float,
     """
     if min(num_classes, per_class, dim, frames_per_track) < 1:
         raise ValueError("num_classes, per_class, dim, frames_per_track must be positive")
-    if noise < 0 or not 0.0 <= cooc_rate <= 1.0:
-        raise ValueError("noise must be >= 0 and cooc_rate within [0, 1]")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"synth noise (--noise) must be finite and >= 0, got {noise}")
+    if not 0.0 <= cooc_rate <= 1.0:
+        raise ValueError(f"synth cooc_rate (--cooc-rate) must lie within [0, 1], got {cooc_rate}")
     if seed < 0:
         raise ValueError(f"synth seed (--seed) must be >= 0, got {seed}")
 

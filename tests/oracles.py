@@ -161,6 +161,64 @@ def _lw_update(d2, size, active, keep: int, drop: int) -> None:
     size[keep] = na + nb
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path halving and union by size."""
+
+    def __init__(self, n: int):
+        self.parent = np.arange(n, dtype=np.int64)
+        self.size = np.ones(n, dtype=np.int64)
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return int(x)
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+    def labels(self) -> np.ndarray:
+        """Component labels, renumbered by first occurrence."""
+        return canonical([self.find(i) for i in range(len(self.parent))])
+
+
+def union_find_components(succ) -> np.ndarray:
+    """Components of the undirected graph with an edge (i, succ[i]) per i."""
+    succ = np.asarray(succ)
+    uf = UnionFind(succ.size)
+    for i, j in enumerate(succ.tolist()):
+        uf.union(i, j)
+    return uf.labels()
+
+
+def union_find_ward_replay(merges, n: int, c: int):
+    """Labels and dendrogram merge log of the n-c cheapest merges, via union-find.
+
+    Merges are replayed in stable cost order; each side of a merge is named by
+    the dendrogram id last assigned to its current union-find root.
+    """
+    order = np.argsort(np.array([m[2] for m in merges]), kind="stable")
+    uf = UnionFind(n)
+    cluster_id = np.arange(n, dtype=np.int64)
+    merge_log: list[tuple[int, int, float]] = []
+    for t, idx in enumerate(order[: n - c]):
+        i, j, cost = merges[idx]
+        a = int(cluster_id[uf.find(i)])
+        b = int(cluster_id[uf.find(j)])
+        merge_log.append((min(a, b), max(a, b), cost))
+        uf.union(i, j)
+        cluster_id[uf.find(i)] = n + t
+    return uf.labels(), merge_log
+
+
 def canonical(labels) -> np.ndarray:
     """Relabel by first occurrence, independently of ccl.labeling."""
     labels = np.asarray(labels)

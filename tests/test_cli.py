@@ -300,7 +300,11 @@ def test_negative_seed_epoch_or_count_is_named(feature_file, tmp_path, capsys, l
     ("train.margin = 0", "train.margin must be positive, got 0"),
     ("train.hidden_dim = 0", "train.hidden_dim must be >= 1, got 0"),
     ("train.out_dim = 0", "train.out_dim must be >= 1, got 0"),
-], ids=["z-near", "pos-per-cluster", "lr", "epochs", "margin", "hidden-dim", "out-dim"])
+    ("train.beta1 = 1", "train.beta1 must lie in [0, 1), got 1"),
+    ("train.beta2 = -0.5", "train.beta2 must lie in [0, 1), got -0.5"),
+    ("train.adam_eps = inf", "train.adam_eps must be positive and finite, got inf"),
+], ids=["z-near", "pos-per-cluster", "lr", "epochs", "margin", "hidden-dim", "out-dim",
+        "beta1", "beta2", "adam-eps"])
 def test_out_of_range_config_is_rejected_before_any_stage(feature_file, tmp_path, capsys,
                                                           monkeypatch, loaded, command,
                                                           line, message):

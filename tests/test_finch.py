@@ -10,9 +10,16 @@ from ccl.finch import (
     link_components,
     partition_purity,
 )
-from ccl.labeling import UnionFind, relabel_contiguous
+from ccl.labeling import relabel_contiguous
 
-from oracles import adjacency_components, brute_first_neighbors, groupby_means, naive_finch
+from oracles import (
+    adjacency_components,
+    brute_first_neighbors,
+    canonical,
+    groupby_means,
+    naive_finch,
+    union_find_components,
+)
 
 
 def on_circle(values):
@@ -71,19 +78,24 @@ def test_link_components_mutual_pair():
     np.testing.assert_array_equal(link_components([1, 0]), [0, 0])
 
 
-@settings(max_examples=40)
-@given(st.integers(0, 2**32 - 1))
-def test_union_find_edge_order_invariant(seed):
-    rng = np.random.default_rng(seed)
-    n = 15
-    kappa = np.array([rng.choice([j for j in range(n) if j != i]) for i in range(n)])
-    edges = [(i, int(kappa[i])) for i in range(n)]
-    base = link_components(kappa)
-    rng.shuffle(edges)
-    uf = UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    np.testing.assert_array_equal(uf.labels(), base)
+def successor_arrays(n):
+    """Any functional graph on n nodes: random successors (self-loops and tails
+    included), a permutation (cycles only), or one path into a cycle."""
+    path = st.integers(0, n - 1).map(lambda k: list(range(1, n)) + [k])
+    return st.one_of(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                     st.permutations(range(n)), path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 70).flatmap(successor_arrays))
+def test_link_components_matches_union_find(succ):
+    np.testing.assert_array_equal(link_components(succ), union_find_components(succ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4) | st.integers(-2**63, 2**63 - 1), max_size=60))
+def test_relabel_contiguous_matches_first_occurrence(labels):
+    np.testing.assert_array_equal(relabel_contiguous(labels), canonical(labels))
 
 
 @settings(max_examples=30, deadline=None)

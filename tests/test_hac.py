@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac
 from ccl.labeling import relabel_contiguous
 
-from oracles import canonical, loop_nn_chain_merges, naive_ward, sq_dist_to_all
+from oracles import (
+    canonical,
+    loop_nn_chain_merges,
+    naive_ward,
+    sq_dist_to_all,
+    union_find_ward_replay,
+)
 
 
 def test_identity_at_c_equals_n():
@@ -100,6 +106,18 @@ def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
     assert [m[:2] for m in got] == [m[:2] for m in want]
     costs = np.array([m[2] for m in got], dtype=np.float64)
     assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 6),
+       kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]), data=st.data())
+def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
+    points = ward_instance(seed, n, d, kind)
+    c = data.draw(st.integers(1, n), label="c")
+    result = ward_hac(points, c)
+    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(points), n, c)
+    np.testing.assert_array_equal(result.labels, labels)
+    assert result.merge_log == merge_log
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 511, 513, 1100])

@@ -1,8 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import pair_set
 
+from ccl.cli import main
 from ccl.data import build_cooccurrence
 from ccl.finch import finch_hierarchy, partition_purity
 from ccl.synth import synth_generate
@@ -53,10 +57,23 @@ def test_infeasible_placement_errors():
         synth_generate(40, 5, 2, noise=0.1, frames_per_track=2, cooc_rate=0.0, seed=5)
 
 
-def test_bad_arguments():
+def test_bad_arguments(tmp_path, capsys):
     with pytest.raises(ValueError):
         synth_generate(0, 5, 4, 0.1, 2, 0.0, 0)
     with pytest.raises(ValueError):
         synth_generate(2, 5, 4, -0.1, 2, 0.0, 0)
     with pytest.raises(ValueError):
         synth_generate(2, 5, 4, 0.1, 2, 1.5, 0)
+    for noise in ("nan", "inf"):
+        message = f"synth noise (--noise) must be finite and >= 0, got {noise}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth_generate(2, 5, 4, float(noise), 2, 0.0, 0)
+        out = tmp_path / f"{noise}.cclf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exit_info:
+                main(["synth", "--classes", "2", "--per-class", "5", "--noise", noise,
+                      "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"ccl synth: error: {message}\n"
+        assert not out.exists()
