@@ -78,7 +78,7 @@ def _add_mine(sub):
     _config_flags(p)
     p.add_argument("--partition", help="partition CSV (default: compute the hierarchy)")
     p.add_argument("--epoch", type=int, default=0)
-    p.add_argument("--no-correction", action="store_true")
+    p.add_argument("--no-correction", action="store_const", const=False)
     p.add_argument("--out", required=True)
 
 
@@ -123,9 +123,9 @@ def _pipeline_flags(p):
     p.add_argument("--num-clusters", type=int)
     p.add_argument("--level", choices=("frame", "track"))
     p.add_argument("--backend", choices=("finch", "kmeans"))
-    p.add_argument("--no-posc", action="store_true")
-    p.add_argument("--no-negc", action="store_true")
-    p.add_argument("--no-nvid", action="store_true")
+    p.add_argument("--no-posc", action="store_const", const=False)
+    p.add_argument("--no-negc", action="store_const", const=False)
+    p.add_argument("--no-nvid", action="store_const", const=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,23 +146,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {"out_dir": "out_dir", "seed": "seed", "partition_index": "partition_index",
-              "num_clusters": "num_clusters", "level": "eval_level", "backend": "backend"}
-_OFF_FLAGS = {"no_posc": ("use_pos_cluster",), "no_negc": ("use_neg_cluster",),
-              "no_nvid": ("use_neg_video", "video_correction"),
-              "no_correction": ("video_correction",)}
+# flag -> the config keys it sets when given; a --no-* flag stores False
+_FLAG_KEYS = {"seed": ("pipeline.seed",), "partition_index": ("pipeline.partition_index",),
+              "num_clusters": ("pipeline.num_clusters",), "level": ("pipeline.eval_level",),
+              "backend": ("pipeline.backend",), "no_posc": ("sources.pos_cluster",),
+              "no_negc": ("sources.neg_cluster",),
+              "no_nvid": ("sources.neg_video", "pipeline.video_correction"),
+              "no_correction": ("pipeline.video_correction",)}
 
 
 def _pipeline_config(args) -> PipelineConfig:
     """--config keys, then each of the subcommand's flags that was given."""
     flags = vars(args)
     values = parse_config_file(args.config) if flags.get("config") else {}
-    overrides = {key: flags[flag] for flag, key in _FLAG_KEYS.items()
-                 if flags.get(flag) is not None}
-    for flag, keys in _OFF_FLAGS.items():
-        if flags.get(flag):
-            overrides.update(dict.fromkeys(keys, False))
-    return replace(config_from_values(values), features=args.features, **overrides)
+    values.update({key: flags[flag] for flag, keys in _FLAG_KEYS.items()
+                   if flags.get(flag) is not None for key in keys})
+    return replace(config_from_values(values), features=args.features,
+                   out_dir=flags.get("out_dir") or "")
 
 
 def _pair_miner(args, cfg: PipelineConfig):
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _run_command(args)
-    except (FeatureFileError, ValueError, PipelineError) as exc:
+    except (FeatureFileError, ValueError, PipelineError, OSError) as exc:
         parser.exit(2, f"ccl {args.command}: error: {exc}\n")
     return 0
 
@@ -243,6 +243,12 @@ def _run_command(args) -> None:
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 
     elif args.command == "evaluate":
+        wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+        if not wanted:
+            raise ValueError("--metrics names no metric; choose from wcp, bcubed")
+        for metric in wanted:
+            if metric not in ("wcp", "bcubed"):
+                raise ValueError(f"unknown metric {metric!r}")
         pred = read_labels_csv(args.pred)
         fs = load_any_features(args.gt)
         if fs.label is None:
@@ -256,18 +262,13 @@ def _run_command(args) -> None:
                     f"prediction count {pred.size} matches neither samples "
                     f"({fs.num_samples}) nor tracks ({tracks.num_samples})")
             gt = tracks.label
-        wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
         report = {}
-        for metric in wanted:
-            if metric == "wcp":
-                acc, sizes, purities = wcp(pred, gt)
-                report["wcp"] = {"acc": acc, "cluster_sizes": sizes,
-                                 "cluster_purities": purities}
-            elif metric == "bcubed":
-                p, r, f = bcubed(pred, gt)
-                report["bcubed"] = {"precision": p, "recall": r, "f": f}
-            else:
-                raise ValueError(f"unknown metric {metric!r}")
+        if "wcp" in wanted:
+            acc, sizes, purities = wcp(pred, gt)
+            report["wcp"] = {"acc": acc, "cluster_sizes": sizes, "cluster_purities": purities}
+        if "bcubed" in wanted:
+            p, r, f = bcubed(pred, gt)
+            report["bcubed"] = {"precision": p, "recall": r, "f": f}
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
             Path(args.out).write_text(text + "\n")

@@ -23,11 +23,14 @@ this draw order or the candidate order changes every mined pair after it.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CooccurrenceSet, sq_distances, unit_rows
+
+log = logging.getLogger(__name__)
 
 POS_CLUSTER = "PosC"
 POS_NEAR = "PosC-near"
@@ -47,7 +50,7 @@ class MiningConfig:
     pos_per_cluster: int = 25
     neg_per_cluster: int = 25
     seed: int = 0
-    # source toggles for the ablation runner
+    # pair sources (config keys sources.*), switched by the ablation runner
     use_pos_cluster: bool = True
     use_neg_cluster: bool = True
     use_neg_video: bool = True
@@ -55,6 +58,12 @@ class MiningConfig:
     near_positives_for_all: bool = False
 
     def validate(self) -> None:
+        """Raise on a value out of range; warn when no negative pair source is on."""
+        self._check()
+        if not (self.use_neg_cluster or self.use_neg_video):
+            log.warning("no negative pair source enabled; training may collapse embeddings")
+
+    def _check(self) -> None:
         for key in ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
                     "pos_per_cluster", "neg_per_cluster"):
             if getattr(self, key) < 1:
@@ -252,7 +261,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     Each slot adds ``pos_per_cluster`` positives and as many negatives (none
     of a kind it has no candidates for); a batch lists its positives first.
     """
-    cfg.validate()
+    cfg._check()  # validate() without its warning, which would repeat every epoch
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     labels = np.asarray(partition, dtype=np.int64)

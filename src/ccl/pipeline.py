@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -38,8 +37,6 @@ from .metrics import ClusteringReport, evaluate_clustering
 from .mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters, write_pairs_csv
 from .siamese import TrainConfig, embed, save_model, train
 
-log = logging.getLogger(__name__)
-
 
 class PipelineError(RuntimeError):
     """Stage failure; the message names the failing stage."""
@@ -54,9 +51,6 @@ class PipelineConfig:
     eval_level: str = "track"      # "track" or "frame"
     backend: str = "finch"         # "finch" or "kmeans"
     seed: int = 0
-    use_pos_cluster: bool = True
-    use_neg_cluster: bool = True
-    use_neg_video: bool = True
     video_correction: bool = True
     mining: MiningConfig = field(default_factory=MiningConfig)
     training: TrainConfig = field(default_factory=TrainConfig)
@@ -73,16 +67,15 @@ class PipelineConfig:
             raise ValueError(f"eval_level must be 'track' or 'frame', got {self.eval_level!r}")
         if self.backend not in ("finch", "kmeans"):
             raise ValueError(f"backend must be 'finch' or 'kmeans', got {self.backend!r}")
+        for name, nested in (("mining", self.mining), ("training", self.training)):
+            if nested.seed not in (0, self.seed):
+                raise ValueError(f"{name}.seed {nested.seed} disagrees with pipeline.seed "
+                                 f"{self.seed}; pipeline.seed (--seed) sets the seed")
         self.resolved_mining().validate()
         self.resolved_training().validate()
-        if not (self.use_neg_cluster or self.use_neg_video):
-            log.warning("no negative pair source enabled; training may collapse embeddings")
 
     def resolved_mining(self) -> MiningConfig:
-        return replace(self.mining, seed=self.seed,
-                       use_pos_cluster=self.use_pos_cluster,
-                       use_neg_cluster=self.use_neg_cluster,
-                       use_neg_video=self.use_neg_video)
+        return replace(self.mining, seed=self.seed)
 
     def resolved_training(self) -> TrainConfig:
         return replace(self.training, seed=self.seed)
@@ -96,15 +89,28 @@ class PipelineConfig:
 
 # -- flat key-value config files ----------------------------------------
 
+# section -> (the PipelineConfig attribute it writes, "" for the config
+# itself; a prefix its key names take as field names; its key names)
 _SECTIONS = {
-    "pipeline": ("partition_index", "num_clusters", "eval_level", "backend", "seed",
-                 "video_correction"),
-    "sources": ("pos_cluster", "neg_cluster", "neg_video"),
-    "mining": ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
-               "pos_per_cluster", "neg_per_cluster", "near_positives_for_all"),
-    "train": ("epochs", "lr", "lr_drop_epoch", "lr_drop_factor", "beta1", "beta2",
-              "adam_eps", "hidden_dim", "out_dim", "margin", "squared_hinge"),
+    "pipeline": ("", "", ("partition_index", "num_clusters", "eval_level", "backend", "seed",
+                          "video_correction")),
+    "sources": ("mining", "use_", ("pos_cluster", "neg_cluster", "neg_video")),
+    "mining": ("mining", "", ("z_near", "z_far", "small_cluster_threshold",
+                              "clusters_per_batch", "pos_per_cluster", "neg_per_cluster",
+                              "near_positives_for_all")),
+    "train": ("training", "", ("epochs", "lr", "lr_drop_epoch", "lr_drop_factor", "beta1",
+                               "beta2", "adam_eps", "hidden_dim", "out_dim", "margin",
+                               "squared_hinge")),
 }
+
+
+def _resolve(key: str, where: str = "") -> tuple[str, str]:
+    """(owner, field) that the dotted ``key`` sets; owner as in _SECTIONS."""
+    section, _, name = key.partition(".")
+    owner, prefix, names = _SECTIONS.get(section, ("", "", ()))
+    if name not in names:
+        raise ValueError(f"{where}unknown config key {key!r}")
+    return owner, prefix + name
 
 
 def _parse_value(raw: str):
@@ -119,16 +125,10 @@ def _parse_value(raw: str):
     return raw
 
 
-def _field_type(section: str, name: str) -> type:
-    """Type of the default of the config field that ``section.name`` sets."""
-    cfg = PipelineConfig()
-    owner = {"mining": cfg.mining, "train": cfg.training}.get(section, cfg)
-    return type(getattr(owner, f"use_{name}" if section == "sources" else name))
-
-
 def parse_config_file(path) -> dict[str, object]:
     """Flat ``section.key = value`` lines, each typed as its field; '#' starts a comment."""
     values: dict[str, object] = {}
+    defaults = PipelineConfig()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -136,10 +136,9 @@ def parse_config_file(path) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'section.key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        section, _, name = key.partition(".")
-        if section not in _SECTIONS or name not in _SECTIONS[section]:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        value, expected = _parse_value(raw), _field_type(section, name)
+        owner, name = _resolve(key, f"{path}:{lineno}: ")
+        value = _parse_value(raw)
+        expected = type(getattr(getattr(defaults, owner) if owner else defaults, name))
         if type(value) is not expected and not (expected is float and type(value) is int):
             raise ValueError(f"{path}:{lineno}: {key} must be {expected.__name__}, got {raw!r}")
         values[key] = value
@@ -150,28 +149,13 @@ def config_from_values(values: dict[str, object],
                        base: PipelineConfig | None = None) -> PipelineConfig:
     """Apply flat dotted keys on top of a base config (defaults if omitted)."""
     cfg = base or PipelineConfig()
-    source_map = {"pos_cluster": "use_pos_cluster", "neg_cluster": "use_neg_cluster",
-                  "neg_video": "use_neg_video"}
-    pipeline_updates: dict[str, object] = {}
-    mining_updates: dict[str, object] = {}
-    train_updates: dict[str, object] = {}
     for key, value in values.items():
-        section, _, name = key.partition(".")
-        if section == "pipeline":
-            pipeline_updates[name] = value
-        elif section == "sources":
-            pipeline_updates[source_map[name]] = value
-        elif section == "mining":
-            mining_updates[name] = value
-        elif section == "train":
-            train_updates[name] = value
+        owner, name = _resolve(key)
+        if owner:
+            cfg = replace(cfg, **{owner: replace(getattr(cfg, owner), **{name: value})})
         else:
-            raise ValueError(f"unknown config key {key!r}")
-    if mining_updates:
-        pipeline_updates["mining"] = replace(cfg.mining, **mining_updates)
-    if train_updates:
-        pipeline_updates["training"] = replace(cfg.training, **train_updates)
-    return replace(cfg, **pipeline_updates)
+            cfg = replace(cfg, **{name: value})
+    return cfg
 
 
 # -- stage artifacts -----------------------------------------------------
@@ -461,14 +445,10 @@ def run_ablation(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     summary: dict = {"rows": []}
     out_root = Path(cfg.out_dir) if cfg.out_dir else None
     for name, (pos_c, neg_c, n_vid) in ABLATION_ROWS:
-        row_cfg = replace(
-            cfg,
-            use_pos_cluster=pos_c,
-            use_neg_cluster=neg_c,
-            use_neg_video=n_vid,
-            video_correction=n_vid,
-            out_dir=str(out_root / name.replace("+", "_")) if out_root else "",
-        )
+        row_cfg = replace(config_from_values(
+            {"sources.pos_cluster": pos_c, "sources.neg_cluster": neg_c,
+             "sources.neg_video": n_vid, "pipeline.video_correction": n_vid}, cfg),
+            out_dir=str(out_root / name.replace("+", "_")) if out_root else "")
         report = run_pipeline(row_cfg, fs)
         if not summary["rows"]:
             summary["rows"].append({"name": "Base", "sources": {},

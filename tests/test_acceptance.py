@@ -7,7 +7,6 @@ CCL_BBT0101_FEATURES / CCL_BF0502_FEATURES and are skipped otherwise.
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from ccl.hac import ward_hac
 from ccl.kmeans import KMeansConfig, minibatch_kmeans
 from ccl.metrics import bcubed, wcp
 from ccl.mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters
-from ccl.pipeline import PipelineConfig, run_pipeline
+from ccl.pipeline import PipelineConfig, config_from_values, run_pipeline
 from ccl.siamese import TrainConfig, batch_loss, contrastive_loss, init_model, loss_and_gradients
 from ccl.synth import synth_generate
 
@@ -148,8 +147,8 @@ def end_to_end_runs():
         fs = synth_generate(E2E_CLASSES, 200, 64, noise=0.25, frames_per_track=5,
                             cooc_rate=0.5, seed=seed)
         all_sources = PipelineConfig(seed=seed, **E2E_CONFIG)
-        posc_only = replace(all_sources, use_neg_cluster=False, use_neg_video=False,
-                            video_correction=False)
+        posc_only = config_from_values({"sources.neg_cluster": False, "sources.neg_video": False,
+                                        "pipeline.video_correction": False}, all_sources)
         report = run_pipeline(all_sources, fs)
         posc_report = run_pipeline(posc_only, fs)
         runs.append({

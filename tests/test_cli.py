@@ -117,15 +117,67 @@ def test_evaluate_rejects_mismatched_prediction(feature_file, tmp_path, capsys):
                                        "neither samples (150) nor tracks (30)\n")
 
 
-def test_evaluate_rejects_unknown_metric(feature_file, tmp_path, capsys):
+def test_evaluate_rejects_unknown_metric(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:  # checked before either file is read
+        main(["evaluate", "--pred", str(tmp_path / "missing.csv"),
+              "--gt", str(tmp_path / "missing.cclf"), "--metrics", "wcp,nmi", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == "ccl evaluate: error: unknown metric 'nmi'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metrics", [",", "", " , "])
+def test_evaluate_rejects_an_empty_metric_list(feature_file, tmp_path, capsys, metrics):
     labels = tmp_path / "labels.csv"
     main(["cluster", "--features", str(feature_file), "--num-clusters", "3",
           "--out", str(labels)])
+    out = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exit_info:
         main(["evaluate", "--pred", str(labels), "--gt", str(feature_file),
-              "--metrics", "wcp,nmi"])
+              "--metrics", metrics, "--out", str(out)])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err.endswith("ccl evaluate: error: unknown metric 'nmi'\n")
+    assert capsys.readouterr().err == ("ccl evaluate: error: --metrics names no metric; "
+                                       "choose from wcp, bcubed\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--features", "{missing}", "--out", "{out}"],
+    ["mine", "--features", "{missing}", "--out", "{out}"],
+    ["finch", "--features", "{missing}", "--out", "{out}"],
+    ["kmeans", "--features", "{missing}", "--k", "3", "--out", "{out}"],
+    ["cluster", "--features", "{missing}", "--num-clusters", "3", "--out", "{out}"],
+    ["embed", "--model", "{missing}", "--features", "{features}", "--out", "{out}"],
+    ["run", "--features", "{features}", "--config", "{missing}", "--out-dir", "{out}"],
+    ["train", "--features", "{features}", "--partition", "{missing}", "--out", "{out}"],
+], ids=["train", "mine", "finch", "kmeans", "cluster", "embed-model", "run-config",
+        "train-partition"])
+def test_missing_input_file_is_one_line_error(feature_file, tmp_path, capsys, argv):
+    missing = tmp_path / "missing.file"
+    paths = {"missing": missing, "features": feature_file, "out": tmp_path / "out"}
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(**paths) for arg in argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ccl {argv[0]}: error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+@pytest.mark.parametrize("flags, sources, correction", [
+    ([], (True, True, True), True),
+    (["--no-posc"], (False, True, True), True),
+    (["--no-negc"], (True, False, True), True),
+    (["--no-nvid"], (True, True, False), False),
+])
+def test_source_flags_set_the_sources_keys(feature_file, tmp_path, flags, sources, correction):
+    args = cli.build_parser().parse_args(["run", "--features", str(feature_file), "--seed", "5",
+                                          "--out-dir", str(tmp_path), *flags])
+    cfg = cli._pipeline_config(args)
+    assert (cfg.mining.use_pos_cluster, cfg.mining.use_neg_cluster,
+            cfg.mining.use_neg_video) == sources
+    assert cfg.video_correction is correction
+    assert cfg.seed == 5 and cfg.out_dir == str(tmp_path)
 
 
 def test_train_rejects_cooc_pair_outside_feature_rows(feature_file, tmp_path, capsys):

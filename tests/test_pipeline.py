@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from dataclasses import replace
 
@@ -146,7 +147,7 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.partition_index == 1
     assert cfg.eval_level == "frame"
     assert cfg.num_clusters == 4
-    assert cfg.use_neg_video is False
+    assert cfg.mining.use_neg_video is False
     assert cfg.mining.z_near == 7
     assert cfg.training.lr == pytest.approx(1e-3)
     assert cfg.training.epochs == 3
@@ -195,8 +196,56 @@ def test_config_validation():
     with pytest.raises(ValueError, match="backend"):
         quick_config(backend="dbscan").validate()
     with pytest.raises(ValueError, match="source"):
-        quick_config(use_pos_cluster=False, use_neg_cluster=False,
-                     use_neg_video=False).validate()
+        quick_config(mining=MiningConfig(use_pos_cluster=False, use_neg_cluster=False,
+                                         use_neg_video=False)).validate()
+
+
+def test_sources_are_mining_fields_set_by_config_keys(small_dataset):
+    assert not [name for name in vars(PipelineConfig()) if name.startswith("use_")]
+    cfg = config_from_values({"sources.pos_cluster": False, "sources.neg_cluster": False,
+                              "mining.z_near": 3, "pipeline.seed": 4, "train.epochs": 1})
+    assert (cfg.mining.use_pos_cluster, cfg.mining.use_neg_cluster,
+            cfg.mining.use_neg_video) == (False, False, True)
+    assert cfg.mining.z_near == 3 and cfg.seed == 4 and cfg.training.epochs == 1
+    assert cfg.resolved_mining() == replace(cfg.mining, seed=4)
+    with pytest.raises(ValueError, match="unknown config key 'sources.use_neg_video'"):
+        config_from_values({"sources.use_neg_video": False})
+    echo = run_pipeline(quick_config(), small_dataset)["config"]
+    assert not [key for key in echo if key.startswith("use_")]
+    assert echo["mining"]["use_neg_video"] is True
+
+
+def test_nested_mining_config_switches_off_video_negatives(tmp_path, small_dataset):
+    out = tmp_path / "run"
+    cfg = quick_config(out_dir=str(out), mining=MiningConfig(z_near=5, z_far=5,
+                                                             use_neg_video=False))
+    run_pipeline(cfg, small_dataset)
+    pairs = (out / "pairs_epoch0.csv").read_text()
+    assert ",NegC\n" in pairs and ",NVid\n" not in pairs
+    with_video = tmp_path / "video"
+    run_pipeline(quick_config(out_dir=str(with_video)), small_dataset)
+    assert ",NVid\n" in (with_video / "pairs_epoch0.csv").read_text()
+
+
+def test_no_negative_source_warns_once_per_run(caplog, small_dataset):
+    with caplog.at_level(logging.WARNING, logger="ccl"):
+        run_pipeline(quick_config(), small_dataset)
+        assert caplog.records == []
+        run_pipeline(quick_config(mining=MiningConfig(z_near=5, z_far=5, use_neg_cluster=False,
+                                                      use_neg_video=False)), small_dataset)
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("ccl.mining", "no negative pair source enabled; training may collapse embeddings")]
+
+
+@pytest.mark.parametrize("nested", [{"mining": MiningConfig(seed=7)},
+                                    {"training": TrainConfig(seed=7)}])
+def test_nested_seed_must_agree_with_the_pipeline_seed(nested):
+    name = next(iter(nested))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name}.seed 7 disagrees with pipeline.seed 3; pipeline.seed (--seed) sets the seed")):
+        PipelineConfig(seed=3, **nested).validate()
+    PipelineConfig(seed=7, **nested).validate()
+    PipelineConfig(seed=3, **{name: replace(nested[name], seed=0)}).validate()
 
 
 def test_config_echo_carries_resolved_seed():

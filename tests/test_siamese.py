@@ -224,12 +224,13 @@ STATE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "bn_mean", "bn_var", "proj_w",
 # the train-mode loss depends on p only through pair differences, so these
 # tensors get exactly zero gradients and training leaves them as given
 ZERO_GRADIENT = ("enc_b", "bn_beta", "proj_b")
+ULPS = 2 ** 10  # a train step's error bound, in eps per unit of its error scale
 
 
-def float64_copy(model):
+def wide_copy(model, dtype=np.float64):
     twin = copy.deepcopy(model)
     for name in STATE:
-        setattr(twin, name, getattr(model, name).astype(np.float64))
+        setattr(twin, name, getattr(model, name).astype(dtype))
     return twin
 
 
@@ -245,7 +246,7 @@ def error_scales(model, x1, x2, y):
     scales with |w|' |C| |w|, which exceeds var + bn_eps when a hidden unit
     is nearly orthogonal to a rank-deficient batch.
     """
-    twin = float64_copy(model)
+    twin = wide_copy(model)
     n = len(x1)
     _, _, cache = textbook_loss_and_gradients(twin, x1, x2, y)
     h, x = cache["h"], cache["x"]
@@ -254,9 +255,15 @@ def error_scales(model, x1, x2, y):
     diff = p[:n] - p[n:]
     dist = np.sqrt(np.sum(diff ** 2, axis=1))
     d = dist ** 2 if model.squared_hinge else dist
-    slope = np.abs((1 - y) * d - y * np.maximum(0.0, model.margin - d))
-    chain = 2 * dist if model.squared_hinge else np.ones_like(dist)  # |d d / d |diff||
-    loss = np.sum(slope * chain * np.linalg.norm(p_mag[:n] + p_mag[n:], axis=1)) / n
+    p_norm = np.linalg.norm(p_mag[:n] + p_mag[n:], axis=1)
+    # the program's two projections of a pair round apart by up to about
+    # eps * p_norm, even when the pair is one row twice (dist 0): so no
+    # distance counts for less than that rounding, in units of tol
+    reach = np.maximum(dist, p_norm / ULPS)
+    reach_d = reach ** 2 if model.squared_hinge else reach
+    slope = np.abs((1 - y) * reach_d - y * np.maximum(0.0, model.margin - d))
+    chain = 2 * reach if model.squared_hinge else np.ones_like(dist)  # |d d / d |diff||
+    loss = np.sum(slope * chain * p_norm) / n
     per_pair = np.broadcast_to((slope * chain / n)[:, None], diff.shape)
     gp = np.concatenate([per_pair, per_pair])  # bounds |d loss / d p| per element
     zhat = np.abs(cache["zhat"])
@@ -286,10 +293,13 @@ def test_loss_and_gradients_match_textbook(seed, dims, pairs, squared_hinge, mar
     rows = rng.normal(size=(30, dim_in)).astype(np.float32)
     x1, x2 = rows[rng.integers(0, 30, pairs)], rows[rng.integers(0, 30, pairs)]
     y = rng.integers(0, 2, pairs)
-    tol = 2 ** 10 * np.finfo(dtype).eps
+    tol = ULPS * np.finfo(dtype).eps
 
     loss, grads, _ = loss_and_gradients(model, x1, x2, y)
-    want_loss, want, _ = textbook_loss_and_gradients(model, x1, x2, y)
+    # the reference, in a wider float than the model's: the textbook's z - mu
+    # cancels where the program's centred x does not
+    want_loss, want, _ = textbook_loss_and_gradients(wide_copy(model, np.longdouble),
+                                                     x1, x2, y)
     scales, kappa = error_scales(model, x1, x2, y)
     assert abs(loss - want_loss) <= tol * (abs(want_loss) + kappa * scales["loss"])
     for name in ("enc_w", "bn_gamma", "proj_w"):
