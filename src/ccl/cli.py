@@ -15,6 +15,7 @@ from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import bcubed, wcp
 from .mining import write_pairs_csv
 from .pipeline import (
+    ABLATION_KEYS,
     PipelineConfig,
     PipelineError,
     StageTimer,
@@ -155,12 +156,17 @@ _FLAG_KEYS = {"seed": ("pipeline.seed",), "partition_index": ("pipeline.partitio
               "no_correction": ("pipeline.video_correction",)}
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    """--config keys, then each of the subcommand's flags that was given."""
+def _pipeline_config(args, fixed_keys=()) -> PipelineConfig:
+    """--config keys, then each of the subcommand's flags that was given;
+    a key in ``fixed_keys``, which the subcommand sets itself, is refused."""
     flags = vars(args)
     values = parse_config_file(args.config) if flags.get("config") else {}
     values.update({key: flags[flag] for flag, keys in _FLAG_KEYS.items()
                    if flags.get(flag) is not None for key in keys})
+    fixed = [key for key in values if key in fixed_keys]
+    if fixed:
+        raise ValueError(f"{args.command} sets {fixed[0]} in each of its runs; remove the "
+                         f"key or the flag that sets it")
     return replace(config_from_values(values), features=args.features,
                    out_dir=flags.get("out_dir") or "")
 
@@ -283,7 +289,7 @@ def _run_command(args) -> None:
         print(f"report written to {Path(args.out_dir) / 'report.json'}")
 
     elif args.command == "ablate":
-        summary = run_ablation(_pipeline_config(args))
+        summary = run_ablation(_pipeline_config(args, ABLATION_KEYS))
         for row in summary["rows"]:
             print(f"{row['name']:>16}: acc {row['acc']:.4f}")
 

@@ -19,8 +19,9 @@ Frame co-occurrence is one sorted, duplicate-free int64 array of pair codes
 ``i * n + j`` (i < j, n feature rows) in a ``CooccurrenceSet``.
 
 Row primitives shared by every stage: ``unit_rows`` (float64 rows over their
-norms), ``cluster_means`` (l2-normalized mean of each group of rows: FINCH's
-clusters, cluster ranking, tracks) and ``sq_distances`` (squared distances).
+norms), ``group_sums`` (per-group row sums: k-means folds), ``cluster_means``
+(l2-normalized mean of each group of rows: FINCH's clusters, cluster ranking,
+tracks) and ``sq_distances`` (squared distances).
 """
 
 from __future__ import annotations
@@ -240,17 +241,23 @@ def unit_rows(x, name=lambda r: f"row {r}") -> np.ndarray:
     return x
 
 
+def group_sums(points, labels, m: int) -> np.ndarray:
+    """Float64 sum of the rows labelled g, for each group g in [0, m); each
+    group accumulates its rows in row order, starting from 0.0. One column at
+    a time, so no float64 copy of ``points`` is made."""
+    labels = np.asarray(labels, dtype=np.int64)
+    return np.stack([np.bincount(labels, weights=column, minlength=m)
+                     for column in np.asarray(points).T], axis=1)
+
+
 def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.ndarray:
     """Per-cluster mean of rows, l2-normalized; labels must be contiguous."""
-    points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     m = int(labels.max()) + 1
     counts = np.bincount(labels, minlength=m)
     if np.any(counts == 0):
         raise ValueError(f"empty cluster {int(np.flatnonzero(counts == 0)[0])}")
-    sums = np.zeros((m, points.shape[1]), dtype=np.float64)
-    np.add.at(sums, labels, points)
-    return unit_rows(sums / counts[:, None], name)
+    return unit_rows(group_sums(points, labels, m) / counts[:, None], name)
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

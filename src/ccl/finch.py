@@ -50,8 +50,9 @@ def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) ->
     """Index of each row's nearest other row under cosine distance.
 
     Distances are evaluated in float64 on l2-normalized rows, one chunk of
-    rows at a time so memory stays O(chunk_rows * M). Exact ties resolve to
-    the smallest index, which keeps chunked and serial results identical.
+    rows at a time in one reused chunk_rows x M block, so memory stays
+    O(chunk_rows * M). Exact ties resolve to the smallest index, which keeps
+    chunked and serial results identical.
     """
     points = np.asarray(points)
     m = points.shape[0]
@@ -59,10 +60,13 @@ def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) ->
         raise ValueError(f"first_neighbors needs at least 2 rows, got {m}")
     unit = unit_rows(points)
     kappa = np.empty(m, dtype=np.int64)
+    block = np.empty((min(chunk_rows, m), m), dtype=np.float64)
     for start in range(0, m, chunk_rows):
         stop = min(start + chunk_rows, m)
-        dist = 1.0 - unit[start:stop] @ unit.T
-        dist[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
+        dist = block[:stop - start]
+        np.matmul(unit[start:stop], unit.T, out=dist)
+        np.subtract(1.0, dist, out=dist)
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
         kappa[start:stop] = np.argmin(dist, axis=1)
     return kappa
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import sq_distances
+from .data import group_sums, sq_distances
 from .labeling import relabel_contiguous
 
 log = logging.getLogger(__name__)
@@ -83,14 +83,15 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
 
     batch_size = min(cfg.batch_size, n)
     for _ in range(cfg.max_iters):
-        batch = rng.choice(n, size=batch_size, replace=False)
-        assign = np.argmin(sq_distances(points[batch], centers), axis=1)
-        for c in np.unique(assign):
-            member = points[batch[assign == c]]
-            new_count = counts[c] + member.shape[0]
-            # streaming mean: equivalent to per-point updates at rate 1/count
-            centers[c] = (counts[c] * centers[c] + member.sum(axis=0)) / new_count
-            counts[c] = new_count
+        batch = points[rng.choice(n, size=batch_size, replace=False)]
+        assign = np.argmin(sq_distances(batch, centers), axis=1)
+        sizes = np.bincount(assign, minlength=cfg.k)
+        hit = sizes > 0
+        new_counts = counts + sizes
+        # streaming mean: equivalent to per-point updates at rate 1/count
+        centers[hit] = ((counts[hit, None] * centers[hit] + group_sums(batch, assign, cfg.k)[hit])
+                        / new_counts[hit, None])
+        counts = new_counts
 
     labels = np.argmin(sq_distances(points, centers), axis=1)
     used = np.unique(labels)

@@ -368,11 +368,14 @@ def _num_clusters(cfg: PipelineConfig, fs: FeatureSet) -> int:
     return num_clusters
 
 
-def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
+def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
+                 baseline: dict | None = None) -> dict:
     """Execute the full refinement pipeline; returns the report dict.
 
     When cfg.out_dir is set, stage artifacts (partition file, pair audit,
     model checkpoint, predicted labels, report.json) are written there.
+    ``baseline``, when given, is the report's "baseline" entry of an earlier
+    run on the same features, cluster count and level; its HAC is not redone.
     """
     cfg.validate()
     timer = StageTimer()
@@ -410,11 +413,12 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     }
     if gt is not None:
         ccl_metrics = timer.run("evaluate", lambda: evaluate_clustering(hac_result.labels, gt))
-        # same units and ground truth as the refined clustering above
-        baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_level(
-            normalized, num_clusters, cfg.eval_level, StageTimer())[0].labels, gt))
+        if baseline is None:
+            # same units and ground truth as the refined clustering above
+            baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_level(
+                normalized, num_clusters, cfg.eval_level, StageTimer())[0].labels, gt).to_dict())
         report["ccl"] = ccl_metrics.to_dict()
-        report["baseline"] = baseline.to_dict()
+        report["baseline"] = baseline
     report["timings"] = timer.timings
 
     if out_dir is not None:
@@ -434,6 +438,9 @@ ABLATION_ROWS = [
     ("NegC+NVid", (False, True, True)),
     ("PosC+NegC+NVid", (True, True, True)),
 ]
+# the config keys every ablation row sets, from its (PosC, NegC, NVid)
+ABLATION_KEYS = ("sources.pos_cluster", "sources.neg_cluster", "sources.neg_video",
+                 "pipeline.video_correction")
 
 
 def run_ablation(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
@@ -444,15 +451,15 @@ def run_ablation(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
         raise ValueError("ablation needs ground-truth labels for every row")
     summary: dict = {"rows": []}
     out_root = Path(cfg.out_dir) if cfg.out_dir else None
+    baseline = None  # the first run's; no row setting changes the baseline HAC
     for name, (pos_c, neg_c, n_vid) in ABLATION_ROWS:
         row_cfg = replace(config_from_values(
-            {"sources.pos_cluster": pos_c, "sources.neg_cluster": neg_c,
-             "sources.neg_video": n_vid, "pipeline.video_correction": n_vid}, cfg),
+            dict(zip(ABLATION_KEYS, (pos_c, neg_c, n_vid, n_vid))), cfg),
             out_dir=str(out_root / name.replace("+", "_")) if out_root else "")
-        report = run_pipeline(row_cfg, fs)
-        if not summary["rows"]:
-            summary["rows"].append({"name": "Base", "sources": {},
-                                    "acc": report["baseline"]["acc"]})
+        report = run_pipeline(row_cfg, fs, baseline)
+        if baseline is None:
+            baseline = report["baseline"]
+            summary["rows"].append({"name": "Base", "sources": {}, "acc": baseline["acc"]})
         summary["rows"].append({
             "name": name,
             "sources": {"PosC": pos_c, "NegC": neg_c, "NVid": n_vid},

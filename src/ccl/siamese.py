@@ -387,8 +387,9 @@ def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
         stop = min(start + EMBED_CHUNK_ROWS, fs.num_samples)
         h, _ = forward(model, fs.features[start:stop], mode="eval")
-        out[start:stop] = h.astype(np.float32)
-    return fs.with_features(unit_rows(out, lambda r: f"embedding row {r}").astype(np.float32))
+        out[start:stop] = unit_rows(h.astype(np.float32, copy=False),
+                                    lambda r: f"embedding row {start + r}")
+    return fs.with_features(out)
 
 
 def save_model(model: SiameseModel, path) -> None:

@@ -2,13 +2,17 @@
 
 Everything here recomputes from first principles (full adjacency matrices,
 breadth-first search, from-scratch variance sums, per-item loops) and shares
-no code path with the implementations under test.
+no code path with the implementations under test; `loop_minibatch_kmeans`
+takes k-means' seeding and assignment from the program and tests its fold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ccl.data import sq_distances
+from ccl.kmeans import _kmeanspp
+from ccl.labeling import relabel_contiguous
 from ccl.mining import NEG_CLUSTER, NEG_VIDEO, POS_CLUSTER, POS_NEAR, PairBatch
 
 
@@ -61,6 +65,37 @@ def groupby_means(points, labels) -> np.ndarray:
     m = int(labels.max()) + 1
     means = np.stack([points[labels == c].mean(axis=0) for c in range(m)])
     return means / np.linalg.norm(means, axis=1)[:, None]
+
+
+def add_at_group_sums(points, labels, m: int) -> np.ndarray:
+    """Per-group row sums by an unbuffered scatter-add into zeros, row by row."""
+    points = np.asarray(points, dtype=np.float64)
+    sums = np.zeros((m, points.shape[1]), dtype=np.float64)
+    np.add.at(sums, np.asarray(labels, dtype=np.int64), points)
+    return sums
+
+
+def loop_minibatch_kmeans(points, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous labels and centers, folding each minibatch one cluster at a
+    time. Seeding, draws and assignment are the program's; only the fold is
+    this loop's."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    sub = rng.choice(n, size=min(n, cfg.init_subsample_factor * cfg.k), replace=False)
+    centers = _kmeanspp(points[sub], cfg.k, rng)
+    counts = np.zeros(cfg.k, dtype=np.int64)
+    batch_size = min(cfg.batch_size, n)
+    for _ in range(cfg.max_iters):
+        batch = rng.choice(n, size=batch_size, replace=False)
+        assign = np.argmin(sq_distances(points[batch], centers), axis=1)
+        for c in np.unique(assign):
+            member = points[batch[assign == c]]
+            new_count = counts[c] + member.shape[0]
+            centers[c] = (counts[c] * centers[c] + member.sum(axis=0)) / new_count
+            counts[c] = new_count
+    labels = relabel_contiguous(np.argmin(sq_distances(points, centers), axis=1))
+    return labels, centers
 
 
 def naive_finch(points) -> tuple[list[np.ndarray], list[int]]:

@@ -379,6 +379,28 @@ def test_out_of_range_config_is_rejected_before_any_stage(feature_file, tmp_path
     assert loaded == [], "a stage ran"
 
 
+@pytest.mark.parametrize("flags, line, key", [
+    (["--no-posc"], "", "sources.pos_cluster"),
+    (["--no-negc"], "", "sources.neg_cluster"),
+    (["--no-nvid"], "", "sources.neg_video"),
+    ([], "sources.neg_cluster = true", "sources.neg_cluster"),
+    ([], "pipeline.video_correction = false", "pipeline.video_correction"),
+], ids=["no-posc", "no-negc", "no-nvid", "sources-key", "video-correction-key"])
+def test_ablate_rejects_the_source_switches_its_rows_set(feature_file, tmp_path, capsys, loaded,
+                                                         flags, line, key):
+    config = tmp_path / "ablate.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "ablation"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["ablate", "--features", str(feature_file), "--config", str(config),
+              "--out-dir", str(out), *flags])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (f"ccl ablate: error: ablate sets {key} in each of its "
+                                       "runs; remove the key or the flag that sets it\n")
+    assert not out.exists()
+    assert loaded == [], "a stage ran"
+
+
 def test_synth_rejects_negative_seed(tmp_path, capsys):
     out = tmp_path / "synth.cclf"
     with pytest.raises(SystemExit) as exit_info:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ccl.data import (
     FeatureFileError,
     FeatureSet,
     aggregate_tracks,
     build_cooccurrence,
+    group_sums,
     l2_normalize,
     load_features,
     load_features_csv,
@@ -21,7 +23,7 @@ from ccl.data import (
 )
 
 from corruption import corrupt, corruptions
-from oracles import naive_aggregate_tracks, naive_cooccurrence, pair_set
+from oracles import add_at_group_sums, naive_aggregate_tracks, naive_cooccurrence, pair_set
 
 
 def make_fs(features, frame=None, track=None, label=None):
@@ -287,6 +289,19 @@ def test_unit_rows_matches_the_expressions_it_replaces(rows, dim, seed):
     # cluster_means: float64 rows
     expected = wide / np.linalg.norm(wide, axis=1)[:, None]
     assert unit_rows(wide).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 40), dim=st.integers(1, 5),
+       extra_groups=st.integers(0, 3), dtype=st.sampled_from([np.float32, np.float64]))
+def test_group_sums_match_scatter_add_bitwise(data, rows, dim, extra_groups, dtype):
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, width=32))
+    points = data.draw(hnp.arrays(dtype, (rows, dim), elements=values))
+    m = data.draw(st.integers(1, 6)) + extra_groups  # groups past the drawn labels stay empty
+    labels = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, m - extra_groups - 1)))
+    sums = group_sums(points, labels, m)
+    assert sums.dtype == np.float64 and sums.shape == (m, dim)
+    assert sums.tobytes() == add_at_group_sums(points, labels, m).tobytes()
 
 
 def test_unit_rows_names_the_zero_row():

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl.finch import (
+    DEFAULT_CHUNK_ROWS,
     cluster_means,
     finch_hierarchy,
     first_neighbors,
@@ -64,6 +67,18 @@ def test_first_neighbors_permutation_equivariant(seed):
     inv = np.argsort(perm)
     permuted = first_neighbors(points[perm])
     np.testing.assert_array_equal(permuted, inv[kappa[perm]])
+
+
+def test_first_neighbors_peak_memory_is_one_block_and_the_unit_copy():
+    m, d = 3000, 16
+    points = np.random.default_rng(4).normal(size=(m, d))
+    tracemalloc.start()
+    try:
+        first_neighbors(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (DEFAULT_CHUNK_ROWS * m + m * d)
 
 
 def test_link_components_pairs():

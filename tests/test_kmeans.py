@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccl.kmeans import KMeansConfig, minibatch_kmeans, quantization_cost
 from ccl.metrics import wcp
+
+from oracles import loop_minibatch_kmeans
 
 
 def blobs(seed=0, per=60, spread=0.05):
@@ -63,3 +67,18 @@ def test_cost_non_increasing_on_final_checkpoints():
         _, centers = minibatch_kmeans(points, cfg, return_centers=True)
         costs.append(quantization_cost(points, centers))
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 60), dim=st.integers(2, 6), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_minibatch_fold_matches_the_per_cluster_loop_bitwise(n, dim, data, seed):
+    # at dim 1 the loop's member.sum sums pairwise, so only the last bits agree there
+    k = data.draw(st.integers(1, min(n, 8)))
+    cfg = KMeansConfig(k=k, batch_size=data.draw(st.integers(1, n)),
+                       max_iters=data.draw(st.integers(0, 12)), seed=seed)
+    points = np.random.default_rng(seed).normal(size=(n, dim))
+    labels, centers = minibatch_kmeans(points, cfg, return_centers=True)
+    expected_labels, expected_centers = loop_minibatch_kmeans(points, cfg)
+    np.testing.assert_array_equal(labels, expected_labels)
+    assert centers.tobytes() == expected_centers.tobytes()

@@ -6,8 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ccl import pipeline
+from ccl.hac import ward_hac
 from ccl.mining import MiningConfig
 from ccl.pipeline import (
+    ABLATION_ROWS,
     PipelineConfig,
     PipelineError,
     config_from_values,
@@ -129,6 +132,33 @@ def test_ablation_structure(small_dataset):
                      "NegC+NVid", "PosC+NegC+NVid"]
     for row in summary["rows"]:
         assert 0.0 <= row["acc"] <= 1.0
+
+
+def test_ablation_runs_the_baseline_hac_once(tmp_path, small_dataset, monkeypatch):
+    # the summary separate runs give, each with its own baseline HAC
+    expected = {"rows": []}
+    for name, (pos_c, neg_c, n_vid) in ABLATION_ROWS:
+        cfg = quick_config(video_correction=n_vid, mining=MiningConfig(
+            z_near=5, z_far=5, use_pos_cluster=pos_c, use_neg_cluster=neg_c,
+            use_neg_video=n_vid))
+        report = run_pipeline(cfg, small_dataset)
+        if not expected["rows"]:
+            expected["rows"].append({"name": "Base", "sources": {},
+                                     "acc": report["baseline"]["acc"]})
+        expected["rows"].append({"name": name,
+                                 "sources": {"PosC": pos_c, "NegC": neg_c, "NVid": n_vid},
+                                 "acc": report["ccl"]["acc"]})
+
+    calls = []
+
+    def counting_ward_hac(points, num_clusters):
+        calls.append(points.shape[0])
+        return ward_hac(points, num_clusters)
+
+    monkeypatch.setattr(pipeline, "ward_hac", counting_ward_hac)
+    run_ablation(quick_config(out_dir=str(tmp_path)), small_dataset)
+    assert len(calls) == 1 + len(ABLATION_ROWS)
+    assert (tmp_path / "ablation.json").read_text() == json.dumps(expected, indent=2) + "\n"
 
 
 def test_config_file_round_trip(tmp_path):

@@ -1,12 +1,14 @@
 import copy
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccl import siamese
 from ccl.data import FeatureSet
 from ccl.mining import PairBatch
 from ccl.siamese import (
@@ -448,6 +450,31 @@ def test_embed_properties():
     e = embed(model, dup)
     np.testing.assert_array_equal(e.features[0], e.features[1])
     np.testing.assert_array_equal(embed(model, fs).features, emb.features)
+
+
+def test_embed_holds_no_float64_copy_of_the_embeddings(monkeypatch):
+    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", 256)
+    n, hidden = 6000, 64
+    model = init_model(8, hidden, 4, seed=0, dtype=np.float32)
+    fs = FeatureSet(np.random.default_rng(0).normal(size=(n, 8)))
+    tracemalloc.start()
+    try:
+        emb = embed(model, fs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert emb.features.dtype == np.float32
+    # the float32 output and its finiteness mask, well under one N x H float64 array
+    assert peak < 8 * n * hidden
+
+
+def test_embed_zero_norm_error_names_the_global_row(monkeypatch):
+    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", 16)
+    model = init_model(4, 6, 2, seed=0, dtype=np.float32)  # enc_b, bn_mean, bn_beta are 0
+    features = np.random.default_rng(1).normal(size=(40, 4))
+    features[21] = 0.0  # embeds to the zero vector, in the second chunk
+    with pytest.raises(ValueError, match="zero-norm embedding row 21$"):
+        embed(model, FeatureSet(features))
 
 
 def test_checkpoint_round_trip(tmp_path):
