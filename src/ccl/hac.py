@@ -8,11 +8,12 @@ Lance-Williams updates of the variance-increase dissimilarity
 then sorted by cost; reducibility of Ward linkage makes the sorted sequence
 identical to greedy minimum-cost merging.
 
-Memory: one N x N float64 buffer, ~8*N^2 bytes. The distances are built in
-the output of the single Gram-matrix product, 16 rows at a time through a
-16 x N scratch block (1 MiB at N = 8,000), and once half of the live
-clusters have merged away the survivors are compacted in place into the
-front of the same buffer.
+Memory: one N x N float32 matrix, ~4*N^2 bytes (244 MiB at N = 8,000). The
+distances are computed in float64, 256 rows at a time through one reused
+256 x N float64 block (16 MiB at N = 8,000), and rounded once into the
+matrix; the merge loop and its Lance-Williams updates run in float32, so
+merge costs are float32 values. Once half of the live clusters have merged
+away the survivors are compacted in place into the front of the same buffer.
 """
 
 from __future__ import annotations
@@ -41,30 +42,33 @@ class HacResult:
         return int(self.labels.max()) + 1
 
 
-# Rows of the distance matrix built per step; bounds the scratch array and
-# keeps it in cache.
-_BLOCK_ROWS = 16
+# Rows of the distance matrix built per step; bounds the float64 scratch block.
+_BLOCK_ROWS = 256
 
 
 def _half_sq_distances(points: np.ndarray) -> np.ndarray:
-    """max(||x_i - x_j||^2, 0) / 2 for all pairs, built in the GEMM's own output.
+    """max(||x_i - x_j||^2, 0) / 2 for all pairs, rounded once to float32.
 
-    Rounds exactly like (sq_i + sq_j - 2 x_i.x_j) clamped and halved; only a
-    block of rows of sq_i + sq_j is held besides the N x N result.
+    Each block of rows is (sq_i + sq_j - 2 x_i.x_j) clamped and halved in one
+    reused float64 block, so no N x N float64 array exists.
     """
     n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
     # Doubling the left factor, not the product, keeps this a general GEMM:
     # NumPy sends points @ points.T to a symmetric kernel that rounds differently.
-    d2 = (2.0 * points) @ points.T
+    twice = 2.0 * points
+    d2 = np.empty((n, n), dtype=np.float32)
     scratch = np.empty((min(n, _BLOCK_ROWS), n))
     for start in range(0, n, _BLOCK_ROWS):
-        rows = d2[start:start + _BLOCK_ROWS]
-        sums = scratch[: rows.shape[0]]
-        np.add(sq[start:start + rows.shape[0], None], sq[None, :], out=sums)
-        np.subtract(sums, rows, out=rows)
-        np.maximum(rows, 0.0, out=rows)
-        rows /= 2.0
+        stop = min(start + _BLOCK_ROWS, n)
+        block = scratch[: stop - start]
+        np.matmul(twice[start:stop], points.T, out=block)
+        # Row by row, so sq_i + sq_j needs one N-vector, not a second block.
+        for row, sq_i in zip(block, sq[start:stop]):
+            np.subtract(sq_i + sq, row, out=row)
+        np.maximum(block, 0.0, out=block)
+        block /= 2.0
+        d2[start:stop] = block
     return d2
 
 
@@ -81,10 +85,11 @@ def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float]]:
     d2 = _half_sq_distances(points)
     buf = d2.reshape(-1)
     np.fill_diagonal(d2, np.inf)
-    size = np.ones(n)
-    pen = np.zeros(n)
+    # float32 like the matrix: cluster sizes stay below 2^24, so they are exact.
+    size = np.ones(n, dtype=np.float32)
+    pen = np.zeros(n, dtype=np.float32)
     ids = np.arange(n)
-    row = np.empty(n)
+    row = np.empty(n, dtype=np.float32)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []
 
@@ -139,6 +144,8 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
 
     Labels are contiguous, numbered by first occurrence; ties between equal
     merge costs resolve toward the earlier-discovered, smaller-index pair.
+    A row that is not finite, or too large for the float32 matrix, is a
+    ValueError naming the first such row.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -146,6 +153,15 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     n = points.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"target cluster count {c} must lie in [1, {n}]")
+    # Live Lance-Williams values stay below N max||x||^2 and their products
+    # below 2 N^2 max||x||^2, so under this bound the float32 loop meets no
+    # overflow (a dead slot may reach +inf, which its penalty hides anyway).
+    # NaN and inf fail the comparison too.
+    limit = np.finfo(np.float32).max / (2.0 * n * n)
+    bad = np.flatnonzero(~(np.einsum("ij,ij->i", points, points) <= limit))
+    if bad.size:
+        raise ValueError(f"point row {bad[0]} is not finite or its squared norm exceeds "
+                         f"{limit:.3g}, the float32 limit of Ward HAC at N = {n}")
     if c == n:
         return HacResult(np.arange(n, dtype=np.int64), [])
 

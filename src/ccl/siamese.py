@@ -425,5 +425,8 @@ def load_model(path) -> SiameseModel:
         # the size check above guarantees every read below is complete
         arrays = {name: np.frombuffer(fh.read(4 * math.prod(shape)), "<f4").reshape(shape).copy()
                   for name, shape in shapes.items()}
+    for name, value in {"margin": margin, "bn_eps": eps, "bn_momentum": momentum, **arrays}.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"checkpoint {name} holds a non-finite value")
     return SiameseModel(margin=float(margin), squared_hinge=bool(squared),
                         bn_eps=float(eps), bn_momentum=float(momentum), **arrays)

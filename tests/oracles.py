@@ -142,17 +142,19 @@ def naive_ward(points, c) -> np.ndarray:
     return canonical(labels)
 
 
-def loop_nn_chain_merges(points) -> list[tuple[int, int, float]]:
+def loop_nn_chain_merges(points, dtype=np.float64) -> list[tuple[int, int, float]]:
     """All N-1 Ward merges as (slot_i, slot_j, cost) in chain discovery order.
 
     The nearest-neighbour chain over a full N x N matrix with an active mask,
-    updated by Lance-Williams over the active slots only.
+    updated by Lance-Williams over the active slots only. The float64 half
+    distances are rounded once to ``dtype``, and the loop's arithmetic,
+    cluster sizes included, runs in ``dtype``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    d2 = sq_dist_to_all(points) / 2.0
+    d2 = (sq_dist_to_all(points) / 2.0).astype(dtype)
     np.fill_diagonal(d2, np.inf)
-    size = np.ones(n, dtype=np.int64)
+    size = np.ones(n, dtype=dtype)
     active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []

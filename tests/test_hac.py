@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccl import hac
 from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac
 from ccl.labeling import relabel_contiguous
 
@@ -101,8 +102,13 @@ def ward_instance(seed, n, d, kind):
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
     points = ward_instance(seed, n, d, kind)
-    got = _nn_chain_merges(points)
-    want = loop_nn_chain_merges(points)
+    # One build block, one GEMM as in the oracle: a GEMM split into row blocks
+    # may round x_i.x_j differently, which coincident points expose (see
+    # test_blocked_distances_stay_within_gemm_rounding_of_full_build).
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hac, "_BLOCK_ROWS", n)
+        got = _nn_chain_merges(points)
+    want = loop_nn_chain_merges(points, np.float32)
     assert [m[:2] for m in got] == [m[:2] for m in want]
     costs = np.array([m[2] for m in got], dtype=np.float64)
     assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
@@ -115,15 +121,58 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
     points = ward_instance(seed, n, d, kind)
     c = data.draw(st.integers(1, n), label="c")
     result = ward_hac(points, c)
-    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(points), n, c)
+    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(points, np.float32), n, c)
     np.testing.assert_array_equal(result.labels, labels)
     assert result.merge_log == merge_log
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 511, 513, 1100])
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 511, 513, 1100])
 def test_blocked_distances_match_full_build_bitwise(n):
     points = np.random.default_rng(n).normal(size=(n, 7))
-    assert _half_sq_distances(points).tobytes() == (sq_dist_to_all(points) / 2.0).tobytes()
+    got = _half_sq_distances(points)
+    want = (sq_dist_to_all(points) / 2.0).astype(np.float32)
+    assert got.dtype == np.float32
+    # The diagonal is overwritten with +inf before any read; a blocked GEMM may
+    # round x_i.x_i differently from the full one.
+    off = ~np.eye(n, dtype=bool)
+    assert got[off].tobytes() == want[off].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600), d=st.integers(1, 16),
+       kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
+def test_blocked_distances_stay_within_gemm_rounding_of_full_build(seed, n, d, kind):
+    points = ward_instance(seed, n, d, kind)
+    got = _half_sq_distances(points).astype(np.float64)
+    want = (sq_dist_to_all(points) / 2.0).astype(np.float32).astype(np.float64)
+    sq = np.einsum("ij,ij->i", points, points)
+    # Off the diagonal each entry is the full build's float32 value, up to
+    # float64 GEMM rounding of x_i.x_j (visible where the distance cancels to
+    # ~0) and one float32 step when that rounding crosses a float32 boundary.
+    slack = 2.0**-45 * (sq[:, None] + sq[None, :]) + np.spacing(want.astype(np.float32))
+    off = ~np.eye(n, dtype=bool)
+    assert (np.abs(got - want) <= slack)[off].all()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, 1e18])
+def test_non_finite_or_overflowing_points_are_rejected(value):
+    points = np.random.default_rng(0).normal(size=(20, 3))
+    points[7, 1] = value
+    with pytest.raises(ValueError, match="^point row 7 is not finite or its squared norm exceeds"):
+        ward_hac(points, 3)
+
+
+def test_largest_accepted_points_merge_at_finite_costs():
+    # Two far groups with squared norms just under the limit: the costliest
+    # merges a float32 loop can meet, and every one stays finite.
+    n = 101
+    points = np.zeros((n, 2))
+    points[: n // 2, 0], points[n // 2:, 0] = 1.0, -1.0
+    points[:, 1] = np.linspace(-1e-3, 1e-3, n)
+    points *= np.sqrt(0.999 * np.finfo(np.float32).max / (2.0 * n * n) / (1.0 + 1e-6))
+    result = ward_hac(points, 1)
+    assert np.isfinite([m[2] for m in result.merge_log]).all()
+    np.testing.assert_array_equal(ward_hac(points, 2).labels, np.repeat([0, 1], [n // 2, n - n // 2]))
 
 
 def test_peak_memory_is_one_distance_matrix():
@@ -135,4 +184,4 @@ def test_peak_memory_is_one_distance_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n
+    assert peak <= 1.25 * 4 * n * n

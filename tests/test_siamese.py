@@ -508,6 +508,20 @@ def test_checkpoint_header_larger_than_file_is_rejected(tmp_path):
         load_model(short)
 
 
+@pytest.mark.parametrize("name", ["enc_w", "bn_var", "proj_b", "margin", "bn_eps"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_checkpoint_is_rejected_by_name(tmp_path, name, value):
+    model = init_model(5, 4, 2, seed=1, dtype=np.float32)
+    if name in ("margin", "bn_eps"):
+        setattr(model, name, value)
+    else:
+        getattr(model, name).flat[-1] = value
+    path = tmp_path / "model.ccl"
+    save_model(model, path)
+    with pytest.raises(ValueError, match=f"^checkpoint {name} holds a non-finite value$"):
+        load_model(path)
+
+
 @pytest.fixture(scope="module")
 def valid_checkpoint(tmp_path_factory):
     path = tmp_path_factory.mktemp("ccl") / "valid.ccl"
