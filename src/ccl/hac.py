@@ -11,9 +11,13 @@ identical to greedy minimum-cost merging.
 Memory: one N x N float32 matrix, ~4*N^2 bytes (244 MiB at N = 8,000). The
 distances are computed in float64, 256 rows at a time through one reused
 256 x N float64 block (16 MiB at N = 8,000), and rounded once into the
-matrix; the merge loop and its Lance-Williams updates run in float32, so
-merge costs are float32 values. Once half of the live clusters have merged
-away the survivors are compacted in place into the front of the same buffer.
+matrix. A block's GEMM covers only the columns from its first row on, and
+every entry below the diagonal is copied from its mirror, so the matrix is
+symmetric bitwise, as the chain needs (with near-tied coincident points, an
+asymmetric one could make it cycle). The merge loop and its Lance-Williams
+updates run in float32, so merge costs are float32 values. Once half of the
+live clusters have merged away the survivors are compacted in place into the
+front of the same buffer.
 """
 
 from __future__ import annotations
@@ -46,43 +50,48 @@ class HacResult:
 _BLOCK_ROWS = 256
 
 
-def _half_sq_distances(points: np.ndarray) -> np.ndarray:
+def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """max(||x_i - x_j||^2, 0) / 2 for all pairs, rounded once to float32.
 
-    Each block of rows is (sq_i + sq_j - 2 x_i.x_j) clamped and halved in one
-    reused float64 block, so no N x N float64 array exists.
+    sq holds the squared row norms. Each block of rows is computed from its
+    first row's column on as (sq_i + sq_j - 2 x_i.x_j), clamped and halved in
+    one reused float64 block, so no N x N float64 array exists. Entries below
+    the diagonal copy their mirror, so the matrix is symmetric bitwise.
     """
     n = points.shape[0]
-    sq = np.einsum("ij,ij->i", points, points)
     # Doubling the left factor, not the product, keeps this a general GEMM:
     # NumPy sends points @ points.T to a symmetric kernel that rounds differently.
     twice = 2.0 * points
     d2 = np.empty((n, n), dtype=np.float32)
-    scratch = np.empty((min(n, _BLOCK_ROWS), n))
+    scratch = np.empty(min(n, _BLOCK_ROWS) * n)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        block = scratch[: stop - start]
-        np.matmul(twice[start:stop], points.T, out=block)
+        block = scratch[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        np.matmul(twice[start:stop], points[start:].T, out=block)
         # Row by row, so sq_i + sq_j needs one N-vector, not a second block.
         for row, sq_i in zip(block, sq[start:stop]):
-            np.subtract(sq_i + sq, row, out=row)
+            np.subtract(sq_i + sq[start:], row, out=row)
         np.maximum(block, 0.0, out=block)
         block /= 2.0
-        d2[start:stop] = block
+        d2[start:stop, start:] = block
+        # Left of the diagonal: the finished rows above, then this block's own.
+        d2[start:stop, :start] = d2[:start, start:stop].T
+        for r in range(start + 1, stop):
+            d2[r, start:r] = d2[start:r, r]
     return d2
 
 
-def _nn_chain_merges(points: np.ndarray) -> list[tuple[int, int, float]]:
+def _nn_chain_merges(d2: np.ndarray) -> list[tuple[int, int, float]]:
     """All N-1 Ward merges as (point_i, point_j, cost) in chain discovery order.
 
-    Slot s of the w x w matrix holds the cluster of point ids[s]. A merged-away
-    slot keeps stale distances and is hidden by pen[s] = +inf when a row is
-    read. Once half the slots are dead, the live ones are packed, in order,
-    into the front of the same buffer, so ties resolve as they would on the
-    uncompacted matrix.
+    d2 is the float32 matrix of _half_sq_distances, used up as the loop's
+    buffer. Slot s of the w x w matrix holds the cluster of point ids[s]. A
+    merged-away slot keeps stale distances and is hidden by pen[s] = +inf when
+    a row is read. Once half the slots are dead, the live ones are packed, in
+    order, into the front of the same buffer, so ties resolve as they would on
+    the uncompacted matrix.
     """
-    n = width = points.shape[0]
-    d2 = _half_sq_distances(points)
+    n = width = d2.shape[0]
     buf = d2.reshape(-1)
     np.fill_diagonal(d2, np.inf)
     # float32 like the matrix: cluster sizes stay below 2^24, so they are exact.
@@ -157,15 +166,16 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     # below 2 N^2 max||x||^2, so under this bound the float32 loop meets no
     # overflow (a dead slot may reach +inf, which its penalty hides anyway).
     # NaN and inf fail the comparison too.
+    sq = np.einsum("ij,ij->i", points, points)
     limit = np.finfo(np.float32).max / (2.0 * n * n)
-    bad = np.flatnonzero(~(np.einsum("ij,ij->i", points, points) <= limit))
+    bad = np.flatnonzero(~(sq <= limit))
     if bad.size:
         raise ValueError(f"point row {bad[0]} is not finite or its squared norm exceeds "
                          f"{limit:.3g}, the float32 limit of Ward HAC at N = {n}")
     if c == n:
         return HacResult(np.arange(n, dtype=np.int64), [])
 
-    merges = _nn_chain_merges(points)
+    merges = _nn_chain_merges(_half_sq_distances(points, sq))
     order = np.argsort([m[2] for m in merges], kind="stable")
 
     # Replay the n-c cheapest merges. By Ward's reducibility each sorts after the

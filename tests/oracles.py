@@ -142,19 +142,17 @@ def naive_ward(points, c) -> np.ndarray:
     return canonical(labels)
 
 
-def loop_nn_chain_merges(points, dtype=np.float64) -> list[tuple[int, int, float]]:
+def loop_nn_chain_merges(half_d2) -> list[tuple[int, int, float]]:
     """All N-1 Ward merges as (slot_i, slot_j, cost) in chain discovery order.
 
-    The nearest-neighbour chain over a full N x N matrix with an active mask,
-    updated by Lance-Williams over the active slots only. The float64 half
-    distances are rounded once to ``dtype``, and the loop's arithmetic,
-    cluster sizes included, runs in ``dtype``.
+    The nearest-neighbour chain over a float32 copy of the N x N half squared
+    distances half_d2, with an active mask, updated by Lance-Williams over the
+    active slots only; cluster sizes are float32 too.
     """
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    d2 = (sq_dist_to_all(points) / 2.0).astype(dtype)
+    d2 = np.array(half_d2, dtype=np.float32)
+    n = d2.shape[0]
     np.fill_diagonal(d2, np.inf)
-    size = np.ones(n, dtype=dtype)
+    size = np.ones(n, dtype=np.float32)
     active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []

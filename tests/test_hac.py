@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import hac
 from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac
 from ccl.labeling import relabel_contiguous
 
@@ -83,6 +82,11 @@ def test_bounds_checked():
         ward_hac(points, 0)
 
 
+def half_distances(points):
+    """The program's float32 Ward matrix of points."""
+    return _half_sq_distances(points, np.einsum("ij,ij->i", points, points))
+
+
 def ward_instance(seed, n, d, kind):
     rng = np.random.default_rng(seed)
     if kind == "normal":
@@ -101,14 +105,9 @@ def ward_instance(seed, n, d, kind):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 16),
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
-    points = ward_instance(seed, n, d, kind)
-    # One build block, one GEMM as in the oracle: a GEMM split into row blocks
-    # may round x_i.x_j differently, which coincident points expose (see
-    # test_blocked_distances_stay_within_gemm_rounding_of_full_build).
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hac, "_BLOCK_ROWS", n)
-        got = _nn_chain_merges(points)
-    want = loop_nn_chain_merges(points, np.float32)
+    d2 = half_distances(ward_instance(seed, n, d, kind))
+    want = loop_nn_chain_merges(d2)  # on a copy: the program uses d2 up
+    got = _nn_chain_merges(d2)
     assert [m[:2] for m in got] == [m[:2] for m in want]
     costs = np.array([m[2] for m in got], dtype=np.float64)
     assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
@@ -121,7 +120,7 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
     points = ward_instance(seed, n, d, kind)
     c = data.draw(st.integers(1, n), label="c")
     result = ward_hac(points, c)
-    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(points, np.float32), n, c)
+    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(half_distances(points)), n, c)
     np.testing.assert_array_equal(result.labels, labels)
     assert result.merge_log == merge_log
 
@@ -129,7 +128,7 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 511, 513, 1100])
 def test_blocked_distances_match_full_build_bitwise(n):
     points = np.random.default_rng(n).normal(size=(n, 7))
-    got = _half_sq_distances(points)
+    got = half_distances(points)
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32)
     assert got.dtype == np.float32
     # The diagonal is overwritten with +inf before any read; a blocked GEMM may
@@ -143,7 +142,9 @@ def test_blocked_distances_match_full_build_bitwise(n):
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_blocked_distances_stay_within_gemm_rounding_of_full_build(seed, n, d, kind):
     points = ward_instance(seed, n, d, kind)
-    got = _half_sq_distances(points).astype(np.float64)
+    got32 = half_distances(points)
+    assert got32.tobytes() == got32.T.tobytes()
+    got = got32.astype(np.float64)
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32).astype(np.float64)
     sq = np.einsum("ij,ij->i", points, points)
     # Off the diagonal each entry is the full build's float32 value, up to
