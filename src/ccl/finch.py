@@ -18,7 +18,7 @@ from .data import FeatureSet, cluster_means, unit_rows
 from .labeling import link_components, relabel_contiguous
 from .metrics import wcp
 
-DEFAULT_CHUNK_ROWS = 512
+DEFAULT_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)

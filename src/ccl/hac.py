@@ -8,16 +8,21 @@ Lance-Williams updates of the variance-increase dissimilarity
 then sorted by cost; reducibility of Ward linkage makes the sorted sequence
 identical to greedy minimum-cost merging.
 
-Memory: one N x N float32 matrix, ~4*N^2 bytes (244 MiB at N = 8,000). The
-distances are computed in float64, 256 rows at a time through one reused
-256 x N float64 block (16 MiB at N = 8,000), and rounded once into the
-matrix. A block's GEMM covers only the columns from its first row on, and
-every entry below the diagonal is copied from its mirror, so the matrix is
-symmetric bitwise, as the chain needs (with near-tied coincident points, an
-asymmetric one could make it cycle). The merge loop and its Lance-Williams
-updates run in float32, so merge costs are float32 values. Once half of the
-live clusters have merged away the survivors are compacted in place into the
-front of the same buffer.
+Memory: one N x N float32 matrix, ~4*N^2 bytes (244 MiB at N = 8,000),
+stored in groups of 8 interleaved rows: t[g, c, q] holds d(8g + q, c). A
+matrix column is then N/8 runs of 8 contiguous floats, so the column write
+of each merge touches N/8 cache lines, not N; a row is a view with a 32-byte
+stride. The distances are computed in float64, 256 rows at a time through
+one reused 256 x N float64 block (16 MiB at N = 8,000), and rounded once
+into the matrix. A block's GEMM covers only the columns from its first row
+on, and every entry below the diagonal is copied from its mirror, one 8 x 8
+tile at a time, so the matrix is symmetric bitwise, as the chain needs (with
+near-tied coincident points, an asymmetric one could make it cycle). The
+merge loop and its Lance-Williams updates run in float32, so merge costs are
+float32 values. It keeps contiguous copies of the rows on its chain, so the
+strided row reads are one per chain step. Once half of the live clusters
+have merged away the survivors are compacted in place into the front of the
+same buffer.
 """
 
 from __future__ import annotations
@@ -48,82 +53,138 @@ class HacResult:
 
 # Rows of the distance matrix built per step; bounds the float64 scratch block.
 _BLOCK_ROWS = 256
+# Rows of a block finished at once (sq_i + sq_j - 2 x_i.x_j, clamped, halved);
+# bounds the float64 buffer of their sq_i + sq_j sums.
+_PAIR_ROWS = 32
+# Rows per group of the matrix layout: t[g, c, q] holds d(8g + q, c).
+_GROUP = 8
+# Chain positions whose rows the merge loop keeps as contiguous, penalized copies.
+_CHAIN_ROWS = 64
+# Rows packed per step when the loop compacts the matrix; a multiple of _GROUP.
+_COMPACT_ROWS = 32
 
 
 def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """max(||x_i - x_j||^2, 0) / 2 for all pairs, rounded once to float32.
 
-    sq holds the squared row norms. Each block of rows is computed from its
-    first row's column on as (sq_i + sq_j - 2 x_i.x_j), clamped and halved in
-    one reused float64 block, so no N x N float64 array exists. Entries below
-    the diagonal copy their mirror, so the matrix is symmetric bitwise.
+    sq holds the squared row norms. The result is grouped: t[g, c, q] holds
+    the entry of rows i = 8g + q and c, in a (ceil(N/8), N, 8) array whose
+    padding rows past N are never read. Each block of rows is computed from
+    its first row's column on as (sq_i + sq_j - 2 x_i.x_j), clamped and halved
+    in one reused float64 block, so no N x N float64 array exists. Entries
+    below the diagonal copy their mirror, so the matrix is symmetric bitwise.
     """
     n = points.shape[0]
-    # Doubling the left factor, not the product, keeps this a general GEMM:
-    # NumPy sends points @ points.T to a symmetric kernel that rounds differently.
-    twice = 2.0 * points
-    d2 = np.empty((n, n), dtype=np.float32)
+    t = np.empty((-(-n // _GROUP), n, _GROUP), dtype=np.float32)
     scratch = np.empty(min(n, _BLOCK_ROWS) * n)
+    pair = np.empty(min(n, _PAIR_ROWS) * n)
+    # Below-diagonal entries of one block's square, in row-major order.
+    low_i, low_c = np.tril_indices(min(n, _BLOCK_ROWS), -1)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        block = scratch[: (stop - start) * (n - start)].reshape(stop - start, n - start)
-        np.matmul(twice[start:stop], points[start:].T, out=block)
-        # Row by row, so sq_i + sq_j needs one N-vector, not a second block.
-        for row, sq_i in zip(block, sq[start:stop]):
-            np.subtract(sq_i + sq[start:], row, out=row)
-        np.maximum(block, 0.0, out=block)
-        block /= 2.0
-        d2[start:stop, start:] = block
-        # Left of the diagonal: the finished rows above, then this block's own.
-        d2[start:stop, :start] = d2[:start, start:stop].T
-        for r in range(start + 1, stop):
-            d2[r, start:r] = d2[start:r, r]
-    return d2
+        rows, cols = stop - start, n - start
+        block = scratch[: rows * cols].reshape(rows, cols)
+        # Doubling the left factor, not the product, keeps this a general GEMM:
+        # NumPy sends points @ points.T to a symmetric kernel that rounds differently.
+        np.matmul(2.0 * points[start:stop], points[start:].T, out=block)
+        for a in range(0, rows, _PAIR_ROWS):
+            part = block[a:a + _PAIR_ROWS]
+            sums = pair[: part.size].reshape(part.shape)
+            np.add.outer(sq[start + a:start + a + part.shape[0]], sq[start:], out=sums)
+            np.subtract(sums, part, out=part)
+            np.maximum(part, 0.0, out=part)
+            part /= 2.0
+        # The block starts a group; g0 whole groups lie left of it.
+        g0, full, rest = start // _GROUP, rows // _GROUP, rows % _GROUP
+        t[g0:g0 + full, start:] = block[: full * _GROUP].reshape(full, _GROUP, cols).transpose(0, 2, 1)
+        # Left of the block: each 8 x 8 tile is the transpose of its mirror above.
+        t[g0:g0 + full, :start].reshape(full, g0, _GROUP, _GROUP)[...] = (
+            t[:g0, start:start + full * _GROUP].reshape(g0, full, _GROUP, _GROUP)
+            .transpose(1, 0, 3, 2))
+        if rest:
+            t[g0 + full, start:, :rest] = block[full * _GROUP:].T
+            t[g0 + full, :start, :rest].reshape(g0, _GROUP, rest)[...] = (
+                t[:g0, start + full * _GROUP:stop].transpose(0, 2, 1))
+        # Left of the diagonal inside the block.
+        k = rows * (rows - 1) // 2
+        own = t[g0:, start:stop]
+        i, c = low_i[:k], low_c[:k]
+        own[i // _GROUP, c, i % _GROUP] = own[c // _GROUP, i, c % _GROUP]
+    return t
 
 
-def _nn_chain_merges(d2: np.ndarray) -> list[tuple[int, int, float]]:
+def _load_row(t: np.ndarray, slot: int, pen: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row slot of the grouped matrix plus the penalties, into out."""
+    return np.add(t[slot // _GROUP, :, slot % _GROUP], pen, out=out)
+
+
+def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
     """All N-1 Ward merges as (point_i, point_j, cost) in chain discovery order.
 
-    d2 is the float32 matrix of _half_sq_distances, used up as the loop's
-    buffer. Slot s of the w x w matrix holds the cluster of point ids[s]. A
-    merged-away slot keeps stale distances and is hidden by pen[s] = +inf when
-    a row is read. Once half the slots are dead, the live ones are packed, in
-    order, into the front of the same buffer, so ties resolve as they would on
-    the uncompacted matrix.
+    t is the grouped float32 matrix of _half_sq_distances, used up as the
+    loop's buffer. Slot s of the w x w matrix holds the cluster of point
+    ids[s]. A merged-away slot keeps stale distances and is hidden by
+    pen[s] = +inf when a row is read. The rows of the first _CHAIN_ROWS chain
+    slots are kept as contiguous copies with the penalties added, patched at
+    each merge, so re-reading a chain row and both Lance-Williams inputs need
+    no strided read. Once half the slots are dead, the live ones are packed,
+    in order, into the front of the same buffer, so ties resolve as they
+    would on the uncompacted matrix.
     """
-    n = width = d2.shape[0]
-    buf = d2.reshape(-1)
-    np.fill_diagonal(d2, np.inf)
+    n = width = t.shape[1]
+    buf = t.reshape(-1)
+    diag = np.arange(n)
+    t[diag // _GROUP, diag, diag % _GROUP] = np.inf
     # float32 like the matrix: cluster sizes stay below 2^24, so they are exact.
     size = np.ones(n, dtype=np.float32)
     pen = np.zeros(n, dtype=np.float32)
     ids = np.arange(n)
-    row = np.empty(n, dtype=np.float32)
+    # Cached chain rows, then two spare rows for chain positions past them.
+    rows = np.empty((_CHAIN_ROWS + 2, n), dtype=np.float32)
+    # A whole column of t, padding rows included.
+    merged = np.empty(t.shape[0] * _GROUP, dtype=np.float32)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []
 
     while len(merges) < n - 1:
         if not chain:
             chain.append(int(np.argmin(pen[:width])))
-        top = chain[-1]
-        np.add(d2[top], pen[:width], out=row[:width])
-        nn = int(np.argmin(row[:width]))
-        dist = row[nn]
-        if len(chain) >= 2 and d2[top, chain[-2]] <= dist:
-            prev = chain.pop(-2)
-            chain.pop()
+            _load_row(t, chain[0], pen[:width], rows[0, :width])
+        top, k = chain[-1], len(chain) - 1
+        if k < _CHAIN_ROWS:
+            row = rows[k, :width]
+        else:
+            row = _load_row(t, top, pen[:width], rows[_CHAIN_ROWS, :width])
+        nn = int(np.argmin(row))
+        if k and row[chain[-2]] <= row[nn]:
+            prev = chain[-2]
+            if k - 1 < _CHAIN_ROWS:
+                prev_row = rows[k - 1, :width]
+            else:
+                prev_row = _load_row(t, prev, pen[:width], rows[_CHAIN_ROWS + 1, :width])
             keep, drop = min(prev, top), max(prev, top)
-            merges.append((int(ids[keep]), int(ids[drop]), float(d2[top, prev])))
-            _lance_williams(d2, size[:width], keep, drop)
+            dab = row[prev]
+            merges.append((int(ids[keep]), int(ids[drop]), float(dab)))
+            # Ward's recurrence. Penalized rows give +inf at dead slots, whose
+            # values are never read unpenalized.
+            keep_row, drop_row = (row, prev_row) if keep == top else (prev_row, row)
+            na, nb, s = size[keep], size[drop], size[:width]
+            merged[:width] = ((na + s) * keep_row + (nb + s) * drop_row - s * dab) / (na + nb + s)
+            t[keep // _GROUP, :, keep % _GROUP] = merged[:width]
+            t[:, keep] = merged[: t.shape[0] * _GROUP].reshape(-1, _GROUP)
+            t[keep // _GROUP, keep, keep % _GROUP] = np.inf
+            size[keep] = na + nb
             pen[drop] = np.inf
+            del chain[-2:]
+            cached = min(len(chain), _CHAIN_ROWS)
+            # + 0.0 as a read adds the zero penalty: a -0.0 reads as +0.0.
+            rows[:cached, keep] = merged[chain[:cached]] + np.float32(0.0)
+            rows[:cached, drop] = np.inf
             live = n - len(merges)
             if 2 * live <= width:
                 slots = np.flatnonzero(pen[:width] == 0.0)
-                # Row r lands at offset r*live, never past its source row
-                # slots[r] >= r, so no row is overwritten before it is read.
-                for r, s in enumerate(slots):
-                    buf[r * live:(r + 1) * live] = d2[s, slots]
-                d2 = buf[: live * live].reshape(live, live)
+                t = _compact(buf, t, slots)
+                rows[:cached, :live] = rows[:cached, slots]
                 size[:live] = size[slots]
                 ids[:live] = ids[slots]
                 pen[:live] = 0.0
@@ -131,21 +192,31 @@ def _nn_chain_merges(d2: np.ndarray) -> list[tuple[int, int, float]]:
                 width = live
         else:
             chain.append(nn)
+            if k + 1 < _CHAIN_ROWS:
+                _load_row(t, nn, pen[:width], rows[k + 1, :width])
     return merges
 
 
-def _lance_williams(d2: np.ndarray, size: np.ndarray, keep: int, drop: int) -> None:
-    """Merge cluster slots keep+drop into keep with the Ward recurrence.
+def _compact(buf: np.ndarray, t: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Pack the rows and columns of slots, in order, into the front of buf.
 
-    Dead slots are updated too; their values are never read unpenalized.
+    Returns the grouped live x live matrix, built _COMPACT_ROWS rows at a
+    time: the live columns of the old groups that hold those rows are
+    gathered, then the rows picked from them. New row r lands before old row
+    slots[r] >= r and live <= width / 2, so no write reaches a later read.
     """
-    na, nb = size[keep], size[drop]
-    dab = d2[keep, drop]
-    merged = ((na + size) * d2[keep] + (nb + size) * d2[drop] - size * dab) / (na + nb + size)
-    d2[keep] = merged
-    d2[:, keep] = merged
-    d2[keep, keep] = np.inf
-    size[keep] = na + nb
+    live = slots.size
+    groups = -(-live // _GROUP)
+    packed = buf[: groups * live * _GROUP].reshape(groups, live, _GROUP)
+    # The last group's padding rows copy the last live row.
+    src = np.pad(slots, (0, groups * _GROUP - live), mode="edge")
+    for a in range(0, src.size, _COMPACT_ROWS):
+        s = src[a:a + _COMPACT_ROWS]
+        first = s[0] // _GROUP
+        cols = t[first:s[-1] // _GROUP + 1][:, slots]
+        part = cols[s // _GROUP - first, :, s % _GROUP]
+        packed[a // _GROUP:(a + s.size) // _GROUP] = part.reshape(-1, _GROUP, live).transpose(0, 2, 1)
+    return packed
 
 
 def ward_hac(points: np.ndarray, c: int) -> HacResult:

@@ -17,6 +17,10 @@ from .labeling import relabel_contiguous
 
 log = logging.getLogger(__name__)
 
+# Rows assigned per step when the final labels are computed; bounds the
+# rows x k distance block.
+LABEL_CHUNK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
@@ -93,7 +97,10 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
                         / new_counts[hit, None])
         counts = new_counts
 
-    labels = np.argmin(sq_distances(points, centers), axis=1)
+    labels = np.empty(n, dtype=np.intp)
+    for start in range(0, n, LABEL_CHUNK_ROWS):
+        chunk = points[start:start + LABEL_CHUNK_ROWS]
+        labels[start:start + chunk.shape[0]] = np.argmin(sq_distances(chunk, centers), axis=1)
     used = np.unique(labels)
     if used.size < cfg.k:
         log.warning("minibatch_kmeans: %d of %d clusters ended up empty; relabeling",

@@ -51,7 +51,7 @@ from .data import FeatureSet, unit_rows
 CHECKPOINT_MAGIC = b"CCLM"
 CHECKPOINT_VERSION = 1
 
-EMBED_CHUNK_ROWS = 4096  # rows per eval-mode forward pass in `embed`
+EMBED_CHUNK_ROWS = 1024  # rows per eval-mode forward pass in `embed`
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients

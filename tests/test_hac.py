@@ -83,8 +83,25 @@ def test_bounds_checked():
 
 
 def half_distances(points):
-    """The program's float32 Ward matrix of points."""
+    """The program's float32 Ward matrix of points, in its grouped layout."""
     return _half_sq_distances(points, np.einsum("ij,ij->i", points, points))
+
+
+def ungroup(t):
+    """The square matrix held by the grouped layout t[g, c, q] = d(8g + q, c)."""
+    groups, n, per = t.shape
+    return t.transpose(0, 2, 1).reshape(groups * per, n)[:n]
+
+
+def assert_merges_match_loop_oracle(t):
+    """The program's merges on the grouped matrix t equal the loop oracle's,
+    cost bits included; returns the oracle's merges."""
+    want = loop_nn_chain_merges(ungroup(t))  # on a copy: the program uses t up
+    got = _nn_chain_merges(t)
+    assert [m[:2] for m in got] == [m[:2] for m in want]
+    costs = np.array([m[2] for m in got], dtype=np.float64)
+    assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
+    return want
 
 
 def ward_instance(seed, n, d, kind):
@@ -105,12 +122,22 @@ def ward_instance(seed, n, d, kind):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 16),
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
-    d2 = half_distances(ward_instance(seed, n, d, kind))
-    want = loop_nn_chain_merges(d2)  # on a copy: the program uses d2 up
-    got = _nn_chain_merges(d2)
-    assert [m[:2] for m in got] == [m[:2] for m in want]
-    costs = np.array([m[2] for m in got], dtype=np.float64)
-    assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
+    assert_merges_match_loop_oracle(half_distances(ward_instance(seed, n, d, kind)))
+
+
+def test_chain_longer_than_its_cached_rows_matches_loop_oracle_bitwise():
+    # Gaps shrink along a line of 80 points, so the chain from point 0 walks
+    # all of them, past the loop's 64 cached chain rows. A tight blob beyond
+    # the line's end is nearer to that end than its neighbour is, so the blob
+    # merges away, and the matrix is compacted, with the whole line still on
+    # the chain.
+    line, blob = 80, 100
+    points = np.zeros((line + blob, 2))
+    points[:line, 0] = np.cumsum(np.linspace(2.0, 1.0, line))
+    points[line:] = (points[line - 1, 0] + 0.5, 0.0)
+    points[line:] += 0.01 * np.random.default_rng(0).normal(size=(blob, 2))
+    want = assert_merges_match_loop_oracle(half_distances(points))
+    assert min(min(m[:2]) for m in want[: blob - 1]) >= line
 
 
 @settings(max_examples=150, deadline=None)
@@ -120,15 +147,15 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
     points = ward_instance(seed, n, d, kind)
     c = data.draw(st.integers(1, n), label="c")
     result = ward_hac(points, c)
-    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(half_distances(points)), n, c)
+    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(ungroup(half_distances(points))), n, c)
     np.testing.assert_array_equal(result.labels, labels)
     assert result.merge_log == merge_log
 
 
-@pytest.mark.parametrize("n", [1, 15, 16, 17, 255, 256, 257, 511, 513, 1100])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 255, 256, 257, 263, 511, 513, 1100])
 def test_blocked_distances_match_full_build_bitwise(n):
     points = np.random.default_rng(n).normal(size=(n, 7))
-    got = half_distances(points)
+    got = ungroup(half_distances(points))
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32)
     assert got.dtype == np.float32
     # The diagonal is overwritten with +inf before any read; a blocked GEMM may
@@ -142,7 +169,7 @@ def test_blocked_distances_match_full_build_bitwise(n):
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_blocked_distances_stay_within_gemm_rounding_of_full_build(seed, n, d, kind):
     points = ward_instance(seed, n, d, kind)
-    got32 = half_distances(points)
+    got32 = ungroup(half_distances(points))
     assert got32.tobytes() == got32.T.tobytes()
     got = got32.astype(np.float64)
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32).astype(np.float64)

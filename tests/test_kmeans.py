@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl.kmeans import KMeansConfig, minibatch_kmeans, quantization_cost
+from ccl.data import sq_distances
+from ccl.kmeans import LABEL_CHUNK_ROWS, KMeansConfig, minibatch_kmeans, quantization_cost
+from ccl.labeling import relabel_contiguous
 from ccl.metrics import wcp
 
 from oracles import loop_minibatch_kmeans
@@ -56,6 +58,14 @@ def test_empty_clusters_relabeled_contiguously():
     labels = minibatch_kmeans(points, KMeansConfig(k=4, seed=0))
     assert labels.min() == 0
     assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+
+
+def test_chunked_final_labels_match_one_assignment():
+    n = 2 * LABEL_CHUNK_ROWS + 37  # two whole chunks and a partial one
+    points = np.random.default_rng(5).normal(size=(n, 16))
+    labels, centers = minibatch_kmeans(points, KMeansConfig(k=40, seed=0), return_centers=True)
+    whole = relabel_contiguous(np.argmin(sq_distances(points, centers), axis=1))
+    np.testing.assert_array_equal(labels, whole)
 
 
 def test_cost_non_increasing_on_final_checkpoints():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import siamese
-from ccl.data import FeatureSet
+from ccl.data import FeatureSet, unit_rows
 from ccl.mining import PairBatch
 from ccl.siamese import (
     SiameseModel,
@@ -450,6 +450,16 @@ def test_embed_properties():
     e = embed(model, dup)
     np.testing.assert_array_equal(e.features[0], e.features[1])
     np.testing.assert_array_equal(embed(model, fs).features, emb.features)
+
+
+def test_embed_in_chunks_matches_one_forward_pass():
+    n = 2 * siamese.EMBED_CHUNK_ROWS + 37  # two whole chunks and a partial one
+    model = init_model(8, 24, 4, seed=0, dtype=np.float32)
+    model.bn_mean[:] = 0.25
+    fs = FeatureSet(np.random.default_rng(2).normal(size=(n, 8)))
+    h, _ = forward(model, fs.features, mode="eval")
+    want = unit_rows(h.astype(np.float32, copy=False)).astype(np.float32)
+    assert embed(model, fs).features.tobytes() == want.tobytes()
 
 
 def test_embed_holds_no_float64_copy_of_the_embeddings(monkeypatch):
