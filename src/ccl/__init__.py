@@ -16,7 +16,7 @@ from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import ClusteringReport, bcubed, evaluate_clustering, wcp
 from .mining import MiningConfig, PairBatch, apply_video_correction, mine_epoch, rank_clusters
 from .pipeline import PipelineConfig, run_ablation, run_baseline, run_pipeline
-from .siamese import SiameseModel, TrainConfig, contrastive_loss, embed, train
+from .siamese import SiameseModel, TrainConfig, embed, train
 from .synth import synth_generate
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "run_pipeline",
     "SiameseModel",
     "TrainConfig",
-    "contrastive_loss",
     "embed",
     "train",
     "synth_generate",

@@ -12,9 +12,11 @@ Memory: one N x N float32 matrix, ~4*N^2 bytes (244 MiB at N = 8,000),
 stored in groups of 8 interleaved rows: t[g, c, q] holds d(8g + q, c). A
 matrix column is then N/8 runs of 8 contiguous floats, so the column write
 of each merge touches N/8 cache lines, not N; a row is a view with a 32-byte
-stride. The distances are computed in float64, 256 rows at a time through
-one reused 256 x N float64 block (16 MiB at N = 8,000), and rounded once
-into the matrix. A block's GEMM covers only the columns from its first row
+stride. ward_matrix_bytes gives the matrix's exact size, and ward_hac
+refuses a matrix larger than physical memory before allocating it. The
+distances are computed in float64, 256 rows at a time through one reused
+256 x N float64 block (16 MiB at N = 8,000), and rounded once into the
+matrix. A block's GEMM covers only the columns from its first row
 on, and every entry below the diagonal is copied from its mirror, one 8 x 8
 tile at a time, so the matrix is symmetric bitwise, as the chain needs (with
 near-tied coincident points, an asymmetric one could make it cycle). The
@@ -27,6 +29,7 @@ same buffer.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +49,6 @@ class HacResult:
     labels: np.ndarray
     merge_log: list[tuple[int, int, float]]
 
-    @property
-    def num_clusters(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 # Rows of the distance matrix built per step; bounds the float64 scratch block.
 _BLOCK_ROWS = 256
@@ -62,6 +61,23 @@ _GROUP = 8
 _CHAIN_ROWS = 64
 # Rows packed per step when the loop compacts the matrix; a multiple of _GROUP.
 _COMPACT_ROWS = 32
+
+
+def ward_matrix_bytes(n: int) -> int:
+    """Bytes of the grouped float32 distance matrix over n points."""
+    return -(-n // _GROUP) * _GROUP * n * 4
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_ward_memory(n: int, units: str = "points") -> None:
+    """ValueError when the distance matrix over n units exceeds physical memory."""
+    need, have = ward_matrix_bytes(n), _physical_memory()
+    if need > have:
+        raise ValueError(f"Ward HAC over {n} {units} needs a {need}-byte distance matrix, "
+                         f"more than the {have} bytes of physical memory")
 
 
 def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -130,6 +146,10 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
     no strided read. Once half the slots are dead, the live ones are packed,
     in order, into the front of the same buffer, so ties resolve as they
     would on the uncompacted matrix.
+
+    Each merge pops two chain entries and the chain ends empty, so a correct
+    run pushes exactly 2(N-1) times; a push past that bound (a matrix holding
+    NaN, or a fault in the loop) is a RuntimeError, not an endless loop.
     """
     n = width = t.shape[1]
     buf = t.reshape(-1)
@@ -145,10 +165,12 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
     merged = np.empty(t.shape[0] * _GROUP, dtype=np.float32)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []
+    pushes = 0
 
     while len(merges) < n - 1:
         if not chain:
             chain.append(int(np.argmin(pen[:width])))
+            pushes += 1
             _load_row(t, chain[0], pen[:width], rows[0, :width])
         top, k = chain[-1], len(chain) - 1
         if k < _CHAIN_ROWS:
@@ -191,7 +213,11 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
                 chain = np.searchsorted(slots, chain).tolist()
                 width = live
         else:
+            if pushes >= 2 * (n - 1):
+                raise RuntimeError(f"NN-chain pushed past its bound of 2(N-1) = {2 * (n - 1)} "
+                                   f"after {len(merges)} of {n - 1} merges")
             chain.append(nn)
+            pushes += 1
             if k + 1 < _CHAIN_ROWS:
                 _load_row(t, nn, pen[:width], rows[k + 1, :width])
     return merges
@@ -225,7 +251,8 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     Labels are contiguous, numbered by first occurrence; ties between equal
     merge costs resolve toward the earlier-discovered, smaller-index pair.
     A row that is not finite, or too large for the float32 matrix, is a
-    ValueError naming the first such row.
+    ValueError naming the first such row; so is a matrix larger than
+    physical memory.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -233,6 +260,7 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     n = points.shape[0]
     if not 1 <= c <= n:
         raise ValueError(f"target cluster count {c} must lie in [1, {n}]")
+    check_ward_memory(n)
     # Live Lance-Williams values stay below N max||x||^2 and their products
     # below 2 N^2 max||x||^2, so under this bound the float32 loop meets no
     # overflow (a dead slot may reach +inf, which its penalty hides anyway).

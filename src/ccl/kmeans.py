@@ -57,12 +57,6 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def quantization_cost(points: np.ndarray, centers: np.ndarray) -> float:
-    """Mean squared distance of every point to its nearest center."""
-    points = np.asarray(points, dtype=np.float64)
-    return float(sq_distances(points, centers).min(axis=1).mean())
-
-
 def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
                      return_centers: bool = False):
     """Cluster rows into (at most) cfg.k groups; returns contiguous labels.

@@ -19,11 +19,6 @@ class ClusteringReport:
     cluster_sizes: list[int] = field(default_factory=list)
     cluster_purities: list[float] = field(default_factory=list)
 
-    @property
-    def correct_samples(self) -> int:
-        """Samples covered by their cluster's majority label (N * acc)."""
-        return int(round(sum(n * p for n, p in zip(self.cluster_sizes, self.cluster_purities))))
-
     def to_dict(self) -> dict:
         return {
             "acc": self.acc,

@@ -88,10 +88,6 @@ class PairBatch:
     def __len__(self) -> int:
         return self.a.size
 
-    @property
-    def num_positive(self) -> int:
-        return int(np.sum(self.y == 0))
-
     def as_tuples(self) -> list[tuple[int, int, int, str]]:
         return list(zip(self.a.tolist(), self.b.tolist(), self.y.tolist(), self.source.tolist()))
 

@@ -31,7 +31,7 @@ from .data import (
     load_features_csv,
 )
 from .finch import finch_hierarchy, partition_purity
-from .hac import ward_hac
+from .hac import check_ward_memory, ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import ClusteringReport, evaluate_clustering
 from .mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters, write_pairs_csv
@@ -350,7 +350,8 @@ def run_baseline(fs: FeatureSet, num_clusters: int, level: str = "track") -> Clu
 
 def _num_clusters(cfg: PipelineConfig, fs: FeatureSet) -> int:
     """The final cluster count, checked against the evaluation units (rows
-    at frame level, distinct track ids at track level) before any stage runs."""
+    at frame level, distinct track ids at track level) before any stage runs,
+    as is the size of Ward's distance matrix over those units."""
     num_clusters = cfg.num_clusters or fs.num_classes
     if num_clusters < 1:
         raise PipelineError("stage 'cluster' failed: no cluster count configured "
@@ -365,6 +366,12 @@ def _num_clusters(cfg: PipelineConfig, fs: FeatureSet) -> int:
     if num_clusters > units:
         raise PipelineError(f"stage 'cluster' failed: {num_clusters} clusters requested, but "
                             f"there are only {units} {cfg.eval_level}-level units to cluster")
+    try:
+        check_ward_memory(units, f"{cfg.eval_level}-level units")
+    except ValueError as exc:
+        hint = ("; track-level evaluation (--level track) clusters one point per track"
+                if cfg.eval_level == "frame" else "")
+        raise PipelineError(f"stage 'cluster' failed: {exc}{hint}") from None
     return num_clusters
 
 

@@ -7,7 +7,8 @@ for positive and y=1 for negative pairs, margin m, and pair distance d
 
 is minimized with Adam over mined pair batches. d is the (unsquared)
 Euclidean distance between the projected pair by default; squared_hinge=True
-switches d to the squared distance. Gradients are computed analytically,
+switches d to the squared distance. `_pair_loss` is the one implementation
+of this loss. Gradients are computed analytically,
 including the flow through batch statistics and the summed contribution of
 both branches; at the hinge boundary d == m the zero branch is taken.
 
@@ -24,10 +25,11 @@ loss depends on p only through pair differences, so the gradients of enc_b,
 bn_beta and proj_b are exactly zero and training leaves those tensors as
 they were. var_j read from C carries an absolute error of order
 eps * |w_j|' |C| |w_j|, which matters only for a hidden unit nearly
-orthogonal to a batch of fewer rows than features.
+orthogonal to a batch of fewer rows than features. `_train_projection` is
+the only train-mode forward.
 
 Embeddings for clustering are the batch-normalized hidden layer in eval
-mode, l2-normalized.
+mode (`forward`, with the running statistics), l2-normalized.
 
 Memory of a training run: a step gathers its R x D rows into a fresh
 array, which it centres in place; no array of a step has R x H elements.
@@ -175,65 +177,32 @@ def _train_projection(model: SiameseModel, x: np.ndarray):
     return p, mean, var, inv_std, scale, cw
 
 
-def forward(model: SiameseModel, x: np.ndarray, mode: str = "eval"):
-    """Hidden representation and projection for one row or a stack of rows."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+def forward(model: SiameseModel, x: np.ndarray):
+    """Eval-mode hidden representations and projections of a stack of rows,
+    normalized with the running batch statistics."""
     x = np.asarray(x, dtype=model.dtype)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    if rows.shape[1] != model.dim_in:
-        raise ValueError(f"expected input dim {model.dim_in}, got {rows.shape[1]}")
-    if mode == "train":
-        centred = rows.copy()
-        p, _, _, _, scale, _ = _train_projection(model, centred)
-        h = centred @ model.enc_w
-        h *= scale
-        h += model.bn_beta
-    else:
-        h = rows @ model.enc_w
-        h += model.enc_b
-        h -= model.bn_mean
-        h *= 1.0 / np.sqrt(model.bn_var + model.bn_eps)
-        h *= model.bn_gamma
-        h += model.bn_beta
-        p = h @ model.proj_w
-        p += model.proj_b
-    if single:
-        return h[0], p[0]
+    if x.shape[1] != model.dim_in:
+        raise ValueError(f"expected input dim {model.dim_in}, got {x.shape[1]}")
+    h = x @ model.enc_w
+    h += model.enc_b
+    h -= model.bn_mean
+    h *= 1.0 / np.sqrt(model.bn_var + model.bn_eps)
+    h *= model.bn_gamma
+    h += model.bn_beta
+    p = h @ model.proj_w
+    p += model.proj_b
     return h, p
 
 
-def _pair_distance(diff: np.ndarray, squared_hinge: bool) -> np.ndarray:
-    dsq = np.sum(diff ** 2, axis=-1)
-    return dsq if squared_hinge else np.sqrt(dsq)
-
-
-def contrastive_loss(p1, p2, y, margin: float = 1.0, squared_hinge: bool = False) -> float:
-    """Per-pair contrastive loss; y=0 pulls together, y=1 pushes past margin."""
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    d = _pair_distance(np.asarray(p1, dtype=np.float64) - np.asarray(p2, dtype=np.float64),
-                       squared_hinge)
-    hinge = np.maximum(0.0, margin - d)
-    return float(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2))
-
-
-def _pair_loss(model: SiameseModel, p: np.ndarray, n: int, y: np.ndarray):
+def _pair_loss(p: np.ndarray, n: int, y: np.ndarray, margin: float, squared_hinge: bool):
     """Mean loss of the pairs (p[k], p[n + k]); also returns their
     differences, distances and hinge terms."""
     diff = p[:n] - p[n:]
-    d = _pair_distance(diff, model.squared_hinge)
-    hinge = np.maximum(0.0, model.margin - d)
+    dsq = np.sum(diff ** 2, axis=-1)
+    d = dsq if squared_hinge else np.sqrt(dsq)
+    hinge = np.maximum(0.0, margin - d)
     loss = float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
     return loss, diff, d, hinge
-
-
-def batch_loss(model: SiameseModel, x1: np.ndarray, x2: np.ndarray, y: np.ndarray) -> float:
-    """Mean train-mode loss over a pair batch (batch statistics span both branches)."""
-    x = np.concatenate([x1, x2]).astype(model.dtype)
-    p = _train_projection(model, x)[0]
-    return _pair_loss(model, p, x1.shape[0], y)[0]
 
 
 def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads: dict):
@@ -245,7 +214,7 @@ def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads
         raise ValueError("empty pair batch")
     y = np.asarray(y, dtype=model.dtype)
     p, mean, var, inv_std, scale, cw = _train_projection(model, x)
-    loss, diff, d, hinge = _pair_loss(model, p, n, y)
+    loss, diff, d, hinge = _pair_loss(p, n, y, model.margin, model.squared_hinge)
 
     # d(loss)/d(d) averaged over pairs, then chain to the pair difference
     ddist = ((1 - y) * d - y * hinge) / n
@@ -269,16 +238,6 @@ def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads
     g_enc *= scale
     g_enc -= cw * (g_scale * scale * inv_std ** 2)
     return loss, mean @ model.enc_w + model.enc_b, var
-
-
-def loss_and_gradients(model: SiameseModel, x1: np.ndarray, x2: np.ndarray,
-                       y: np.ndarray):
-    """Mean batch loss, its gradient for every trainable parameter and the
-    batch statistics {"mu", "var"} of the hidden units."""
-    grads = {name: np.zeros(getattr(model, name).shape, model.dtype) for name in TRAINABLE}
-    x = np.concatenate([x1, x2]).astype(model.dtype)
-    loss, mu, var = _train_step(model, x, x1.shape[0], y, grads)
-    return loss, grads, {"mu": mu, "var": var}
 
 
 class _Adam:
@@ -386,7 +345,7 @@ def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     out = np.empty((fs.num_samples, model.dim_hidden), dtype=np.float32)
     for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
         stop = min(start + EMBED_CHUNK_ROWS, fs.num_samples)
-        h, _ = forward(model, fs.features[start:stop], mode="eval")
+        h, _ = forward(model, fs.features[start:stop])
         out[start:stop] = unit_rows(h.astype(np.float32, copy=False),
                                     lambda r: f"embedding row {start + r}")
     return fs.with_features(out)

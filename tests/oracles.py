@@ -4,6 +4,9 @@ Everything here recomputes from first principles (full adjacency matrices,
 breadth-first search, from-scratch variance sums, per-item loops) and shares
 no code path with the implementations under test; `loop_minibatch_kmeans`
 takes k-means' seeding and assignment from the program and tests its fold.
+The exceptions are the last four functions: thin wrappers that reach the
+Siamese model's private train-mode forward, loss and step per batch or per
+pair, so that tests check the code training runs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from ccl.data import sq_distances
 from ccl.kmeans import _kmeanspp
 from ccl.labeling import relabel_contiguous
 from ccl.mining import NEG_CLUSTER, NEG_VIDEO, POS_CLUSTER, POS_NEAR, PairBatch
+from ccl.siamese import TRAINABLE, _pair_loss, _train_projection, _train_step
 
 
 def unit_rows(points):
@@ -580,3 +584,38 @@ def textbook_train(fs, mining_factory, cfg, model, loss_log: list) -> None:
             _textbook_running_stats(model, cache)
             losses.append(loss)
         loss_log.append(float(np.mean(losses)) if losses else float("nan"))
+
+
+def train_forward(model, x):
+    """Train-mode hidden layer and projection of the rows x, normalized with
+    their own batch statistics; p is the program's `_train_projection`."""
+    centred = np.array(x, dtype=model.dtype)
+    p, _, _, _, scale, _ = _train_projection(model, centred)
+    h = centred @ model.enc_w
+    h *= scale
+    h += model.bn_beta
+    return h, p
+
+
+def pair_loss(p1, p2, y, margin: float = 1.0, squared_hinge: bool = False) -> float:
+    """The program's contrastive loss of one pair of projections, in float64."""
+    p = np.stack([np.asarray(p1, dtype=np.float64), np.asarray(p2, dtype=np.float64)])
+    return _pair_loss(p, 1, np.float64(y), margin, squared_hinge)[0]
+
+
+def batch_loss(model, x1, x2, y) -> float:
+    """The program's mean train-mode loss over a pair batch (batch statistics
+    span both branches)."""
+    x = np.concatenate([x1, x2]).astype(model.dtype)
+    p = _train_projection(model, x)[0]
+    return _pair_loss(p, x1.shape[0], y, model.margin, model.squared_hinge)[0]
+
+
+def loss_and_gradients(model, x1, x2, y):
+    """The program's train step on one pair batch: mean loss, the gradient of
+    every trainable tensor (exactly zero outside OPTIMIZED) and the batch
+    statistics {"mu", "var"} of the hidden units."""
+    grads = {name: np.zeros(getattr(model, name).shape, model.dtype) for name in TRAINABLE}
+    x = np.concatenate([x1, x2]).astype(model.dtype)
+    loss, mu, var = _train_step(model, x, x1.shape[0], y, grads)
+    return loss, grads, {"mu": mu, "var": var}

