@@ -15,7 +15,7 @@ from .hac import HacResult, ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import ClusteringReport, bcubed, evaluate_clustering, wcp
 from .mining import MiningConfig, PairBatch, apply_video_correction, mine_epoch, rank_clusters
-from .pipeline import PipelineConfig, run_ablation, run_baseline, run_pipeline
+from .pipeline import PipelineConfig, run_ablation, run_pipeline
 from .siamese import SiameseModel, TrainConfig, embed, train
 from .synth import synth_generate
 
@@ -47,7 +47,6 @@ __all__ = [
     "rank_clusters",
     "PipelineConfig",
     "run_ablation",
-    "run_baseline",
     "run_pipeline",
     "SiameseModel",
     "TrainConfig",

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import FeatureFileError, aggregate_tracks, l2_normalize, write_features
+from .finch import finch_hierarchy
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import bcubed, wcp
 from .mining import write_pairs_csv
@@ -19,25 +20,21 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     StageTimer,
+    check_cluster_count,
     cluster_level,
     config_from_values,
-    correct_partition,
     load_any_features,
-    pair_miner,
     parse_config_file,
-    partition_hierarchy,
-    prepare_features,
+    prepare_mining,
     read_cooc_csv,
     read_labels_csv,
     read_partition_csv,
     run_ablation,
     run_pipeline,
-    select_partition,
-    train_model,
     write_labels_csv,
     write_partition_csv,
 )
-from .siamese import embed, load_model, save_model
+from .siamese import embed, load_model, save_model, train
 from .synth import synth_generate
 
 
@@ -175,17 +172,12 @@ def _pair_miner(args, cfg: PipelineConfig):
     """`run`'s stages up to pair mining; --partition and --cooc files replace
     the computed partition and co-occurrence."""
     cfg.validate()
-    timer = StageTimer()
     fs = load_any_features(cfg.features)
-    normalized, cooc = prepare_features(fs, timer)
-    if getattr(args, "cooc", None):
-        cooc = read_cooc_csv(args.cooc, fs.num_samples)
-    if args.partition:
-        partition = read_partition_csv(args.partition, cfg.partition_index, fs.num_samples)
-    else:
-        partition = select_partition(cfg, normalized, timer)[1]
-    partition = correct_partition(cfg, partition, cooc, normalized, timer)
-    return normalized, pair_miner(cfg, normalized, partition, cooc, timer)
+    cooc = read_cooc_csv(args.cooc, fs.num_samples) if getattr(args, "cooc", None) else None
+    partition = (read_partition_csv(args.partition, cfg.partition_index, fs.num_samples)
+                 if args.partition else None)
+    normalized, _, _, factory = prepare_mining(cfg, fs, StageTimer(), partition, cooc)
+    return normalized, factory
 
 
 def main(argv=None) -> int:
@@ -207,7 +199,7 @@ def _run_command(args) -> None:
 
     elif args.command == "finch":
         fs = l2_normalize(load_any_features(args.features))
-        hierarchy = partition_hierarchy(fs, StageTimer())
+        hierarchy = StageTimer().run("finch", lambda: finch_hierarchy(fs))
         write_partition_csv(hierarchy, args.out)
         print(f"partitions: {hierarchy.cluster_counts}")
 
@@ -230,7 +222,9 @@ def _run_command(args) -> None:
     elif args.command == "train":
         cfg = _pipeline_config(args)
         normalized, factory = _pair_miner(args, cfg)
-        model, losses = train_model(cfg, normalized, factory, StageTimer())
+        losses: list[float] = []
+        model = StageTimer().run("train", lambda: train(normalized, factory,
+                                                        cfg.resolved_training(), loss_log=losses))
         save_model(model, args.out)
         print(f"trained {len(losses)} epochs; final loss {losses[-1]:.6f}"
               if losses else "trained 0 epochs")
@@ -242,9 +236,10 @@ def _run_command(args) -> None:
         print(f"wrote {fs.num_samples}x{model.dim_hidden} embeddings to {args.out}")
 
     elif args.command == "cluster":
-        fs = l2_normalize(load_any_features(args.features))
-        result, _, unit_ids, id_column = cluster_level(fs, args.num_clusters, args.level,
-                                                       StageTimer())
+        fs = load_any_features(args.features)
+        check_cluster_count(fs, args.num_clusters, args.level)
+        result, _, unit_ids, id_column = cluster_level(l2_normalize(fs), args.num_clusters,
+                                                       args.level, StageTimer())
         write_labels_csv(unit_ids, result.labels, args.out, id_column)
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 

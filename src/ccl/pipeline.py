@@ -1,12 +1,13 @@
 """End-to-end orchestration: features in, refined clustering report out.
 
-Stage functions, each timed by a `StageTimer`, compose the chain once:
-`prepare_features` (normalize, co-occurrence) -> `select_partition` (FINCH
-level or k-means) -> `correct_partition` (video correction) -> `pair_miner`
--> `train_model` -> embed -> `cluster_level` (Ward HAC at C) -> metrics.
-`run_pipeline`, `run_baseline`, `run_ablation` and the CLI subcommands call
-them. Every stage's artifact lands in the output directory and the report
-echoes the fully resolved configuration for provenance.
+`run_pipeline` composes the chain once, timing each stage with a
+`StageTimer`: `check_cluster_count` (before any stage) -> `prepare_mining`
+(normalize, co-occurrence, FINCH level or k-means, video correction, cluster
+ranks) -> `train` -> embed -> `cluster_level` (Ward HAC at C) -> metrics, plus
+the baseline HAC on the normalized features. `run_ablation` and the CLI
+subcommands call the same functions. Every stage's artifact lands in the
+output directory and the report echoes the fully resolved configuration for
+provenance.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .data import (
 from .finch import finch_hierarchy, partition_purity
 from .hac import check_ward_memory, ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
-from .metrics import ClusteringReport, evaluate_clustering
+from .metrics import evaluate_clustering
 from .mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters, write_pairs_csv
 from .siamese import TrainConfig, embed, save_model, train
 
@@ -288,50 +289,38 @@ def _partition_stats(hierarchy, selected_index, partition, gt) -> dict:
     return stats
 
 
-def prepare_features(fs: FeatureSet, timer: StageTimer):
-    """Unit-norm rows plus the pairs of rows that share a frame."""
+def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
+                   partition: np.ndarray | None = None, cooc: CooccurrenceSet | None = None):
+    """`run`'s stages up to pair mining: normalize, frame co-occurrence, the
+    FINCH hierarchy's selected level (or k-means at its count) and its
+    statistics, video correction, cluster ranks. A given ``partition`` or
+    ``cooc`` replaces the computed one; with a given partition the hierarchy
+    and statistics are None. Returns (normalized, hierarchy, stats, factory),
+    the factory mapping an epoch to its pair batches."""
     normalized = timer.run("normalize", lambda: l2_normalize(fs))
-    return normalized, timer.run("cooccurrence", lambda: (
-        build_cooccurrence(normalized) if normalized.frame_id is not None else CooccurrenceSet()))
-
-
-def partition_hierarchy(normalized: FeatureSet, timer: StageTimer):
-    return timer.run("finch", lambda: finch_hierarchy(normalized))
-
-
-def correct_partition(cfg: PipelineConfig, partition, cooc, normalized, timer: StageTimer):
-    """Video correction, when enabled: no cluster keeps a co-occurring pair."""
+    if cooc is None:
+        cooc = timer.run("cooccurrence", lambda: (
+            build_cooccurrence(normalized) if normalized.frame_id is not None
+            else CooccurrenceSet()))
+    hierarchy = stats = None
+    if partition is None:
+        hierarchy = timer.run("finch", lambda: finch_hierarchy(normalized))
+        partition = timer.run("select_partition", lambda: hierarchy.partition(cfg.partition_index))
+        if cfg.backend == "kmeans":
+            k = hierarchy.cluster_counts[cfg.partition_index - 1]
+            partition = timer.run("kmeans", lambda: minibatch_kmeans(
+                normalized.features, KMeansConfig(k=k, seed=cfg.seed)))
+        stats = _partition_stats(hierarchy, cfg.partition_index, partition,
+                                 _known(normalized.label))
     if cfg.video_correction and len(cooc):
         partition = timer.run("video_correction", lambda: apply_video_correction(
             partition, cooc, normalized.features))
-    return partition
-
-
-def select_partition(cfg: PipelineConfig, normalized: FeatureSet, timer: StageTimer):
-    """The hierarchy, its selected partition (or k-means at that count) and its statistics."""
-    hierarchy = partition_hierarchy(normalized, timer)
-    partition = timer.run("select_partition", lambda: hierarchy.partition(cfg.partition_index))
-    if cfg.backend == "kmeans":
-        k = hierarchy.cluster_counts[cfg.partition_index - 1]
-        partition = timer.run("kmeans", lambda: minibatch_kmeans(
-            normalized.features, KMeansConfig(k=k, seed=cfg.seed)))
-    return hierarchy, partition, _partition_stats(hierarchy, cfg.partition_index, partition,
-                                                  _known(normalized.label))
-
-
-def pair_miner(cfg: PipelineConfig, normalized: FeatureSet, partition, cooc, timer: StageTimer):
-    """Rank clusters by their means; returns the per-epoch pair factory."""
+    if stats is not None:
+        stats["mining_num_clusters"] = int(partition.max()) + 1
     mining_cfg = cfg.resolved_mining()
     ranks = timer.run("rank_clusters", lambda: rank_clusters(
         cluster_means(normalized.features, partition), mining_cfg.z_near, mining_cfg.z_far))
-    return partial(mine_epoch, partition, ranks, cooc, mining_cfg)
-
-
-def train_model(cfg: PipelineConfig, normalized: FeatureSet, factory, timer: StageTimer):
-    train_cfg = cfg.resolved_training()
-    losses: list[float] = []
-    model = timer.run("train", lambda: train(normalized, factory, train_cfg, loss_log=losses))
-    return model, losses
+    return normalized, hierarchy, stats, partial(mine_epoch, partition, ranks, cooc, mining_cfg)
 
 
 def cluster_level(fs: FeatureSet, num_clusters: int, level: str, timer: StageTimer):
@@ -340,23 +329,14 @@ def cluster_level(fs: FeatureSet, num_clusters: int, level: str, timer: StageTim
     return timer.run("hac", lambda: ward_hac(points, num_clusters)), gt, unit_ids, id_column
 
 
-def run_baseline(fs: FeatureSet, num_clusters: int, level: str = "track") -> ClusteringReport:
-    """HAC on the unrefined normalized features."""
-    result, gt, _, _ = cluster_level(l2_normalize(fs), num_clusters, level, StageTimer())
-    if gt is None:
-        raise ValueError("baseline evaluation needs ground-truth labels")
-    return evaluate_clustering(result.labels, gt)
-
-
-def _num_clusters(cfg: PipelineConfig, fs: FeatureSet) -> int:
-    """The final cluster count, checked against the evaluation units (rows
-    at frame level, distinct track ids at track level) before any stage runs,
-    as is the size of Ward's distance matrix over those units."""
-    num_clusters = cfg.num_clusters or fs.num_classes
+def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str) -> None:
+    """Refuse, before any stage runs, a cluster count outside [1, units] of the
+    evaluation units (rows at frame level, distinct track ids at track level)
+    and a Ward distance matrix over those units larger than physical memory."""
     if num_clusters < 1:
-        raise PipelineError("stage 'cluster' failed: no cluster count configured "
-                            "and the features carry no labels")
-    if cfg.eval_level == "track":
+        raise PipelineError(f"stage 'cluster' failed: the cluster count must be >= 1, "
+                            f"got {num_clusters}")
+    if level == "track":
         if fs.track_id is None or np.any(fs.track_id < 0):
             raise PipelineError("stage 'aggregate' failed: track-level evaluation needs a "
                                 "track id >= 0 on every row")
@@ -365,14 +345,13 @@ def _num_clusters(cfg: PipelineConfig, fs: FeatureSet) -> int:
         units = fs.num_samples
     if num_clusters > units:
         raise PipelineError(f"stage 'cluster' failed: {num_clusters} clusters requested, but "
-                            f"there are only {units} {cfg.eval_level}-level units to cluster")
+                            f"there are only {units} {level}-level units to cluster")
     try:
-        check_ward_memory(units, f"{cfg.eval_level}-level units")
+        check_ward_memory(units, f"{level}-level units")
     except ValueError as exc:
         hint = ("; track-level evaluation (--level track) clusters one point per track"
-                if cfg.eval_level == "frame" else "")
+                if level == "frame" else "")
         raise PipelineError(f"stage 'cluster' failed: {exc}{hint}") from None
-    return num_clusters
 
 
 def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
@@ -392,12 +371,12 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
 
     if fs is None:
         fs = timer.run("load", lambda: load_any_features(cfg.features))
-    num_clusters = _num_clusters(cfg, fs)
-    normalized, cooc = prepare_features(fs, timer)
-    hierarchy, partition, stats = select_partition(cfg, normalized, timer)
-    partition = correct_partition(cfg, partition, cooc, normalized, timer)
-    stats["mining_num_clusters"] = int(partition.max()) + 1
-    mine = pair_miner(cfg, normalized, partition, cooc, timer)
+    num_clusters = cfg.num_clusters or fs.num_classes
+    if num_clusters < 1:
+        raise PipelineError("stage 'cluster' failed: no cluster count configured "
+                            "and the features carry no labels")
+    check_cluster_count(fs, num_clusters, cfg.eval_level)
+    normalized, hierarchy, stats, mine = prepare_mining(cfg, fs, timer)
     epoch0: list = []  # training's epoch-0 batches, written as the pair audit
 
     def factory(epoch):
@@ -406,7 +385,9 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
             epoch0[:] = batches
         return batches
 
-    model, epoch_losses = train_model(cfg, normalized, factory, timer)
+    epoch_losses: list[float] = []
+    model = timer.run("train", lambda: train(normalized, factory, cfg.resolved_training(),
+                                             loss_log=epoch_losses))
     embedded = timer.run("embed", lambda: embed(model, normalized))
 
     hac_result, gt, unit_ids, id_column = cluster_level(embedded, num_clusters, cfg.eval_level,

@@ -256,20 +256,24 @@ def noisy_file(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("key, seed_flags", [
-    ("pipeline.backend = kmeans", ["--seed", "2"]),
-    ("pipeline.partition_index = 1", ["--seed", "2"]),
-    ("pipeline.video_correction = false", ["--seed", "2"]),
-    ("pipeline.seed = 2", []),
-], ids=["kmeans", "partition-index-1", "no-video-correction", "config-seed"])
-def test_train_writes_the_model_run_writes(noisy_file, tmp_path, key, seed_flags):
+@pytest.mark.parametrize("key, seed_flags, given_partition", [
+    ("pipeline.backend = kmeans", ["--seed", "2"], False),
+    ("pipeline.partition_index = 1", ["--seed", "2"], False),
+    ("pipeline.video_correction = false", ["--seed", "2"], False),
+    ("pipeline.seed = 2", [], False),
+    # FINCH backend: run's partitions.csv is the FINCH hierarchy
+    ("pipeline.partition_index = 1", ["--seed", "2"], True),
+], ids=["kmeans", "partition-index-1", "no-video-correction", "config-seed", "given-partition"])
+def test_train_writes_the_model_run_writes(noisy_file, tmp_path, key, seed_flags,
+                                           given_partition):
     config = tmp_path / "run.cfg"
     config.write_text("train.epochs = 2\ntrain.hidden_dim = 16\n"
                       f"mining.z_near = 3\nmining.z_far = 3\n{key}\n")
     main(["run", "--features", str(noisy_file), "--config", str(config), *seed_flags,
           "--out-dir", str(tmp_path / "run")])
+    partition = ["--partition", str(tmp_path / "run" / "partitions.csv")] if given_partition else []
     main(["train", "--features", str(noisy_file), "--config", str(config), *seed_flags,
-          "--out", str(tmp_path / "model.ccl")])
+          *partition, "--out", str(tmp_path / "model.ccl")])
     assert (tmp_path / "model.ccl").read_bytes() == (tmp_path / "run" / "model.ccl").read_bytes()
     assert json.loads((tmp_path / "run" / "report.json").read_text())["config"]["seed"] == 2
 
@@ -452,3 +456,31 @@ def test_frame_run_whose_ward_matrix_exceeds_memory_is_refused_before_training(
         f"{need}-byte distance matrix, more than the {need - 1} bytes of physical memory; "
         "track-level evaluation (--level track) clusters one point per track\n")
     assert not (out / "model.ccl").exists()
+
+
+@pytest.mark.parametrize("count, memory, message", [
+    ("3", lambda need: need - 1,
+     "Ward HAC over 150 frame-level units needs a {need}-byte distance matrix, more than the "
+     "{less} bytes of physical memory; track-level evaluation (--level track) clusters one "
+     "point per track"),
+    ("0", lambda need: need, "the cluster count must be >= 1, got 0"),
+], ids=["memory", "zero-count"])
+def test_frame_cluster_it_cannot_run_is_refused_before_any_stage(
+        feature_file, tmp_path, capsys, monkeypatch, count, memory, message):
+    need = hac.ward_matrix_bytes(150)
+    monkeypatch.setattr(hac, "_physical_memory", lambda: memory(need))
+
+    def no_stage(fs):
+        raise AssertionError("a stage ran")
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "l2_normalize", no_stage)
+    out = tmp_path / "labels.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cluster", "--features", str(feature_file), "--num-clusters", count,
+              "--level", "frame", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        "ccl cluster: error: stage 'cluster' failed: "
+        + message.format(need=need, less=need - 1) + "\n")
+    assert not out.exists()

@@ -18,7 +18,6 @@ from ccl.pipeline import (
     read_labels_csv,
     read_partition_csv,
     run_ablation,
-    run_baseline,
     run_pipeline,
     write_partition_csv,
 )
@@ -39,6 +38,11 @@ def quick_config(**overrides):
     return PipelineConfig(**defaults)
 
 
+# the timing keys of a labelled in-memory run (no 'load') whose frames co-occur
+STAGE_KEYS = {"normalize", "cooccurrence", "finch", "select_partition", "video_correction",
+              "rank_clusters", "train", "embed", "aggregate", "hac", "evaluate", "baseline"}
+
+
 def test_run_pipeline_report_and_artifacts(tmp_path, small_dataset):
     cfg = quick_config(out_dir=str(tmp_path / "run"))
     report = run_pipeline(cfg, small_dataset)
@@ -50,8 +54,9 @@ def test_run_pipeline_report_and_artifacts(tmp_path, small_dataset):
         assert (out / name).exists(), name
     on_disk = json.loads((out / "report.json").read_text())
     assert on_disk["ccl"]["acc"] == report["ccl"]["acc"]
-    # every stage timed
-    assert {"normalize", "finch", "train", "embed", "hac"} <= report["timings"].keys()
+    assert report["timings"].keys() == STAGE_KEYS
+    kmeans = run_pipeline(quick_config(backend="kmeans"), small_dataset)
+    assert kmeans["timings"].keys() == STAGE_KEYS | {"kmeans"}
 
 
 def test_pair_audit_is_epoch_zero_with_and_without_training(tmp_path, small_dataset):
@@ -92,22 +97,11 @@ def test_partition_index_out_of_range(small_dataset):
         run_pipeline(quick_config(partition_index=99), small_dataset)
 
 
-def test_baseline_matches_pipeline_report(small_dataset):
-    report = run_pipeline(quick_config(), small_dataset)
-    direct = run_baseline(small_dataset, 3, "frame")
-    assert report["baseline"]["acc"] == direct.acc
-
-
-def test_baseline_deterministic(small_dataset):
-    a = run_baseline(small_dataset, 3, "track")
-    b = run_baseline(small_dataset, 3, "track")
-    assert a == b
-
-
-def test_run_deterministic_with_same_seed(tmp_path, small_dataset):
+@pytest.mark.parametrize("eval_level", ["frame", "track"])
+def test_run_deterministic_with_same_seed(tmp_path, small_dataset, eval_level):
     outputs = []
     for run in ("a", "b"):
-        cfg = quick_config(out_dir=str(tmp_path / run), seed=7)
+        cfg = quick_config(out_dir=str(tmp_path / run), seed=7, eval_level=eval_level)
         report = run_pipeline(cfg, small_dataset)
         labels = (tmp_path / run / "labels.csv").read_bytes()
         model = (tmp_path / run / "model.ccl").read_bytes()
@@ -336,7 +330,7 @@ def test_ward_matrix_larger_than_physical_memory_fails_before_any_stage(
     # track level: 36 tracks, so the frame-level hint of the CLI test is left out
     need = ward_matrix_bytes(36)
     monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
-    monkeypatch.setattr(pipeline, "prepare_features", None)  # the first stage
+    monkeypatch.setattr(pipeline, "prepare_mining", None)  # the first stage
     with pytest.raises(PipelineError) as error:
         run_pipeline(quick_config(eval_level="track", out_dir=str(tmp_path)), small_dataset)
     assert str(error.value) == (
