@@ -10,16 +10,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureFileError, aggregate_tracks, l2_normalize, write_features
+from .data import FeatureFileError, l2_normalize, write_features
 from .finch import finch_hierarchy
 from .kmeans import KMeansConfig, minibatch_kmeans
-from .metrics import bcubed, wcp
+from .metrics import evaluate_clustering
 from .mining import write_pairs_csv
 from .pipeline import (
     ABLATION_KEYS,
+    ID_COLUMNS,
     PipelineConfig,
     PipelineError,
     StageTimer,
+    _eval_points,
     check_cluster_count,
     cluster_level,
     config_from_values,
@@ -102,7 +104,7 @@ def _add_cluster(sub):
     group.add_argument("--features", dest="features")
     group.add_argument("--embeddings", dest="features")
     p.add_argument("--num-clusters", type=int, required=True)
-    p.add_argument("--level", choices=("frame", "track"), default="frame")
+    p.add_argument("--level", choices=tuple(ID_COLUMNS), default="frame")
     p.add_argument("--out", required=True)
 
 
@@ -110,7 +112,6 @@ def _add_evaluate(sub):
     p = sub.add_parser("evaluate", help="score predicted labels against ground truth")
     p.add_argument("--pred", required=True, help="labels CSV")
     p.add_argument("--gt", required=True, help="feature file carrying labels")
-    p.add_argument("--metrics", default="wcp,bcubed")
     p.add_argument("--out", help="report JSON (default: stdout)")
 
 
@@ -119,7 +120,7 @@ def _pipeline_flags(p):
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="flat key-value config file")
     p.add_argument("--num-clusters", type=int)
-    p.add_argument("--level", choices=("frame", "track"))
+    p.add_argument("--level", choices=tuple(ID_COLUMNS))
     p.add_argument("--backend", choices=("finch", "kmeans"))
     p.add_argument("--no-posc", action="store_const", const=False)
     p.add_argument("--no-negc", action="store_const", const=False)
@@ -238,39 +239,23 @@ def _run_command(args) -> None:
     elif args.command == "cluster":
         fs = load_any_features(args.features)
         check_cluster_count(fs, args.num_clusters, args.level)
-        result, _, unit_ids, id_column = cluster_level(l2_normalize(fs), args.num_clusters,
-                                                       args.level, StageTimer())
-        write_labels_csv(unit_ids, result.labels, args.out, id_column)
+        result, _, unit_ids = cluster_level(l2_normalize(fs), args.num_clusters, args.level,
+                                            StageTimer())
+        write_labels_csv(unit_ids, result.labels, args.out, ID_COLUMNS[args.level])
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 
     elif args.command == "evaluate":
-        wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-        if not wanted:
-            raise ValueError("--metrics names no metric; choose from wcp, bcubed")
-        for metric in wanted:
-            if metric not in ("wcp", "bcubed"):
-                raise ValueError(f"unknown metric {metric!r}")
-        pred = read_labels_csv(args.pred)
-        fs = load_any_features(args.gt)
-        if fs.label is None:
-            raise ValueError("ground-truth feature file carries no labels")
-        if pred.size == fs.num_samples:
-            gt = fs.label
-        else:
-            tracks = aggregate_tracks(fs)
-            if pred.size != tracks.num_samples:
-                raise ValueError(
-                    f"prediction count {pred.size} matches neither samples "
-                    f"({fs.num_samples}) nor tracks ({tracks.num_samples})")
-            gt = tracks.label
-        report = {}
-        if "wcp" in wanted:
-            acc, sizes, purities = wcp(pred, gt)
-            report["wcp"] = {"acc": acc, "cluster_sizes": sizes, "cluster_purities": purities}
-        if "bcubed" in wanted:
-            p, r, f = bcubed(pred, gt)
-            report["bcubed"] = {"precision": p, "recall": r, "f": f}
-        text = json.dumps(report, indent=2, sort_keys=True)
+        level, ids, pred = read_labels_csv(args.pred)
+        _, gt, unit_ids = _eval_points(load_any_features(args.gt), level)
+        if gt is None:
+            raise ValueError(f"{args.gt}: scoring needs a label >= 0 on every row")
+        n = min(ids.size, unit_ids.size)
+        row = next(iter(np.flatnonzero(ids[:n] != unit_ids[:n])), n)
+        if row < max(ids.size, unit_ids.size):
+            raise ValueError(f"{args.pred}: its {ids.size} {ID_COLUMNS[level]} ids are not the "
+                             f"{unit_ids.size} {level}-level units of {args.gt} in order; they "
+                             f"first differ on line {row + 2}")
+        text = json.dumps(evaluate_clustering(pred, gt).to_dict(), indent=2, sort_keys=True)
         if args.out:
             Path(args.out).write_text(text + "\n")
         else:

@@ -18,21 +18,19 @@ from .data import FeatureSet, cluster_means, unit_rows
 from .labeling import link_components, relabel_contiguous
 from .metrics import wcp
 
-DEFAULT_CHUNK_ROWS = 128
+NEIGHBOR_CHUNK_ROWS = 128  # rows per distance block in `first_neighbors`
 
 
 @dataclass(frozen=True)
 class PartitionHierarchy:
-    """Fine-to-coarse partitions with per-partition cluster means.
+    """Fine-to-coarse partitions.
 
     partitions[l] assigns every sample a contiguous label in [0, cluster_counts[l]);
-    cluster_counts decrease strictly with l; means[l] holds the l2-normalized
-    mean of the original samples in each cluster.
+    cluster_counts decrease strictly with l.
     """
 
     partitions: list[np.ndarray]
     cluster_counts: list[int]
-    means: list[np.ndarray]
 
     @property
     def num_partitions(self) -> int:
@@ -46,13 +44,13 @@ class PartitionHierarchy:
         return self.partitions[index - 1]
 
 
-def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> np.ndarray:
+def first_neighbors(points: np.ndarray) -> np.ndarray:
     """Index of each row's nearest other row under cosine distance.
 
     Distances are evaluated in float64 on l2-normalized rows, one chunk of
-    rows at a time in one reused chunk_rows x M block, so memory stays
-    O(chunk_rows * M). Exact ties resolve to the smallest index, which keeps
-    chunked and serial results identical.
+    rows at a time in one reused NEIGHBOR_CHUNK_ROWS x M block, so memory
+    stays O(NEIGHBOR_CHUNK_ROWS * M). Exact ties resolve to the smallest
+    index, which keeps chunked and serial results identical.
     """
     points = np.asarray(points)
     m = points.shape[0]
@@ -60,9 +58,9 @@ def first_neighbors(points: np.ndarray, chunk_rows: int = DEFAULT_CHUNK_ROWS) ->
         raise ValueError(f"first_neighbors needs at least 2 rows, got {m}")
     unit = unit_rows(points)
     kappa = np.empty(m, dtype=np.int64)
-    block = np.empty((min(chunk_rows, m), m), dtype=np.float64)
-    for start in range(0, m, chunk_rows):
-        stop = min(start + chunk_rows, m)
+    block = np.empty((min(NEIGHBOR_CHUNK_ROWS, m), m), dtype=np.float64)
+    for start in range(0, m, NEIGHBOR_CHUNK_ROWS):
+        stop = min(start + NEIGHBOR_CHUNK_ROWS, m)
         dist = block[:stop - start]
         np.matmul(unit[start:stop], unit.T, out=dist)
         np.subtract(1.0, dist, out=dist)
@@ -85,10 +83,9 @@ def finch_hierarchy(data) -> PartitionHierarchy:
     labels = link_components(first_neighbors(points))
     partitions = [labels]
     counts = [int(labels.max()) + 1]
-    means = [cluster_means(points, labels)]
 
     while counts[-1] > 2:
-        kappa = first_neighbors(means[-1])
+        kappa = first_neighbors(cluster_means(points, partitions[-1]))
         meta = link_components(kappa)
         merged = relabel_contiguous(meta[partitions[-1]])
         m = int(merged.max()) + 1
@@ -96,9 +93,8 @@ def finch_hierarchy(data) -> PartitionHierarchy:
             break
         partitions.append(merged)
         counts.append(m)
-        means.append(cluster_means(points, merged))
 
-    return PartitionHierarchy(partitions, counts, means)
+    return PartitionHierarchy(partitions, counts)
 
 
 def partition_purity(labels: np.ndarray, gt: np.ndarray) -> float:

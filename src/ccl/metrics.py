@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,15 +20,7 @@ class ClusteringReport:
     cluster_purities: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "acc": self.acc,
-            "bcubed_p": self.bcubed_p,
-            "bcubed_r": self.bcubed_r,
-            "bcubed_f": self.bcubed_f,
-            "num_clusters": self.num_clusters,
-            "cluster_sizes": self.cluster_sizes,
-            "cluster_purities": self.cluster_purities,
-        }
+        return asdict(self)
 
 
 def _validate(pred, gt) -> tuple[np.ndarray, np.ndarray]:

@@ -43,6 +43,10 @@ class PipelineError(RuntimeError):
     """Stage failure; the message names the failing stage."""
 
 
+# evaluation level -> the id column of its labels CSV
+ID_COLUMNS = {"frame": "sample_index", "track": "track_id"}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     features: str = ""
@@ -64,7 +68,7 @@ class PipelineConfig:
                              f"got {self.num_clusters}")
         if self.partition_index < 1:
             raise ValueError("partition_index must be >= 1")
-        if self.eval_level not in ("track", "frame"):
+        if self.eval_level not in ID_COLUMNS:
             raise ValueError(f"eval_level must be 'track' or 'frame', got {self.eval_level!r}")
         if self.backend not in ("finch", "kmeans"):
             raise ValueError(f"backend must be 'finch' or 'kmeans', got {self.backend!r}")
@@ -211,11 +215,20 @@ def write_labels_csv(ids, labels, path, id_column: str) -> None:
             writer.writerow([unit, lab])
 
 
-def read_labels_csv(path) -> np.ndarray:
+def read_labels_csv(path) -> tuple[str, np.ndarray, np.ndarray]:
+    """(level, unit ids, labels); the header's id column names the level."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        return np.asarray([_int_cell(path, reader, row, 1) for row in reader], dtype=np.int64)
+        header = next(reader, [])
+        level = next((level for level, column in ID_COLUMNS.items()
+                      if header == [column, "label"]), None)
+        if level is None:
+            expected = " or ".join(f"'{column},label'" for column in ID_COLUMNS.values())
+            raise ValueError(f"{path}: header {','.join(header)!r} is not {expected}")
+        rows = [(_int_cell(path, reader, row, 0), _int_cell(path, reader, row, 1))
+                for row in reader]
+    ids, labels = np.asarray(rows, dtype=np.int64).reshape(-1, 2).T
+    return level, ids, labels
 
 
 def read_cooc_csv(path, num_rows: int) -> CooccurrenceSet:
@@ -267,9 +280,8 @@ def _eval_points(embedded: FeatureSet, level: str):
     """Points to cluster plus ground truth and unit ids at the chosen level."""
     if level == "track":
         tracks = aggregate_tracks(embedded)
-        return tracks.features, _known(tracks.label), tracks.track_id, "track_id"
-    ids = np.arange(embedded.num_samples)
-    return embedded.features, _known(embedded.label), ids, "sample_index"
+        return tracks.features, _known(tracks.label), tracks.track_id
+    return embedded.features, _known(embedded.label), np.arange(embedded.num_samples)
 
 
 def _partition_stats(hierarchy, selected_index, partition, gt) -> dict:
@@ -324,9 +336,9 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
 
 
 def cluster_level(fs: FeatureSet, num_clusters: int, level: str, timer: StageTimer):
-    """Ward HAC on the level's points, its ground truth (or None), unit ids and id column."""
-    points, gt, unit_ids, id_column = timer.run("aggregate", lambda: _eval_points(fs, level))
-    return timer.run("hac", lambda: ward_hac(points, num_clusters)), gt, unit_ids, id_column
+    """Ward HAC on the level's points, its ground truth (or None) and unit ids."""
+    points, gt, unit_ids = timer.run("aggregate", lambda: _eval_points(fs, level))
+    return timer.run("hac", lambda: ward_hac(points, num_clusters)), gt, unit_ids
 
 
 def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str) -> None:
@@ -390,8 +402,7 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
                                              loss_log=epoch_losses))
     embedded = timer.run("embed", lambda: embed(model, normalized))
 
-    hac_result, gt, unit_ids, id_column = cluster_level(embedded, num_clusters, cfg.eval_level,
-                                                        timer)
+    hac_result, gt, unit_ids = cluster_level(embedded, num_clusters, cfg.eval_level, timer)
 
     report: dict = {
         "config": cfg.to_dict(),
@@ -413,7 +424,8 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
         write_partition_csv(hierarchy, out_dir / "partitions.csv")
         write_pairs_csv(epoch0 or factory(0), out_dir / "pairs_epoch0.csv")
         save_model(model, out_dir / "model.ccl")
-        write_labels_csv(unit_ids, hac_result.labels, out_dir / "labels.csv", id_column)
+        write_labels_csv(unit_ids, hac_result.labels, out_dir / "labels.csv",
+                         ID_COLUMNS[cfg.eval_level])
         (out_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 

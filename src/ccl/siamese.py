@@ -177,9 +177,9 @@ def _train_projection(model: SiameseModel, x: np.ndarray):
     return p, mean, var, inv_std, scale, cw
 
 
-def forward(model: SiameseModel, x: np.ndarray):
-    """Eval-mode hidden representations and projections of a stack of rows,
-    normalized with the running batch statistics."""
+def forward(model: SiameseModel, x: np.ndarray) -> np.ndarray:
+    """Eval-mode hidden representations of a stack of rows, normalized with
+    the running batch statistics."""
     x = np.asarray(x, dtype=model.dtype)
     if x.shape[1] != model.dim_in:
         raise ValueError(f"expected input dim {model.dim_in}, got {x.shape[1]}")
@@ -189,9 +189,7 @@ def forward(model: SiameseModel, x: np.ndarray):
     h *= 1.0 / np.sqrt(model.bn_var + model.bn_eps)
     h *= model.bn_gamma
     h += model.bn_beta
-    p = h @ model.proj_w
-    p += model.proj_b
-    return h, p
+    return h
 
 
 def _pair_loss(p: np.ndarray, n: int, y: np.ndarray, margin: float, squared_hinge: bool):
@@ -345,7 +343,7 @@ def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     out = np.empty((fs.num_samples, model.dim_hidden), dtype=np.float32)
     for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
         stop = min(start + EMBED_CHUNK_ROWS, fs.num_samples)
-        h, _ = forward(model, fs.features[start:stop])
+        h = forward(model, fs.features[start:stop])
         out[start:stop] = unit_rows(h.astype(np.float32, copy=False),
                                     lambda r: f"embedding row {start + r}")
     return fs.with_features(out)

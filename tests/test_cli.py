@@ -38,8 +38,8 @@ def test_kmeans_subcommand(feature_file, tmp_path):
     out = tmp_path / "kmeans.csv"
     main(["kmeans", "--features", str(feature_file), "--k", "3",
           "--seed", "0", "--out", str(out)])
-    labels = read_labels_csv(out)
-    assert labels.size == 150
+    level, ids, labels = read_labels_csv(out)
+    assert level == "frame" and ids.tolist() == list(range(150))
     assert labels.max() <= 2
 
 
@@ -71,26 +71,27 @@ def test_train_embed_cluster_evaluate_chain(feature_file, tmp_path):
     labels = tmp_path / "labels.csv"
     main(["cluster", "--embeddings", str(embeddings), "--num-clusters", "3",
           "--level", "frame", "--out", str(labels)])
-    assert read_labels_csv(labels).size == 150
+    assert read_labels_csv(labels)[2].size == 150
 
     report_path = tmp_path / "report.json"
     main(["evaluate", "--pred", str(labels), "--gt", str(feature_file),
-          "--metrics", "wcp,bcubed", "--out", str(report_path)])
+          "--out", str(report_path)])
     report = json.loads(report_path.read_text())
-    assert 0.0 <= report["wcp"]["acc"] <= 1.0
-    assert 0.0 <= report["bcubed"]["f"] <= 1.0
+    assert 0.0 <= report["acc"] <= 1.0
+    assert 0.0 <= report["bcubed_f"] <= 1.0
 
 
 def test_cluster_track_level(feature_file, tmp_path):
     labels = tmp_path / "track_labels.csv"
     main(["cluster", "--features", str(feature_file), "--num-clusters", "3",
           "--level", "track", "--out", str(labels)])
-    assert read_labels_csv(labels).size == 30  # 150 rows / 5 frames per track
+    level, _, pred = read_labels_csv(labels)
+    assert level == "track" and pred.size == 30  # 150 rows / 5 frames per track
 
     report_path = tmp_path / "track_report.json"
     main(["evaluate", "--pred", str(labels), "--gt", str(feature_file),
           "--out", str(report_path)])
-    assert "wcp" in json.loads(report_path.read_text())
+    assert json.loads(report_path.read_text())["num_clusters"] == 3
 
 
 def test_run_subcommand(feature_file, tmp_path):
@@ -113,33 +114,62 @@ def test_evaluate_rejects_mismatched_prediction(feature_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["evaluate", "--pred", str(bad), "--gt", str(feature_file)])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == ("ccl evaluate: error: prediction count 2 matches "
-                                       "neither samples (150) nor tracks (30)\n")
+    assert capsys.readouterr().err == (
+        f"ccl evaluate: error: {bad}: its 2 sample_index ids are not the 150 frame-level "
+        f"units of {feature_file} in order; they first differ on line 4\n")
 
 
-def test_evaluate_rejects_unknown_metric(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    with pytest.raises(SystemExit) as exit_info:  # checked before either file is read
-        main(["evaluate", "--pred", str(tmp_path / "missing.csv"),
-              "--gt", str(tmp_path / "missing.cclf"), "--metrics", "wcp,nmi", "--out", str(out)])
-    assert exit_info.value.code == 2
-    assert capsys.readouterr().err == "ccl evaluate: error: unknown metric 'nmi'\n"
-    assert not out.exists()
+@pytest.mark.parametrize("level", ["frame", "track"])
+def test_evaluate_prints_the_scores_run_reports(feature_file, tmp_path, capsys, level):
+    config = tmp_path / "run.cfg"
+    config.write_text("train.epochs = 1\ntrain.hidden_dim = 16\n"
+                      "mining.z_near = 5\nmining.z_far = 5\n")
+    out_dir = tmp_path / "run"
+    main(["run", "--features", str(feature_file), "--out-dir", str(out_dir),
+          "--config", str(config), "--level", level])
+    capsys.readouterr()
+    main(["evaluate", "--pred", str(out_dir / "labels.csv"), "--gt", str(feature_file)])
+    report = json.loads((out_dir / "report.json").read_text())
+    assert json.loads(capsys.readouterr().out) == report["ccl"]
 
 
-@pytest.mark.parametrize("metrics", [",", "", " , "])
-def test_evaluate_rejects_an_empty_metric_list(feature_file, tmp_path, capsys, metrics):
+def test_evaluate_pairs_track_labels_by_track_id(tmp_path, capsys):
+    # one row per track, track ids not in row order: three well separated classes
+    label = np.repeat(np.arange(3), 4)
+    rng = np.random.default_rng(0)
+    features = np.eye(3)[label] + 0.01 * rng.normal(size=(12, 3))
+    track = rng.permutation(12)
+    path = tmp_path / "tracks.cclf"
+    write_features(FeatureSet(features.astype(np.float32), track_id=track, label=label), path)
+    labels = tmp_path / "labels.csv"
+    main(["cluster", "--features", str(path), "--num-clusters", "3", "--level", "track",
+          "--out", str(labels)])
+    capsys.readouterr()
+    main(["evaluate", "--pred", str(labels), "--gt", str(path)])
+    scores = json.loads(capsys.readouterr().out)
+    assert scores["acc"] == 1.0 and scores["bcubed_f"] == 1.0
+
+
+@pytest.mark.parametrize("edit", ["swapped", "missing"])
+def test_evaluate_refuses_labels_whose_ids_are_not_the_units_in_order(
+        feature_file, tmp_path, capsys, edit):
     labels = tmp_path / "labels.csv"
     main(["cluster", "--features", str(feature_file), "--num-clusters", "3",
           "--out", str(labels)])
-    out = tmp_path / "report.json"
+    lines = labels.read_text().splitlines()
+    if edit == "swapped":
+        lines[3], lines[4] = lines[4], lines[3]
+    else:
+        del lines[3]
+    labels.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
-        main(["evaluate", "--pred", str(labels), "--gt", str(feature_file),
-              "--metrics", metrics, "--out", str(out)])
+        main(["evaluate", "--pred", str(labels), "--gt", str(feature_file)])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == ("ccl evaluate: error: --metrics names no metric; "
-                                       "choose from wcp, bcubed\n")
-    assert not out.exists()
+    rows = 150 if edit == "swapped" else 149
+    assert capsys.readouterr().err == (
+        f"ccl evaluate: error: {labels}: its {rows} sample_index ids are not the 150 "
+        f"frame-level units of {feature_file} in order; they first differ on line 4\n")
 
 
 @pytest.mark.parametrize("argv", [

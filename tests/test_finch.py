@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccl import finch
 from ccl.finch import (
-    DEFAULT_CHUNK_ROWS,
+    NEIGHBOR_CHUNK_ROWS,
     cluster_means,
     finch_hierarchy,
     first_neighbors,
@@ -49,12 +50,14 @@ def test_first_neighbors_requires_two_rows():
         first_neighbors(np.ones((1, 3)))
 
 
-def test_first_neighbors_chunked_matches_serial():
+def test_first_neighbors_chunked_matches_serial(monkeypatch):
     rng = np.random.default_rng(5)
     points = rng.normal(size=(101, 7))
-    full = first_neighbors(points, chunk_rows=101)
+    monkeypatch.setattr(finch, "NEIGHBOR_CHUNK_ROWS", 101)
+    full = first_neighbors(points)
     for chunk in (1, 3, 17, 64):
-        np.testing.assert_array_equal(first_neighbors(points, chunk_rows=chunk), full)
+        monkeypatch.setattr(finch, "NEIGHBOR_CHUNK_ROWS", chunk)
+        np.testing.assert_array_equal(first_neighbors(points), full)
 
 
 @settings(max_examples=40, deadline=None)
@@ -78,7 +81,7 @@ def test_first_neighbors_peak_memory_is_one_block_and_the_unit_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * (DEFAULT_CHUNK_ROWS * m + m * d)
+    assert peak <= 1.25 * 8 * (NEIGHBOR_CHUNK_ROWS * m + m * d)
 
 
 def test_link_components_pairs():
@@ -174,10 +177,8 @@ def test_hierarchy_structural_invariants():
             # coarsening: same fine label implies same coarse label
             for c in range(fine.max() + 1):
                 assert len(np.unique(coarse[fine == c])) == 1
-        for labels, count, means in zip(hierarchy.partitions, counts, hierarchy.means):
+        for labels, count in zip(hierarchy.partitions, counts):
             assert labels.max() + 1 == count
-            assert means.shape[0] == count
-            np.testing.assert_allclose(np.linalg.norm(means, axis=1), 1.0, atol=1e-12)
 
 
 def test_hierarchy_on_separated_gaussians():

@@ -11,6 +11,7 @@ from ccl.hac import ward_hac, ward_matrix_bytes
 from ccl.mining import MiningConfig
 from ccl.pipeline import (
     ABLATION_ROWS,
+    ID_COLUMNS,
     PipelineConfig,
     PipelineError,
     config_from_values,
@@ -19,6 +20,7 @@ from ccl.pipeline import (
     read_partition_csv,
     run_ablation,
     run_pipeline,
+    write_labels_csv,
     write_partition_csv,
 )
 from ccl.siamese import TrainConfig
@@ -304,6 +306,19 @@ def test_partition_csv_must_match_the_feature_rows(tmp_path):
     path.write_text("sample_index,p1\n0,0\n1,5\n")
     with pytest.raises(ValueError, match=r"short\.csv line 3: cluster id 5 outside \[0, 2\)"):
         read_partition_csv(path, 1, 2)
+
+
+def test_labels_csv_header_names_the_level(tmp_path):
+    path = tmp_path / "labels.csv"
+    for level, column in ID_COLUMNS.items():
+        write_labels_csv([4, 7], [1, 0], path, column)
+        read_level, ids, labels = read_labels_csv(path)
+        assert read_level == level and ids.tolist() == [4, 7] and labels.tolist() == [1, 0]
+    for header in ("track_id,label,extra", "label,track_id", ""):
+        path.write_text(header + "\n0,1\n")
+        with pytest.raises(ValueError, match=rf"labels\.csv: header '{header}' is not "
+                                             r"'sample_index,label' or 'track_id,label'"):
+            read_labels_csv(path)
 
 
 def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path):

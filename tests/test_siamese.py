@@ -44,23 +44,13 @@ def random_batch(rng, n_pairs, dim, dtype=np.float64):
     return x1, x2, y
 
 
-def test_forward_zero_model_gives_zero_projection():
-    model = small_model()
-    model.enc_w[:] = 0
-    model.proj_w[:] = 0
-    model.proj_b[:] = 0
-    model.bn_beta[:] = 0
-    h, p = forward(model, np.ones((1, 9)))
-    np.testing.assert_array_equal(p, np.zeros((1, 2)))
-
-
 def test_forward_identity_encoder():
     model = small_model(dim_in=4, hidden=4)
     model.enc_w = np.eye(4)
     model.enc_b[:] = 0
     model.bn_gamma[:] = math.sqrt(1.0 + model.bn_eps)  # cancels the eval-mode scaling
     x = np.array([0.3, -1.2, 0.0, 2.0])
-    h, _ = forward(model, x[None])
+    h = forward(model, x[None])
     np.testing.assert_allclose(h[0], x, atol=1e-12)
 
 
@@ -460,7 +450,7 @@ def test_embed_in_chunks_matches_one_forward_pass():
     model = init_model(8, 24, 4, seed=0, dtype=np.float32)
     model.bn_mean[:] = 0.25
     fs = FeatureSet(np.random.default_rng(2).normal(size=(n, 8)))
-    h, _ = forward(model, fs.features)
+    h = forward(model, fs.features)
     want = unit_rows(h.astype(np.float32, copy=False)).astype(np.float32)
     assert embed(model, fs).features.tobytes() == want.tobytes()
 
