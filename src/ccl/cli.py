@@ -21,7 +21,7 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     StageTimer,
-    _eval_points,
+    _eval_units,
     check_cluster_count,
     cluster_level,
     config_from_values,
@@ -246,7 +246,7 @@ def _run_command(args) -> None:
 
     elif args.command == "evaluate":
         level, ids, pred = read_labels_csv(args.pred)
-        _, gt, unit_ids = _eval_points(load_any_features(args.gt), level)
+        gt, unit_ids = _eval_units(load_any_features(args.gt), level)
         if gt is None:
             raise ValueError(f"{args.gt}: scoring needs a label >= 0 on every row")
         n = min(ids.size, unit_ids.size)

@@ -273,15 +273,15 @@ def l2_normalize(fs: FeatureSet) -> FeatureSet:
     return fs.with_features(unit_rows(fs.features).astype(np.float32))
 
 
-def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
-    """One row per track, by ascending track_id: the l2-normalized mean of
-    the track's rows, with its track_id and label and no frame ids.
+def track_units(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending track ids, each row's index into them and each track's label
+    (-1 without labels), read without touching the features.
 
     Every row must carry a track_id >= 0, and all rows of a track must agree
     on the ground-truth label (tracks with mixed labels are rejected).
     """
     if fs.track_id is None:
-        raise ValueError("aggregate_tracks requires track_id for every row")
+        raise ValueError("track-level units need a track_id on every row")
     if np.any(fs.track_id < 0):
         bad = int(np.flatnonzero(fs.track_id < 0)[0])
         raise ValueError(f"row {bad} has no track_id (-1)")
@@ -293,8 +293,17 @@ def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
         tid = fs.track_id[mixed].min()
         distinct = np.unique(labels[fs.track_id == tid])
         raise ValueError(f"track {tid} has mixed labels {distinct.tolist()}")
+    return ids, inverse, labels[first]
+
+
+def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
+    """One row per track, by ascending track_id: the l2-normalized mean of
+    the track's rows, with its track_id and label and no frame ids; the
+    tracks and their labels are those of track_units.
+    """
+    ids, inverse, labels = track_units(fs)
     means = cluster_means(fs.features, inverse, lambda t: f"mean of track {ids[t]}")
-    return FeatureSet(means.astype(np.float32), track_id=ids, label=labels[first])
+    return FeatureSet(means.astype(np.float32), track_id=ids, label=labels)
 
 
 def build_cooccurrence(fs: FeatureSet) -> CooccurrenceSet:

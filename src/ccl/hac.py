@@ -14,17 +14,18 @@ matrix column is then N/8 runs of 8 contiguous floats, so the column write
 of each merge touches N/8 cache lines, not N; a row is a view with a 32-byte
 stride. ward_matrix_bytes gives the matrix's exact size, and ward_hac
 refuses a matrix larger than physical memory before allocating it. The
-distances are computed in float64, 256 rows at a time through one reused
-256 x N float64 block (16 MiB at N = 8,000), and rounded once into the
-matrix. A block's GEMM covers only the columns from its first row
-on, and every entry below the diagonal is copied from its mirror, one 8 x 8
-tile at a time, so the matrix is symmetric bitwise, as the chain needs (with
-near-tied coincident points, an asymmetric one could make it cycle). The
-merge loop and its Lance-Williams updates run in float32, so merge costs are
-float32 values. It keeps contiguous copies of the rows on its chain, so the
-strided row reads are one per chain step. Once half of the live clusters
-have merged away the survivors are compacted in place into the front of the
-same buffer.
+distances are computed in float64 tiles of at most 256 x 512, on and above
+the diagonal, each from only its own rows of the points converted to
+float64, so float32 points are never copied whole; the build holds ~3 MiB
+besides the matrix at D = 256. Each tile is rounded once to float32 and
+stored twice, as itself and as its mirror, and the diagonal tile's lower
+triangle copies its upper one, so the matrix is symmetric bitwise, as the
+chain needs (with near-tied coincident points, an asymmetric one could make
+it cycle). The merge loop and its Lance-Williams updates run in float32,
+so merge costs are float32 values. It keeps contiguous copies of the rows
+on its chain, so the strided row reads are one per chain step. Once half of
+the live clusters have merged away the survivors are compacted in place
+into the front of the same buffer.
 """
 
 from __future__ import annotations
@@ -50,9 +51,11 @@ class HacResult:
     merge_log: list[tuple[int, int, float]]
 
 
-# Rows of the distance matrix built per step; bounds the float64 scratch block.
-_BLOCK_ROWS = 256
-# Rows of a block finished at once (sq_i + sq_j - 2 x_i.x_j, clamped, halved);
+# Rows and columns of a tile of the distance matrix, computed in one reused
+# float64 buffer from only its own rows of the points, converted to float64.
+_TILE_ROWS = 256
+_TILE_COLS = 512
+# Rows of a tile finished at once (sq_i + sq_j - 2 x_i.x_j, clamped, halved);
 # bounds the float64 buffer of their sq_i + sq_j sums.
 _PAIR_ROWS = 32
 # Rows per group of the matrix layout: t[g, c, q] holds d(8g + q, c).
@@ -80,53 +83,65 @@ def check_ward_memory(n: int, units: str = "points") -> None:
                          f"more than the {have} bytes of physical memory")
 
 
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared row norms in float64, from _TILE_ROWS converted rows at a time."""
+    blocks = (np.asarray(points[a:a + _TILE_ROWS], dtype=np.float64)
+              for a in range(0, points.shape[0], _TILE_ROWS))
+    return np.concatenate([np.einsum("ij,ij->i", rows, rows) for rows in blocks])
+
+
 def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """max(||x_i - x_j||^2, 0) / 2 for all pairs, rounded once to float32.
 
     sq holds the squared row norms. The result is grouped: t[g, c, q] holds
     the entry of rows i = 8g + q and c, in a (ceil(N/8), N, 8) array whose
-    padding rows past N are never read. Each block of rows is computed from
-    its first row's column on as (sq_i + sq_j - 2 x_i.x_j), clamped and halved
-    in one reused float64 block, so no N x N float64 array exists. Entries
-    below the diagonal copy their mirror, so the matrix is symmetric bitwise.
+    padding rows past N are never read. It is built in tiles of at most
+    _TILE_ROWS x _TILE_COLS, from each row block's first column on: a tile
+    converts only its own rows of points to float64, takes (sq_i + sq_j -
+    2 x_i.x_j), clamps and halves it in one reused float64 buffer, is rounded
+    once to float32 and stored twice, as itself and as its mirror. The
+    diagonal tile's lower triangle first copies its upper one, so the matrix
+    is symmetric bitwise.
     """
     n = points.shape[0]
     t = np.empty((-(-n // _GROUP), n, _GROUP), dtype=np.float32)
-    scratch = np.empty(min(n, _BLOCK_ROWS) * n)
-    pair = np.empty(min(n, _PAIR_ROWS) * n)
-    # Below-diagonal entries of one block's square, in row-major order.
-    low_i, low_c = np.tril_indices(min(n, _BLOCK_ROWS), -1)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        rows, cols = stop - start, n - start
-        block = scratch[: rows * cols].reshape(rows, cols)
+    scratch = np.empty(min(n, _TILE_ROWS) * min(n, _TILE_COLS))
+    rounded = np.empty(scratch.size, dtype=np.float32)
+    pair = np.empty(min(n, _PAIR_ROWS) * min(n, _TILE_COLS))
+    low = np.tri(min(n, _TILE_ROWS), k=-1, dtype=bool)
+    for r0 in range(0, n, _TILE_ROWS):
+        r1 = min(r0 + _TILE_ROWS, n)
+        rows = r1 - r0
         # Doubling the left factor, not the product, keeps this a general GEMM:
-        # NumPy sends points @ points.T to a symmetric kernel that rounds differently.
-        np.matmul(2.0 * points[start:stop], points[start:].T, out=block)
-        for a in range(0, rows, _PAIR_ROWS):
-            part = block[a:a + _PAIR_ROWS]
-            sums = pair[: part.size].reshape(part.shape)
-            np.add.outer(sq[start + a:start + a + part.shape[0]], sq[start:], out=sums)
-            np.subtract(sums, part, out=part)
-            np.maximum(part, 0.0, out=part)
-            part /= 2.0
-        # The block starts a group; g0 whole groups lie left of it.
-        g0, full, rest = start // _GROUP, rows // _GROUP, rows % _GROUP
-        t[g0:g0 + full, start:] = block[: full * _GROUP].reshape(full, _GROUP, cols).transpose(0, 2, 1)
-        # Left of the block: each 8 x 8 tile is the transpose of its mirror above.
-        t[g0:g0 + full, :start].reshape(full, g0, _GROUP, _GROUP)[...] = (
-            t[:g0, start:start + full * _GROUP].reshape(g0, full, _GROUP, _GROUP)
-            .transpose(1, 0, 3, 2))
-        if rest:
-            t[g0 + full, start:, :rest] = block[full * _GROUP:].T
-            t[g0 + full, :start, :rest].reshape(g0, _GROUP, rest)[...] = (
-                t[:g0, start + full * _GROUP:stop].transpose(0, 2, 1))
-        # Left of the diagonal inside the block.
-        k = rows * (rows - 1) // 2
-        own = t[g0:, start:stop]
-        i, c = low_i[:k], low_c[:k]
-        own[i // _GROUP, c, i % _GROUP] = own[c // _GROUP, i, c % _GROUP]
+        # NumPy sends x @ x.T to a symmetric kernel that rounds differently.
+        left = np.multiply(points[r0:r1], 2.0, dtype=np.float64)
+        for c0 in range(r0, n, _TILE_COLS):
+            c1 = min(c0 + _TILE_COLS, n)
+            tile = scratch[: rows * (c1 - c0)].reshape(rows, c1 - c0)
+            out = rounded[: tile.size].reshape(tile.shape)
+            np.matmul(left, np.asarray(points[c0:c1], dtype=np.float64).T, out=tile)
+            for a in range(0, rows, _PAIR_ROWS):
+                part = tile[a:a + _PAIR_ROWS]
+                sums = pair[: part.size].reshape(part.shape)
+                np.add.outer(sq[r0 + a:r0 + a + part.shape[0]], sq[c0:c1], out=sums)
+                np.subtract(sums, part, out=part)
+                np.maximum(part, 0.0, out=part)
+                np.divide(part, 2.0, out=out[a:a + _PAIR_ROWS], casting="same_kind")
+            if c0 == r0:
+                square = out[:, :rows]
+                np.copyto(square, square.T, where=low[:rows, :rows])
+            _store(t, out, r0, c0)
+            _store(t, out.T, c0, r0)
     return t
+
+
+def _store(t: np.ndarray, block: np.ndarray, r0: int, c0: int) -> None:
+    """Write block into the grouped matrix at rows r0.., columns c0..; r0 % _GROUP == 0."""
+    rows, cols = block.shape
+    g0, full, rest = r0 // _GROUP, rows // _GROUP, rows % _GROUP
+    t[g0:g0 + full, c0:c0 + cols] = block[: full * _GROUP].reshape(full, _GROUP, cols).transpose(0, 2, 1)
+    if rest:
+        t[g0 + full, c0:c0 + cols, :rest] = block[full * _GROUP:].T
 
 
 def _load_row(t: np.ndarray, slot: int, pen: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,11 +265,12 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
 
     Labels are contiguous, numbered by first occurrence; ties between equal
     merge costs resolve toward the earlier-discovered, smaller-index pair.
-    A row that is not finite, or too large for the float32 matrix, is a
-    ValueError naming the first such row; so is a matrix larger than
+    The rows are read in their own dtype and converted to float64 a tile at
+    a time. A row that is not finite, or too large for the float32 matrix,
+    is a ValueError naming the first such row; so is a matrix larger than
     physical memory.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError("points must be a non-empty 2-D matrix")
     n = points.shape[0]
@@ -265,7 +281,7 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     # below 2 N^2 max||x||^2, so under this bound the float32 loop meets no
     # overflow (a dead slot may reach +inf, which its penalty hides anyway).
     # NaN and inf fail the comparison too.
-    sq = np.einsum("ij,ij->i", points, points)
+    sq = _sq_norms(points)
     limit = np.finfo(np.float32).max / (2.0 * n * n)
     bad = np.flatnonzero(~(sq <= limit))
     if bad.size:

@@ -114,9 +114,11 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
     unit = unit_rows(means, lambda c: f"mean of cluster {c}")
     dist = sq_distances(unit, unit)
     np.fill_diagonal(dist, -np.inf)  # a cluster sorts last among its own farthest
-    farthest = np.argsort(-dist, axis=1, kind="stable")[:, :min(z_far, m - 1)]
+    # Copies, so the M x M argsort results are freed here rather than kept alive as bases.
+    farthest = np.argsort(-dist, axis=1, kind="stable")[:, :min(z_far, m - 1)].copy()
     np.fill_diagonal(dist, np.inf)  # and last among its own nearest
-    return ClusterRanks(np.argsort(dist, axis=1, kind="stable")[:, :min(z_near, m - 1)], farthest)
+    return ClusterRanks(np.argsort(dist, axis=1, kind="stable")[:, :min(z_near, m - 1)].copy(),
+                        farthest)
 
 
 def _check_cover(labels: np.ndarray, cooc: CooccurrenceSet) -> None:

@@ -30,6 +30,7 @@ from .data import (
     l2_normalize,
     load_features,
     load_features_csv,
+    track_units,
 )
 from .finch import finch_hierarchy, partition_purity
 from .hac import check_ward_memory, ward_hac
@@ -276,12 +277,20 @@ def _known(labels: np.ndarray | None) -> np.ndarray | None:
     return labels if labels is not None and np.all(labels >= 0) else None
 
 
+def _eval_units(fs: FeatureSet, level: str):
+    """Ground truth (or None) and unit ids at the chosen level; no features are read."""
+    if level == "track":
+        ids, _, labels = track_units(fs)
+        return _known(labels), ids
+    return _known(fs.label), np.arange(fs.num_samples)
+
+
 def _eval_points(embedded: FeatureSet, level: str):
     """Points to cluster plus ground truth and unit ids at the chosen level."""
     if level == "track":
         tracks = aggregate_tracks(embedded)
         return tracks.features, _known(tracks.label), tracks.track_id
-    return embedded.features, _known(embedded.label), np.arange(embedded.num_samples)
+    return embedded.features, *_eval_units(embedded, level)
 
 
 def _partition_stats(hierarchy, selected_index, partition, gt) -> dict:

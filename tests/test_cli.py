@@ -150,6 +150,26 @@ def test_evaluate_pairs_track_labels_by_track_id(tmp_path, capsys):
     assert scores["acc"] == 1.0 and scores["bcubed_f"] == 1.0
 
 
+@pytest.mark.parametrize("label", [[0, 0, 1, 1], [0, 1, 1, 1]])
+def test_evaluate_at_track_level_reads_no_track_means(tmp_path, capsys, label):
+    # Track 0's rows cancel out, so its mean has no direction; scoring needs only its label.
+    features = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], dtype=np.float32)
+    path = tmp_path / "tracks.cclf"
+    write_features(FeatureSet(features, track_id=np.array([0, 0, 1, 1]), label=np.array(label)),
+                   path)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("track_id,label\n0,0\n1,1\n")
+    if label[1] != label[0]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--pred", str(labels), "--gt", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == "ccl evaluate: error: track 0 has mixed labels [0, 1]\n"
+        return
+    main(["evaluate", "--pred", str(labels), "--gt", str(path)])
+    scores = json.loads(capsys.readouterr().out)
+    assert scores["acc"] == 1.0 and scores["bcubed_f"] == 1.0
+
+
 @pytest.mark.parametrize("edit", ["swapped", "missing"])
 def test_evaluate_refuses_labels_whose_ids_are_not_the_units_in_order(
         feature_file, tmp_path, capsys, edit):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import hac
-from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac, ward_matrix_bytes
+from ccl.hac import _half_sq_distances, _nn_chain_merges, _sq_norms, ward_hac, ward_matrix_bytes
 from ccl.labeling import relabel_contiguous
 
 from oracles import (
@@ -166,6 +166,18 @@ def test_blocked_distances_match_full_build_bitwise(n):
     assert got[off].tobytes() == want[off].tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 7, 256, 300])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 257, 511, 512, 513, 1100])
+def test_float32_rows_build_the_matrix_of_their_float64_copy_bitwise(n, d):
+    # Tiles are 256 x 512 and read their rows in the caller's dtype, so n
+    # crosses tile and row-group edges and d the float64 GEMM's depth blocks.
+    rows = np.random.default_rng(n * d).normal(size=(n, d)).astype(np.float32)
+    sq = _sq_norms(rows)
+    wide = rows.astype(np.float64)
+    assert sq.tobytes() == np.einsum("ij,ij->i", wide, wide).tobytes()
+    assert ungroup(_half_sq_distances(rows, sq)).tobytes() == ungroup(half_distances(wide)).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600), d=st.integers(1, 16),
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
@@ -215,6 +227,20 @@ def test_peak_memory_is_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 4 * n * n
+
+
+def test_float32_points_add_no_more_than_4_mib_to_the_matrix():
+    # The build converts only a tile's rows to float64, so no N x D float64
+    # copy of the points and no 256 x N block is held next to the matrix.
+    n = 3000
+    points = np.random.default_rng(3).normal(size=(n, 256)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        ward_hac(points, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= ward_matrix_bytes(n) + 4 * 2**20
 
 
 def test_nn_chain_on_a_nan_matrix_raises_instead_of_looping():

@@ -64,6 +64,16 @@ def test_rank_clusters_matches_sort_oracle():
         assert ranks.farthest[c].tolist() == by_far[:10]
 
 
+@pytest.mark.parametrize("m, z", [(2, 25), (50, 10), (300, 25)])
+def test_rank_clusters_own_their_m_by_z_columns(m, z):
+    # Views of the M x M argsorts would keep 16 M^2 bytes alive for as long as the ranks.
+    ranks = rank_clusters(np.random.default_rng(m).normal(size=(m, 4)), z_near=z, z_far=z)
+    cols = min(z, m - 1)
+    for order in (ranks.nearest, ranks.farthest):
+        assert order.base is None and order.flags.owndata
+        assert order.shape == (m, cols) and order.nbytes == m * cols * 8
+
+
 def test_correction_identity_without_violations():
     points, labels = six_cluster_instance()
     cooc = CooccurrenceSet(labels.size, [0], [6])  # endpoints in different clusters
