@@ -53,16 +53,17 @@ def main():
         raise SystemExit("the partition study needs a ground-truth label on every row")
     num_clusters = args.num_clusters or fs.num_classes
 
-    def run(index, backend):
+    def run(index, backend, baseline=None):
         cfg = PipelineConfig(
             num_clusters=num_clusters, eval_level=args.level, seed=args.seed,
             partition_index=index, backend=backend,
             mining=MiningConfig(z_near=args.z, z_far=args.z),
             training=TrainConfig(epochs=20, lr=args.lr, hidden_dim=256, out_dim=args.out_dim),
         )
-        return run_pipeline(cfg, fs)
+        return run_pipeline(cfg, fs, baseline)
 
     report = run(1, "finch")
+    baseline = report["baseline"]  # every run shares the features, count and level
     counts = report["partition_stats"]["cluster_counts"]
     print(f"dataset: N={fs.num_samples} D={fs.dim} C={num_clusters}; "
           f"partition counts {counts}")
@@ -73,9 +74,9 @@ def main():
             break
         for backend in ("finch", "kmeans"):
             if (index, backend) != (1, "finch"):
-                report = run(index, backend)
+                report = run(index, backend, baseline)
             row(f"p{index}-{backend}", report["partition_stats"], f"{report['ccl']['acc']:.4f}")
-    print(f"(baseline accuracy without refinement: {report['baseline']['acc']:.4f})")
+    print(f"(baseline accuracy without refinement: {baseline['acc']:.4f})")
 
 
 if __name__ == "__main__":

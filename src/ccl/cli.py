@@ -21,10 +21,10 @@ from .pipeline import (
     PipelineConfig,
     PipelineError,
     StageTimer,
-    _eval_units,
     check_cluster_count,
     cluster_level,
     config_from_values,
+    eval_units,
     load_any_features,
     parse_config_file,
     prepare_mining,
@@ -238,15 +238,14 @@ def _run_command(args) -> None:
 
     elif args.command == "cluster":
         fs = load_any_features(args.features)
-        check_cluster_count(fs, args.num_clusters, args.level)
-        result, _, unit_ids = cluster_level(l2_normalize(fs), args.num_clusters, args.level,
-                                            StageTimer())
+        unit_ids, _ = check_cluster_count(fs, args.num_clusters, args.level)
+        result = cluster_level(l2_normalize(fs), args.num_clusters, args.level, StageTimer())
         write_labels_csv(unit_ids, result.labels, args.out, ID_COLUMNS[args.level])
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 
     elif args.command == "evaluate":
         level, ids, pred = read_labels_csv(args.pred)
-        gt, unit_ids = _eval_units(load_any_features(args.gt), level)
+        unit_ids, gt = eval_units(load_any_features(args.gt), level)
         if gt is None:
             raise ValueError(f"{args.gt}: scoring needs a label >= 0 on every row")
         n = min(ids.size, unit_ids.size)

@@ -1,11 +1,13 @@
 """End-to-end orchestration: features in, refined clustering report out.
 
 `run_pipeline` composes the chain once, timing each stage with a
-`StageTimer`: `check_cluster_count` (before any stage) -> `prepare_mining`
-(normalize, co-occurrence, FINCH level or k-means, video correction, cluster
-ranks) -> `train` -> embed -> `cluster_level` (Ward HAC at C) -> metrics, plus
-the baseline HAC on the normalized features. `run_ablation` and the CLI
-subcommands call the same functions. Every stage's artifact lands in the
+`StageTimer`: `check_cluster_count` (right after loading, before any stage
+or output) -> `prepare_mining` (normalize, co-occurrence, FINCH level or
+k-means, video correction, cluster ranks) -> `train` -> embed ->
+`cluster_level` (Ward HAC at C) -> metrics, plus the baseline HAC on the
+normalized features. `eval_units` alone gives the evaluation units' ids and
+ground truth, which every score and labels CSV uses. `run_ablation` and the
+CLI subcommands call the same functions. Every stage's artifact lands in the
 output directory and the report echoes the fully resolved configuration for
 provenance.
 """
@@ -272,25 +274,15 @@ class StageTimer:
         return result
 
 
-def _known(labels: np.ndarray | None) -> np.ndarray | None:
-    """Ground truth, or None when labels are missing or any is unknown (-1)."""
-    return labels if labels is not None and np.all(labels >= 0) else None
-
-
-def _eval_units(fs: FeatureSet, level: str):
-    """Ground truth (or None) and unit ids at the chosen level; no features are read."""
+def eval_units(fs: FeatureSet, level: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """The level's unit ids (the rows, or the ascending track ids of
+    `track_units`) and their ground truth, None when any label is missing or
+    unknown (-1); no features are read."""
     if level == "track":
         ids, _, labels = track_units(fs)
-        return _known(labels), ids
-    return _known(fs.label), np.arange(fs.num_samples)
-
-
-def _eval_points(embedded: FeatureSet, level: str):
-    """Points to cluster plus ground truth and unit ids at the chosen level."""
-    if level == "track":
-        tracks = aggregate_tracks(embedded)
-        return tracks.features, _known(tracks.label), tracks.track_id
-    return embedded.features, *_eval_units(embedded, level)
+    else:
+        ids, labels = np.arange(fs.num_samples), fs.label
+    return ids, labels if labels is not None and np.all(labels >= 0) else None
 
 
 def _partition_stats(hierarchy, selected_index, partition, gt) -> dict:
@@ -332,7 +324,7 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
             partition = timer.run("kmeans", lambda: minibatch_kmeans(
                 normalized.features, KMeansConfig(k=k, seed=cfg.seed)))
         stats = _partition_stats(hierarchy, cfg.partition_index, partition,
-                                 _known(normalized.label))
+                                 eval_units(normalized, "frame")[1])
     if cfg.video_correction and len(cooc):
         partition = timer.run("video_correction", lambda: apply_video_correction(
             partition, cooc, normalized.features))
@@ -345,34 +337,35 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
 
 
 def cluster_level(fs: FeatureSet, num_clusters: int, level: str, timer: StageTimer):
-    """Ward HAC on the level's points, its ground truth (or None) and unit ids."""
-    points, gt, unit_ids = timer.run("aggregate", lambda: _eval_points(fs, level))
-    return timer.run("hac", lambda: ward_hac(points, num_clusters)), gt, unit_ids
+    """Ward HAC on the level's points: the rows, or one mean per track in
+    `eval_units` order."""
+    points = timer.run("aggregate", lambda: (
+        aggregate_tracks(fs).features if level == "track" else fs.features))
+    return timer.run("hac", lambda: ward_hac(points, num_clusters))
 
 
-def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str) -> None:
-    """Refuse, before any stage runs, a cluster count outside [1, units] of the
-    evaluation units (rows at frame level, distinct track ids at track level)
-    and a Ward distance matrix over those units larger than physical memory."""
+def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str):
+    """The level's `eval_units`, checked before any stage runs: refuses units
+    it cannot form (an untracked row, a mixed-label track), a cluster count
+    outside [1, units] and a Ward distance matrix over the units larger than
+    physical memory."""
     if num_clusters < 1:
         raise PipelineError(f"stage 'cluster' failed: the cluster count must be >= 1, "
                             f"got {num_clusters}")
-    if level == "track":
-        if fs.track_id is None or np.any(fs.track_id < 0):
-            raise PipelineError("stage 'aggregate' failed: track-level evaluation needs a "
-                                "track id >= 0 on every row")
-        units = np.unique(fs.track_id).size
-    else:
-        units = fs.num_samples
-    if num_clusters > units:
-        raise PipelineError(f"stage 'cluster' failed: {num_clusters} clusters requested, but "
-                            f"there are only {units} {level}-level units to cluster")
     try:
-        check_ward_memory(units, f"{level}-level units")
+        ids, gt = eval_units(fs, level)
+    except ValueError as exc:
+        raise PipelineError(f"stage 'aggregate' failed: {exc}") from None
+    if num_clusters > ids.size:
+        raise PipelineError(f"stage 'cluster' failed: {num_clusters} clusters requested, but "
+                            f"there are only {ids.size} {level}-level units to cluster")
+    try:
+        check_ward_memory(ids.size, f"{level}-level units")
     except ValueError as exc:
         hint = ("; track-level evaluation (--level track) clusters one point per track"
                 if level == "frame" else "")
         raise PipelineError(f"stage 'cluster' failed: {exc}{hint}") from None
+    return ids, gt
 
 
 def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
@@ -387,16 +380,15 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
     cfg.validate()
     timer = StageTimer()
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     if fs is None:
         fs = timer.run("load", lambda: load_any_features(cfg.features))
     num_clusters = cfg.num_clusters or fs.num_classes
     if num_clusters < 1:
         raise PipelineError("stage 'cluster' failed: no cluster count configured "
                             "and the features carry no labels")
-    check_cluster_count(fs, num_clusters, cfg.eval_level)
+    unit_ids, gt = check_cluster_count(fs, num_clusters, cfg.eval_level)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     normalized, hierarchy, stats, mine = prepare_mining(cfg, fs, timer)
     epoch0: list = []  # training's epoch-0 batches, written as the pair audit
 
@@ -411,7 +403,7 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
                                              loss_log=epoch_losses))
     embedded = timer.run("embed", lambda: embed(model, normalized))
 
-    hac_result, gt, unit_ids = cluster_level(embedded, num_clusters, cfg.eval_level, timer)
+    hac_result = cluster_level(embedded, num_clusters, cfg.eval_level, timer)
 
     report: dict = {
         "config": cfg.to_dict(),
@@ -424,7 +416,7 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
         if baseline is None:
             # same units and ground truth as the refined clustering above
             baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_level(
-                normalized, num_clusters, cfg.eval_level, StageTimer())[0].labels, gt).to_dict())
+                normalized, num_clusters, cfg.eval_level, StageTimer()).labels, gt).to_dict())
         report["ccl"] = ccl_metrics.to_dict()
         report["baseline"] = baseline
     report["timings"] = timer.timings
@@ -456,7 +448,7 @@ def run_ablation(cfg: PipelineConfig, fs: FeatureSet | None = None) -> dict:
     """Baseline (from the first run's report) plus the six pair-source combinations."""
     if fs is None:
         fs = load_any_features(cfg.features)
-    if _known(fs.label) is None:
+    if eval_units(fs, "frame")[1] is None:
         raise ValueError("ablation needs ground-truth labels for every row")
     summary: dict = {"rows": []}
     out_root = Path(cfg.out_dir) if cfg.out_dir else None

@@ -52,6 +52,11 @@ from .data import FeatureSet, unit_rows
 
 CHECKPOINT_MAGIC = b"CCLM"
 CHECKPOINT_VERSION = 1
+# magic, version, D, H, O, margin, squared_hinge, bn_eps, bn_momentum
+_HEADER = struct.Struct("<4sIQQQfBff")
+# the f32 tensors after the header, in file order, each shape in the header's D, H, O
+_TENSORS = (("enc_w", "DH"), ("enc_b", "H"), ("bn_gamma", "H"), ("bn_beta", "H"),
+            ("bn_mean", "H"), ("bn_var", "H"), ("proj_w", "HO"), ("proj_b", "O"))
 
 EMBED_CHUNK_ROWS = 1024  # rows per eval-mode forward pass in `embed`
 
@@ -352,28 +357,25 @@ def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
 def save_model(model: SiameseModel, path) -> None:
     """Versioned binary checkpoint: shape header + little-endian f32 tensors."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQQQfBff", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                             model.dim_in, model.dim_hidden, model.dim_out,
-                             model.margin, int(model.squared_hinge),
-                             model.bn_eps, model.bn_momentum))
-        for name in ("enc_w", "enc_b", "bn_gamma", "bn_beta", "bn_mean", "bn_var",
-                     "proj_w", "proj_b"):
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              model.dim_in, model.dim_hidden, model.dim_out,
+                              model.margin, int(model.squared_hinge),
+                              model.bn_eps, model.bn_momentum))
+        for name, _ in _TENSORS:
             fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes())
 
 
 def load_model(path) -> SiameseModel:
-    header_fmt = struct.Struct("<4sIQQQfBff")
     with open(path, "rb") as fh:
-        header = fh.read(header_fmt.size)
-        if len(header) < header_fmt.size:
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
             raise ValueError("malformed checkpoint header")
-        magic, version, d, hidden, out, margin, squared, eps, momentum = header_fmt.unpack(header)
+        magic, version, d, hidden, out, margin, squared, eps, momentum = _HEADER.unpack(header)
         if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
             raise ValueError(f"not a model checkpoint (magic={magic!r}, version={version})")
-        shapes = {"enc_w": (d, hidden), "enc_b": (hidden,), "bn_gamma": (hidden,),
-                  "bn_beta": (hidden,), "bn_mean": (hidden,), "bn_var": (hidden,),
-                  "proj_w": (hidden, out), "proj_b": (out,)}
-        declared = header_fmt.size + 4 * sum(math.prod(shape) for shape in shapes.values())
+        dims = {"D": d, "H": hidden, "O": out}
+        shapes = {name: tuple(dims[axis] for axis in axes) for name, axes in _TENSORS}
+        declared = _HEADER.size + 4 * sum(math.prod(shape) for shape in shapes.values())
         available = os.fstat(fh.fileno()).st_size
         if declared != available:
             problem = "truncated checkpoint" if declared > available else "trailing bytes"

@@ -475,7 +475,7 @@ def test_run_rejects_more_clusters_than_units_before_training(feature_file, tmp_
     assert capsys.readouterr().err == (
         f"ccl run: error: stage 'cluster' failed: {units + 1} clusters requested, but there "
         f"are only {units} {level}-level units to cluster\n")
-    assert not (out / "model.ccl").exists()
+    assert not out.exists()
 
 
 def test_track_level_run_rejects_untracked_rows_before_training(feature_file, tmp_path, capsys):
@@ -488,9 +488,9 @@ def test_track_level_run_rejects_untracked_rows_before_training(feature_file, tm
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--features", str(untracked), "--out-dir", str(out), "--level", "track"])
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err == ("ccl run: error: stage 'aggregate' failed: track-level "
-                                       "evaluation needs a track id >= 0 on every row\n")
-    assert not (out / "model.ccl").exists()
+    assert capsys.readouterr().err == ("ccl run: error: stage 'aggregate' failed: row 7 has no "
+                                       "track_id (-1)\n")
+    assert not out.exists()
 
 
 def test_frame_run_whose_ward_matrix_exceeds_memory_is_refused_before_training(
@@ -505,7 +505,12 @@ def test_frame_run_whose_ward_matrix_exceeds_memory_is_refused_before_training(
         f"ccl run: error: stage 'cluster' failed: Ward HAC over 150 frame-level units needs a "
         f"{need}-byte distance matrix, more than the {need - 1} bytes of physical memory; "
         "track-level evaluation (--level track) clusters one point per track\n")
-    assert not (out / "model.ccl").exists()
+    assert not out.exists()
+
+
+def no_stage(fs):
+    """Stands in for `l2_normalize`, the first stage of `run` and `cluster`."""
+    raise AssertionError("a stage ran")
 
 
 @pytest.mark.parametrize("count, memory, message", [
@@ -519,10 +524,6 @@ def test_frame_cluster_it_cannot_run_is_refused_before_any_stage(
         feature_file, tmp_path, capsys, monkeypatch, count, memory, message):
     need = hac.ward_matrix_bytes(150)
     monkeypatch.setattr(hac, "_physical_memory", lambda: memory(need))
-
-    def no_stage(fs):
-        raise AssertionError("a stage ran")
-
     for module in (cli, pipeline):
         monkeypatch.setattr(module, "l2_normalize", no_stage)
     out = tmp_path / "labels.csv"
@@ -533,4 +534,45 @@ def test_frame_cluster_it_cannot_run_is_refused_before_any_stage(
     assert capsys.readouterr().err == (
         "ccl cluster: error: stage 'cluster' failed: "
         + message.format(need=need, less=need - 1) + "\n")
+    assert not out.exists()
+
+
+@pytest.fixture
+def mixed_label_file(feature_file, tmp_path):
+    """The feature file with row 0's label changed, so its track has two labels;
+    returns the path and the error that names the track."""
+    fs = load_features(feature_file)
+    label = fs.label.copy()
+    label[0] = (label[0] + 1) % fs.num_classes
+    path = tmp_path / "mixed.cclf"
+    write_features(FeatureSet(fs.features, fs.frame_id, fs.track_id, label), path)
+    track = fs.track_id[0]
+    assert np.sum(fs.track_id == track) > 1
+    return path, (f"track {track} has mixed labels "
+                  f"{sorted({int(fs.label[0]), int(label[0])})}")
+
+
+def test_track_level_run_refuses_a_mixed_label_track_before_any_stage(
+        mixed_label_file, tmp_path, capsys, monkeypatch):
+    path, message = mixed_label_file
+    monkeypatch.setattr(pipeline, "l2_normalize", no_stage)
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--features", str(path), "--out-dir", str(out), "--level", "track"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"ccl run: error: stage 'aggregate' failed: {message}\n"
+    assert not out.exists()
+
+
+def test_track_cluster_refuses_a_mixed_label_track_before_any_stage(
+        mixed_label_file, tmp_path, capsys, monkeypatch):
+    path, message = mixed_label_file
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "l2_normalize", no_stage)
+    out = tmp_path / "labels.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cluster", "--features", str(path), "--num-clusters", "3", "--level", "track",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == f"ccl cluster: error: stage 'aggregate' failed: {message}\n"
     assert not out.exists()
