@@ -8,24 +8,28 @@ Lance-Williams updates of the variance-increase dissimilarity
 then sorted by cost; reducibility of Ward linkage makes the sorted sequence
 identical to greedy minimum-cost merging.
 
-Memory: one N x N float32 matrix, ~4*N^2 bytes (244 MiB at N = 8,000),
-stored in groups of 8 interleaved rows: t[g, c, q] holds d(8g + q, c). A
-matrix column is then N/8 runs of 8 contiguous floats, so the column write
-of each merge touches N/8 cache lines, not N; a row is a view with a 32-byte
-stride. ward_matrix_bytes gives the matrix's exact size, and ward_hac
-refuses a matrix larger than physical memory before allocating it. The
-distances are computed in float64 tiles of at most 256 x 512, on and above
-the diagonal, each from only its own rows of the points converted to
-float64, so float32 points are never copied whole; the build holds ~3 MiB
-besides the matrix at D = 256. Each tile is rounded once to float32 and
-stored twice, as itself and as its mirror, and the diagonal tile's lower
+Memory: the lower triangle of the N x N float32 matrix, packed in ragged
+groups of 8 rows: group g holds rows 8g..8g+7 at columns 0..8g+7, as one
+contiguous (8g + 8, 8) block from run 4g(g+1) of a (4G(G+1), 8) array with
+G = ceil(N/8). ward_matrix_bytes(N) = 128 G(G+1), ~2*N^2 bytes (122 MiB at
+N = 8,000). A row is its own group's columns, one view with a 32-byte
+stride, and one run of 8 contiguous floats in each later group, taken with
+one gather of whole runs; the merged row and column are written the same
+way, so a column write touches N/8 cache lines, not N. ward_hac refuses a
+matrix larger than physical memory, or than the memory limit of the
+process's cgroup, before allocating it. The distances are computed in
+float64 tiles of at most 256 x 512, on and above the diagonal, each from
+only its own rows of the points converted to float64, so float32 points are
+never copied whole; the build holds ~3 MiB besides the matrix at D = 256.
+Each tile is rounded once to float32 and stored once, as its mirror. The
+8 x 8 diagonal blocks are stored whole, and the diagonal tile's lower
 triangle copies its upper one, so the matrix is symmetric bitwise, as the
 chain needs (with near-tied coincident points, an asymmetric one could make
 it cycle). The merge loop and its Lance-Williams updates run in float32,
 so merge costs are float32 values. It keeps contiguous copies of the rows
-on its chain, so the strided row reads are one per chain step. Once half of
-the live clusters have merged away the survivors are compacted in place
-into the front of the same buffer.
+on its chain, so the packed row reads are one per chain step. Once half of
+the live clusters have merged away the survivors are compacted in place,
+one 8-row block at a time, into the layout of their own count.
 """
 
 from __future__ import annotations
@@ -58,29 +62,81 @@ _TILE_COLS = 512
 # Rows of a tile finished at once (sq_i + sq_j - 2 x_i.x_j, clamped, halved);
 # bounds the float64 buffer of their sq_i + sq_j sums.
 _PAIR_ROWS = 32
-# Rows per group of the matrix layout: t[g, c, q] holds d(8g + q, c).
+# Rows per group of the packed layout: group g holds rows 8g..8g+7 at columns 0..8g+7.
 _GROUP = 8
 # Chain positions whose rows the merge loop keeps as contiguous, penalized copies.
 _CHAIN_ROWS = 64
-# Rows packed per step when the loop compacts the matrix; a multiple of _GROUP.
-_COMPACT_ROWS = 32
+# The process's cgroups, and the cgroup file systems: v2 at the root, v1
+# controllers below it.
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _groups(n: int) -> int:
+    return -(-n // _GROUP)
+
+
+def _group_starts(n: int) -> np.ndarray:
+    """First run of each group g = 0..ceil(n/8) of the packed layout, 4g(g+1)."""
+    g = np.arange(_groups(n) + 1)
+    return _GROUP // 2 * g * (g + 1)
 
 
 def ward_matrix_bytes(n: int) -> int:
-    """Bytes of the grouped float32 distance matrix over n points."""
-    return -(-n // _GROUP) * _GROUP * n * 4
+    """Bytes of the packed float32 distance matrix over n points, 128 G(G+1)
+    with G = ceil(n/8)."""
+    groups = _groups(n)
+    return _GROUP // 2 * groups * (groups + 1) * _GROUP * 4
 
 
 def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _cgroup_memory_limit() -> tuple[int, str] | None:
+    """The smallest memory limit set on this process's own cgroups, with the
+    file that sets it: cgroup v2 memory.max or v1 memory.limit_in_bytes,
+    under the paths /proc/self/cgroup names. None where no file can be read
+    or each reads "max"."""
+    try:
+        with open(_PROC_CGROUP) as f:
+            lines = f.read().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        parts = line.split(":", 2)
+        if len(parts) != 3:
+            continue
+        controllers, path = parts[1], parts[2].rstrip("/")
+        if not controllers:
+            name = f"{_CGROUP_ROOT}{path}/memory.max"
+        elif "memory" in controllers.split(","):
+            name = f"{_CGROUP_ROOT}/memory{path}/memory.limit_in_bytes"
+        else:
+            continue
+        try:
+            with open(name) as f:
+                value = f.read().strip()
+        except OSError:
+            continue
+        if value.isdigit():
+            limits.append((int(value), name))
+    return min(limits, default=None)
+
+
 def check_ward_memory(n: int, units: str = "points") -> None:
-    """ValueError when the distance matrix over n units exceeds physical memory."""
+    """ValueError when the distance matrix over n units exceeds physical
+    memory or, when smaller, the memory limit of the process's cgroup."""
     need, have = ward_matrix_bytes(n), _physical_memory()
+    limit = _cgroup_memory_limit()
+    if limit is not None and limit[0] < have:
+        have, which = limit[0], f"-byte memory limit of {limit[1]}"
+    else:
+        which = " bytes of physical memory"
     if need > have:
         raise ValueError(f"Ward HAC over {n} {units} needs a {need}-byte distance matrix, "
-                         f"more than the {have} bytes of physical memory")
+                         f"more than the {have}{which}")
 
 
 def _sq_norms(points: np.ndarray) -> np.ndarray:
@@ -93,18 +149,20 @@ def _sq_norms(points: np.ndarray) -> np.ndarray:
 def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """max(||x_i - x_j||^2, 0) / 2 for all pairs, rounded once to float32.
 
-    sq holds the squared row norms. The result is grouped: t[g, c, q] holds
-    the entry of rows i = 8g + q and c, in a (ceil(N/8), N, 8) array whose
-    padding rows past N are never read. It is built in tiles of at most
-    _TILE_ROWS x _TILE_COLS, from each row block's first column on: a tile
-    converts only its own rows of points to float64, takes (sq_i + sq_j -
-    2 x_i.x_j), clamps and halves it in one reused float64 buffer, is rounded
-    once to float32 and stored twice, as itself and as its mirror. The
-    diagonal tile's lower triangle first copies its upper one, so the matrix
-    is symmetric bitwise.
+    sq holds the squared row norms. The result is the packed lower triangle
+    of the module docstring: t[4g(g+1) + c, q] holds the entry of rows
+    8g + q and c <= 8g + 7; rows and columns past N, in the last group, are
+    padding and never read. It is built in tiles of at most _TILE_ROWS x
+    _TILE_COLS, from each row block's first column on: a tile converts only
+    its own rows of points to float64, takes (sq_i + sq_j - 2 x_i.x_j),
+    clamps and halves it in one reused float64 buffer, is rounded once to
+    float32 and stored once, as its mirror. The diagonal tile's lower
+    triangle first copies its upper one, so the 8 x 8 diagonal blocks, which
+    are stored whole, are symmetric bitwise.
     """
     n = points.shape[0]
-    t = np.empty((-(-n // _GROUP), n, _GROUP), dtype=np.float32)
+    start = _group_starts(n)
+    t = np.empty((start[-1], _GROUP), dtype=np.float32)
     scratch = np.empty(min(n, _TILE_ROWS) * min(n, _TILE_COLS))
     rounded = np.empty(scratch.size, dtype=np.float32)
     pair = np.empty(min(n, _PAIR_ROWS) * min(n, _TILE_COLS))
@@ -130,54 +188,113 @@ def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
             if c0 == r0:
                 square = out[:, :rows]
                 np.copyto(square, square.T, where=low[:rows, :rows])
-            _store(t, out, r0, c0)
-            _store(t, out.T, c0, r0)
+            _store_mirror(t, start, out, r0, c0)
     return t
 
 
-def _store(t: np.ndarray, block: np.ndarray, r0: int, c0: int) -> None:
-    """Write block into the grouped matrix at rows r0.., columns c0..; r0 % _GROUP == 0."""
-    rows, cols = block.shape
-    g0, full, rest = r0 // _GROUP, rows // _GROUP, rows % _GROUP
-    t[g0:g0 + full, c0:c0 + cols] = block[: full * _GROUP].reshape(full, _GROUP, cols).transpose(0, 2, 1)
-    if rest:
-        t[g0 + full, c0:c0 + cols, :rest] = block[full * _GROUP:].T
+def _store_mirror(t: np.ndarray, start: np.ndarray, tile: np.ndarray, r0: int, c0: int) -> None:
+    """Store the tile at rows r0.., columns c0.. >= r0 as its mirror: column
+    j of the tile at row j, columns r0.., clipped to the width of j's group."""
+    rows, cols = tile.shape
+    for c in range(0, cols, _GROUP):
+        g = (c0 + c) // _GROUP
+        keep = min(rows, _GROUP * (g + 1) - r0)
+        t[start[g] + r0:start[g] + r0 + keep, :cols - c] = tile[:keep, c:c + _GROUP]
 
 
-def _load_row(t: np.ndarray, slot: int, pen: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row slot of the grouped matrix plus the penalties, into out."""
-    return np.add(t[slot // _GROUP, :, slot % _GROUP], pen, out=out)
+def _set_diagonal(t: np.ndarray, start: np.ndarray, n: int) -> None:
+    """d(k, k) = +inf for the n slots of the packed matrix."""
+    k = np.arange(n)
+    t[start[k // _GROUP] + k, k % _GROUP] = np.inf
 
 
-def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
+def _read_row(t: np.ndarray, start: np.ndarray, slot: int, width: int, out: np.ndarray) -> np.ndarray:
+    """Row slot of the packed width x width matrix into out; returns out[:width].
+
+    Its columns in its own group are one view with a 32-byte stride; each
+    later group holds its columns as one run of 8 floats, taken whole, so out
+    covers whole groups (8 ceil(width/8) floats).
+    """
+    g, q = divmod(slot, _GROUP)
+    own = min(_GROUP * (g + 1), width)
+    out[:own] = t[start[g]:start[g] + own, q]
+    if own < width:
+        # Run start[h] + slot of t is run start[h] of t[slot:]; indexing the
+        # view saves building the shifted index.
+        runs = start[g + 1:_groups(width)]
+        t[slot:].take(runs, axis=0, out=out[own:own + _GROUP * runs.size].reshape(-1, _GROUP), mode="clip")
+    return out[:width]
+
+
+def _write_merged(t: np.ndarray, start: np.ndarray, slot: int, width: int, values: np.ndarray) -> None:
+    """values[:width] as row and column slot of the packed width x width
+    matrix, with d(slot, slot) = +inf.
+
+    The row part is slot's own group's columns. The column part starts at
+    slot's own group, whose 8 x 8 diagonal block is stored whole, and writes
+    runs of 8 floats, so values covers whole groups (8 ceil(width/8) floats).
+    """
+    g, q = divmod(slot, _GROUP)
+    own, groups = min(_GROUP * (g + 1), width), _groups(width)
+    t[start[g]:start[g] + own, q] = values[:own]
+    t[slot:][start[g:groups]] = values[_GROUP * g:_GROUP * groups].reshape(-1, _GROUP)
+    t[start[g] + slot, q] = np.inf
+
+
+def _compact(t: np.ndarray, start: np.ndarray, slots: np.ndarray) -> None:
+    """Pack the rows and columns of slots, in order, into the layout of width
+    slots.size, in place.
+
+    Group starts do not depend on the width, so new group g lands on old
+    group g's runs. It is built from old rows slots[8g..8g+7] >= 8g at old
+    columns up to slots[8g+7]: it reads only old groups >= g, so no write
+    reaches a later read. One 8-row block of old rows is held at a time.
+    """
+    block = np.empty((_GROUP, _GROUP * _groups(int(slots[-1]) + 1)), dtype=np.float32)
+    for g in range(_groups(slots.size)):
+        rows = slots[_GROUP * g:_GROUP * (g + 1)]
+        width = int(rows[-1]) + 1
+        for q, slot in enumerate(rows.tolist()):
+            _read_row(t, start, slot, width, block[q])
+        cols = slots[:_GROUP * g + rows.size]
+        t[start[g]:start[g] + cols.size, :rows.size] = block[:rows.size, cols].T
+
+
+def _load_row(t: np.ndarray, start: np.ndarray, slot: int, width: int, pen: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Row slot of the packed matrix plus the penalties, into out; returns out[:width]."""
+    row = _read_row(t, start, slot, width, out)
+    return np.add(row, pen[:width], out=row)
+
+
+def _nn_chain_merges(t: np.ndarray, n: int) -> list[tuple[int, int, float]]:
     """All N-1 Ward merges as (point_i, point_j, cost) in chain discovery order.
 
-    t is the grouped float32 matrix of _half_sq_distances, used up as the
-    loop's buffer. Slot s of the w x w matrix holds the cluster of point
-    ids[s]. A merged-away slot keeps stale distances and is hidden by
-    pen[s] = +inf when a row is read. The rows of the first _CHAIN_ROWS chain
-    slots are kept as contiguous copies with the penalties added, patched at
-    each merge, so re-reading a chain row and both Lance-Williams inputs need
-    no strided read. Once half the slots are dead, the live ones are packed,
-    in order, into the front of the same buffer, so ties resolve as they
-    would on the uncompacted matrix.
+    t is the packed float32 matrix of _half_sq_distances over n points, used
+    up as the loop's buffer. Slot s of the width x width matrix holds the
+    cluster of point ids[s]. A merged-away slot keeps stale distances and is
+    hidden by pen[s] = +inf when a row is read. The rows of the first
+    _CHAIN_ROWS chain slots are kept as contiguous copies with the penalties
+    added, patched at each merge, so re-reading a chain row and both
+    Lance-Williams inputs need no packed read. Once half the slots are dead,
+    the live ones are packed, in order, into the layout of the live width, so
+    ties resolve as they would on the uncompacted matrix.
 
     Each merge pops two chain entries and the chain ends empty, so a correct
     run pushes exactly 2(N-1) times; a push past that bound (a matrix holding
     NaN, or a fault in the loop) is a RuntimeError, not an endless loop.
     """
-    n = width = t.shape[1]
-    buf = t.reshape(-1)
-    diag = np.arange(n)
-    t[diag // _GROUP, diag, diag % _GROUP] = np.inf
+    width = n
+    start = _group_starts(n)
+    _set_diagonal(t, start, n)
     # float32 like the matrix: cluster sizes stay below 2^24, so they are exact.
     size = np.ones(n, dtype=np.float32)
     pen = np.zeros(n, dtype=np.float32)
     ids = np.arange(n)
-    # Cached chain rows, then two spare rows for chain positions past them.
-    rows = np.empty((_CHAIN_ROWS + 2, n), dtype=np.float32)
-    # A whole column of t, padding rows included.
-    merged = np.empty(t.shape[0] * _GROUP, dtype=np.float32)
+    # Cached chain rows, then two spare rows for chain positions past them; like
+    # the merged row, each covers whole groups, as the packed reads and writes do.
+    rows = np.empty((_CHAIN_ROWS + 2, _GROUP * _groups(n)), dtype=np.float32)
+    merged = np.empty(rows.shape[1], dtype=np.float32)
     merges: list[tuple[int, int, float]] = []
     chain: list[int] = []
     pushes = 0
@@ -186,19 +303,19 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
         if not chain:
             chain.append(int(np.argmin(pen[:width])))
             pushes += 1
-            _load_row(t, chain[0], pen[:width], rows[0, :width])
+            _load_row(t, start, chain[0], width, pen, rows[0])
         top, k = chain[-1], len(chain) - 1
         if k < _CHAIN_ROWS:
             row = rows[k, :width]
         else:
-            row = _load_row(t, top, pen[:width], rows[_CHAIN_ROWS, :width])
+            row = _load_row(t, start, top, width, pen, rows[_CHAIN_ROWS])
         nn = int(np.argmin(row))
         if k and row[chain[-2]] <= row[nn]:
             prev = chain[-2]
             if k - 1 < _CHAIN_ROWS:
                 prev_row = rows[k - 1, :width]
             else:
-                prev_row = _load_row(t, prev, pen[:width], rows[_CHAIN_ROWS + 1, :width])
+                prev_row = _load_row(t, start, prev, width, pen, rows[_CHAIN_ROWS + 1])
             keep, drop = min(prev, top), max(prev, top)
             dab = row[prev]
             merges.append((int(ids[keep]), int(ids[drop]), float(dab)))
@@ -207,9 +324,7 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
             keep_row, drop_row = (row, prev_row) if keep == top else (prev_row, row)
             na, nb, s = size[keep], size[drop], size[:width]
             merged[:width] = ((na + s) * keep_row + (nb + s) * drop_row - s * dab) / (na + nb + s)
-            t[keep // _GROUP, :, keep % _GROUP] = merged[:width]
-            t[:, keep] = merged[: t.shape[0] * _GROUP].reshape(-1, _GROUP)
-            t[keep // _GROUP, keep, keep % _GROUP] = np.inf
+            _write_merged(t, start, keep, width, merged)
             size[keep] = na + nb
             pen[drop] = np.inf
             del chain[-2:]
@@ -220,7 +335,7 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
             live = n - len(merges)
             if 2 * live <= width:
                 slots = np.flatnonzero(pen[:width] == 0.0)
-                t = _compact(buf, t, slots)
+                _compact(t, start, slots)
                 rows[:cached, :live] = rows[:cached, slots]
                 size[:live] = size[slots]
                 ids[:live] = ids[slots]
@@ -234,30 +349,8 @@ def _nn_chain_merges(t: np.ndarray) -> list[tuple[int, int, float]]:
             chain.append(nn)
             pushes += 1
             if k + 1 < _CHAIN_ROWS:
-                _load_row(t, nn, pen[:width], rows[k + 1, :width])
+                _load_row(t, start, nn, width, pen, rows[k + 1])
     return merges
-
-
-def _compact(buf: np.ndarray, t: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Pack the rows and columns of slots, in order, into the front of buf.
-
-    Returns the grouped live x live matrix, built _COMPACT_ROWS rows at a
-    time: the live columns of the old groups that hold those rows are
-    gathered, then the rows picked from them. New row r lands before old row
-    slots[r] >= r and live <= width / 2, so no write reaches a later read.
-    """
-    live = slots.size
-    groups = -(-live // _GROUP)
-    packed = buf[: groups * live * _GROUP].reshape(groups, live, _GROUP)
-    # The last group's padding rows copy the last live row.
-    src = np.pad(slots, (0, groups * _GROUP - live), mode="edge")
-    for a in range(0, src.size, _COMPACT_ROWS):
-        s = src[a:a + _COMPACT_ROWS]
-        first = s[0] // _GROUP
-        cols = t[first:s[-1] // _GROUP + 1][:, slots]
-        part = cols[s // _GROUP - first, :, s % _GROUP]
-        packed[a // _GROUP:(a + s.size) // _GROUP] = part.reshape(-1, _GROUP, live).transpose(0, 2, 1)
-    return packed
 
 
 def ward_hac(points: np.ndarray, c: int) -> HacResult:
@@ -268,7 +361,7 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     The rows are read in their own dtype and converted to float64 a tile at
     a time. A row that is not finite, or too large for the float32 matrix,
     is a ValueError naming the first such row; so is a matrix larger than
-    physical memory.
+    physical memory or the memory limit of the process's cgroup.
     """
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -290,7 +383,7 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     if c == n:
         return HacResult(np.arange(n, dtype=np.int64), [])
 
-    merges = _nn_chain_merges(_half_sq_distances(points, sq))
+    merges = _nn_chain_merges(_half_sq_distances(points, sq), n)
     order = np.argsort([m[2] for m in merges], kind="stable")
 
     # Replay the n-c cheapest merges. By Ward's reducibility each sorts after the

@@ -348,7 +348,7 @@ def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str):
     """The level's `eval_units`, checked before any stage runs: refuses units
     it cannot form (an untracked row, a mixed-label track), a cluster count
     outside [1, units] and a Ward distance matrix over the units larger than
-    physical memory."""
+    physical memory or the process's cgroup memory limit."""
     if num_clusters < 1:
         raise PipelineError(f"stage 'cluster' failed: the cluster count must be >= 1, "
                             f"got {num_clusters}")

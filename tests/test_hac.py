@@ -89,17 +89,23 @@ def half_distances(points):
     return _half_sq_distances(points, np.einsum("ij,ij->i", points, points))
 
 
-def ungroup(t):
-    """The square matrix held by the grouped layout t[g, c, q] = d(8g + q, c)."""
-    groups, n, per = t.shape
-    return t.transpose(0, 2, 1).reshape(groups * per, n)[:n]
+def square(t, n):
+    """The n x n matrix held by the program's matrix t over n points, read row
+    by row with the program's own row reader, whatever its layout."""
+    start = hac._group_starts(n)
+    rows = np.empty((n, 8 * (start.size - 1)), dtype=np.float32)
+    for k in range(n):
+        hac._read_row(t, start, k, n, rows[k])
+    return rows[:, :n]
 
 
-def assert_merges_match_loop_oracle(t):
-    """The program's merges on the grouped matrix t equal the loop oracle's,
+def assert_merges_match_loop_oracle(points):
+    """The program's merges on its matrix of points equal the loop oracle's,
     cost bits included; returns the oracle's merges."""
-    want = loop_nn_chain_merges(ungroup(t))  # on a copy: the program uses t up
-    got = _nn_chain_merges(t)
+    n = points.shape[0]
+    t = half_distances(points)
+    want = loop_nn_chain_merges(square(t, n))  # on a copy: the program uses t up
+    got = _nn_chain_merges(t, n)
     assert [m[:2] for m in got] == [m[:2] for m in want]
     costs = np.array([m[2] for m in got], dtype=np.float64)
     assert costs.tobytes() == np.array([m[2] for m in want], dtype=np.float64).tobytes()
@@ -124,7 +130,7 @@ def ward_instance(seed, n, d, kind):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), d=st.integers(1, 16),
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_merges_match_loop_oracle_bitwise(seed, n, d, kind):
-    assert_merges_match_loop_oracle(half_distances(ward_instance(seed, n, d, kind)))
+    assert_merges_match_loop_oracle(ward_instance(seed, n, d, kind))
 
 
 def test_chain_longer_than_its_cached_rows_matches_loop_oracle_bitwise():
@@ -138,7 +144,7 @@ def test_chain_longer_than_its_cached_rows_matches_loop_oracle_bitwise():
     points[:line, 0] = np.cumsum(np.linspace(2.0, 1.0, line))
     points[line:] = (points[line - 1, 0] + 0.5, 0.0)
     points[line:] += 0.01 * np.random.default_rng(0).normal(size=(blob, 2))
-    want = assert_merges_match_loop_oracle(half_distances(points))
+    want = assert_merges_match_loop_oracle(points)
     assert min(min(m[:2]) for m in want[: blob - 1]) >= line
 
 
@@ -149,7 +155,7 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
     points = ward_instance(seed, n, d, kind)
     c = data.draw(st.integers(1, n), label="c")
     result = ward_hac(points, c)
-    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(ungroup(half_distances(points))), n, c)
+    labels, merge_log = union_find_ward_replay(loop_nn_chain_merges(square(half_distances(points), n)), n, c)
     np.testing.assert_array_equal(result.labels, labels)
     assert result.merge_log == merge_log
 
@@ -157,7 +163,7 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 255, 256, 257, 263, 511, 513, 1100])
 def test_blocked_distances_match_full_build_bitwise(n):
     points = np.random.default_rng(n).normal(size=(n, 7))
-    got = ungroup(half_distances(points))
+    got = square(half_distances(points), n)
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32)
     assert got.dtype == np.float32
     # The diagonal is overwritten with +inf before any read; a blocked GEMM may
@@ -175,7 +181,7 @@ def test_float32_rows_build_the_matrix_of_their_float64_copy_bitwise(n, d):
     sq = _sq_norms(rows)
     wide = rows.astype(np.float64)
     assert sq.tobytes() == np.einsum("ij,ij->i", wide, wide).tobytes()
-    assert ungroup(_half_sq_distances(rows, sq)).tobytes() == ungroup(half_distances(wide)).tobytes()
+    assert square(_half_sq_distances(rows, sq), n).tobytes() == square(half_distances(wide), n).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,7 +189,7 @@ def test_float32_rows_build_the_matrix_of_their_float64_copy_bitwise(n, d):
        kind=st.sampled_from(["normal", "lattice", "duplicates", "line"]))
 def test_blocked_distances_stay_within_gemm_rounding_of_full_build(seed, n, d, kind):
     points = ward_instance(seed, n, d, kind)
-    got32 = ungroup(half_distances(points))
+    got32 = square(half_distances(points), n)
     assert got32.tobytes() == got32.T.tobytes()
     got = got32.astype(np.float64)
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32).astype(np.float64)
@@ -194,6 +200,19 @@ def test_blocked_distances_stay_within_gemm_rounding_of_full_build(seed, n, d, k
     slack = 2.0**-45 * (sq[:, None] + sq[None, :]) + np.spacing(want.astype(np.float32))
     off = ~np.eye(n, dtype=bool)
     assert (np.abs(got - want) <= slack)[off].all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 131])
+def test_compaction_keeps_the_live_submatrix_bitwise(n):
+    # Live sets of every size, so the packed width and its last group cross
+    # group edges; compaction is in place and reads no entry it overwrote.
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        t = half_distances(rng.normal(size=(n, 3)))
+        want = square(t, n)
+        slots = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        hac._compact(t, hac._group_starts(n), slots)
+        assert square(t, slots.size).tobytes() == want[np.ix_(slots, slots)].tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200, 1e18])
@@ -226,7 +245,21 @@ def test_peak_memory_is_one_distance_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 4 * n * n
+    assert peak <= 1.25 * ward_matrix_bytes(n)
+
+
+def test_merge_loop_adds_no_more_than_its_chain_rows_and_1_mib():
+    # Besides the matrix it uses up, the loop holds its cached chain rows and,
+    # while compacting, one 8-row block of the matrix.
+    n = 3000
+    t = half_distances(np.random.default_rng(3).normal(size=(n, 32)))
+    tracemalloc.start()
+    try:
+        _nn_chain_merges(t, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (hac._CHAIN_ROWS + 2) * n * 4 + 2**20
 
 
 def test_float32_points_add_no_more_than_4_mib_to_the_matrix():
@@ -244,9 +277,14 @@ def test_float32_points_add_no_more_than_4_mib_to_the_matrix():
 
 
 def test_nn_chain_on_a_nan_matrix_raises_instead_of_looping():
-    t = half_distances(np.random.default_rng(0).normal(size=(50, 4)))
-    i, j = 3, 41  # one symmetric pair, in the grouped layout t[g, c, q] = d(8g + q, c)
-    t[i // 8, j, i % 8] = t[j // 8, i, j % 8] = np.nan
+    n = 50
+    t = half_distances(np.random.default_rng(0).normal(size=(n, 4)))
+    i, j = 3, 41  # one symmetric pair: row and column i, rewritten with the program's writer
+    start = hac._group_starts(n)
+    row = np.empty(8 * (start.size - 1), dtype=np.float32)
+    hac._read_row(t, start, i, n, row)
+    row[j] = np.nan
+    hac._write_merged(t, start, i, n, row)
 
     def hang(signum, frame):
         raise TimeoutError("the NN-chain loop ran for 10 s")
@@ -255,7 +293,7 @@ def test_nn_chain_on_a_nan_matrix_raises_instead_of_looping():
     signal.alarm(10)
     try:
         with pytest.raises(RuntimeError, match=r"pushed past its bound of 2\(N-1\) = 98 after"):
-            _nn_chain_merges(t)
+            _nn_chain_merges(t, n)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -263,7 +301,8 @@ def test_nn_chain_on_a_nan_matrix_raises_instead_of_looping():
 
 @pytest.mark.parametrize("n, groups", [(1, 1), (8, 1), (9, 2), (8000, 1000)])
 def test_matrix_bytes_count_the_grouped_layout(n, groups):
-    assert ward_matrix_bytes(n) == groups * 8 * n * 4
+    # Group g of 8 rows holds columns 0..8g+7: 8 x 4 (g + 1) bytes per row.
+    assert ward_matrix_bytes(n) == 128 * groups * (groups + 1)
     if n < 100:
         assert ward_matrix_bytes(n) == half_distances(np.zeros((n, 2))).nbytes
 
@@ -277,3 +316,56 @@ def test_matrix_larger_than_physical_memory_is_refused_before_allocating(monkeyp
                                          f"matrix, more than the {need - 1} bytes of physical "
                                          "memory$"):
         ward_hac(points, 3)
+
+
+V1_LIMIT = "memory/jobs/a/memory.limit_in_bytes"
+
+
+@pytest.mark.parametrize("physical, cgroup, message", [
+    (lambda need: need - 1, lambda need: None, "{less} bytes of physical memory"),
+    (lambda need: need - 1, lambda need: (10**12, V1_LIMIT), "{less} bytes of physical memory"),
+    (lambda need: 10**12, lambda need: (need - 1, V1_LIMIT), "{less}-byte memory limit of " + V1_LIMIT),
+], ids=["no-cgroup-limit", "physical-smaller", "cgroup-smaller"])
+def test_matrix_larger_than_the_smaller_memory_limit_is_refused_naming_it(
+        monkeypatch, physical, cgroup, message):
+    need = ward_matrix_bytes(20)
+    monkeypatch.setattr(hac, "_half_sq_distances", None)  # any allocation would fail
+    monkeypatch.setattr(hac, "_physical_memory", lambda: physical(need))
+    monkeypatch.setattr(hac, "_cgroup_memory_limit", lambda: cgroup(need))
+    with pytest.raises(ValueError, match=f"^Ward HAC over 20 points needs a {need}-byte distance "
+                                         f"matrix, more than the {message.format(less=need - 1)}$"):
+        ward_hac(np.random.default_rng(0).normal(size=(20, 3)), 3)
+
+
+def test_matrix_within_both_limits_passes_the_check(monkeypatch):
+    need = ward_matrix_bytes(20)
+    monkeypatch.setattr(hac, "_physical_memory", lambda: need)
+    monkeypatch.setattr(hac, "_cgroup_memory_limit", lambda: (need, V1_LIMIT))
+    hac.check_ward_memory(20)
+
+
+@pytest.mark.parametrize("lines, files, want", [
+    (["4:memory:/jobs/a", "0::/"], {V1_LIMIT: "1048576\n"}, (1048576, V1_LIMIT)),
+    (["4:memory:/jobs/a"], {V1_LIMIT: "9223372036854771712\n"}, (9223372036854771712, V1_LIMIT)),
+    (["0::/jobs/b"], {"jobs/b/memory.max": "2097152\n"}, (2097152, "jobs/b/memory.max")),
+    (["0::/jobs/b"], {"jobs/b/memory.max": "max\n"}, None),
+    (["4:memory:/jobs/a", "0::/jobs/b"], {}, None),
+    (["5:cpu,memory:/jobs/a", "0::/jobs/b"], {V1_LIMIT: "300\n", "jobs/b/memory.max": "200\n"},
+     (200, "jobs/b/memory.max")),
+    (["1:cpu:/jobs/a", "no colons"], {"cpu/jobs/a/memory.limit_in_bytes": "5\n"}, None),
+], ids=["v1", "v1-unlimited", "v2", "v2-max", "missing", "smaller-of-both", "no-memory-controller"])
+def test_cgroup_memory_limit_reads_the_process_cgroup_files(tmp_path, monkeypatch, lines, files, want):
+    proc = tmp_path / "cgroup"
+    proc.write_text("\n".join(lines) + "\n")
+    root = tmp_path / "fs"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    monkeypatch.setattr(hac, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(hac, "_CGROUP_ROOT", str(root))
+    assert hac._cgroup_memory_limit() == (None if want is None else (want[0], str(root / want[1])))
+
+
+def test_cgroup_memory_limit_without_a_cgroup_file_is_none(tmp_path, monkeypatch):
+    monkeypatch.setattr(hac, "_PROC_CGROUP", str(tmp_path / "missing"))
+    assert hac._cgroup_memory_limit() is None
