@@ -22,9 +22,10 @@ from .pipeline import (
     PipelineError,
     StageTimer,
     check_cluster_count,
-    cluster_level,
+    cluster_points,
     config_from_values,
     eval_units,
+    level_points,
     load_any_features,
     parse_config_file,
     prepare_mining,
@@ -239,7 +240,9 @@ def _run_command(args) -> None:
     elif args.command == "cluster":
         fs = load_any_features(args.features)
         unit_ids, _ = check_cluster_count(fs, args.num_clusters, args.level)
-        result = cluster_level(l2_normalize(fs), args.num_clusters, args.level, StageTimer())
+        timer = StageTimer()
+        result = cluster_points(level_points(l2_normalize(fs), args.level, timer),
+                                args.num_clusters, timer)
         write_labels_csv(unit_ids, result.labels, args.out, ID_COLUMNS[args.level])
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 

@@ -38,6 +38,10 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIQQ???")
 
+# Rows of an `sq_distances` result finished per step; bounds its float64
+# temporary to this many rows.
+DISTANCE_BLOCK_ROWS = 256
+
 
 class FeatureFileError(ValueError):
     """Raised for malformed, truncated, or non-finite feature files."""
@@ -261,11 +265,17 @@ def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.n
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from each row of ``a`` to each row of ``b``."""
+    """Squared Euclidean distances from each row of ``a`` to each row of ``b``,
+    max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), finished in place in the product's
+    array: besides it, one DISTANCE_BLOCK_ROWS x len(b) block is held."""
     aa = np.einsum("ij,ij->i", a, a)[:, None]
     bb = np.einsum("ij,ij->i", b, b)[None, :]
     # (2.0 * a) @ b.T stays a general GEMM when a is b; a @ a.T rounds differently
-    return np.maximum(aa + bb - 2.0 * a @ b.T, 0.0)
+    d = 2.0 * a @ b.T
+    for start in range(0, d.shape[0], DISTANCE_BLOCK_ROWS):
+        rows = d[start:start + DISTANCE_BLOCK_ROWS]
+        np.subtract(aa[start:start + DISTANCE_BLOCK_ROWS] + bb, rows, out=rows)
+    return np.maximum(d, 0.0, out=d)
 
 
 def l2_normalize(fs: FeatureSet) -> FeatureSet:

@@ -17,11 +17,12 @@ stride, and one run of 8 contiguous floats in each later group, taken with
 one gather of whole runs; the merged row and column are written the same
 way, so a column write touches N/8 cache lines, not N. ward_hac refuses a
 matrix larger than physical memory, or than the memory limit of the
-process's cgroup, before allocating it. The distances are computed in
-float64 tiles of at most 256 x 512, on and above the diagonal, each from
-only its own rows of the points converted to float64, so float32 points are
-never copied whole; the build holds ~3 MiB besides the matrix at D = 256.
-Each tile is rounded once to float32 and stored once, as its mirror. The
+process's cgroup or of one of its ancestors, before allocating it. The
+distances are computed in float64 tiles of at most 256 x 512, on and above
+the diagonal, each from only its own rows of the points converted to
+float64, so float32 points are never copied whole; the build holds ~3 MiB
+besides the matrix at D = 256. Each tile is rounded once to float32 and
+stored once, as its mirror. The
 8 x 8 diagonal blocks are stored whole, and the diagonal tile's lower
 triangle copies its upper one, so the matrix is symmetric bitwise, as the
 chain needs (with near-tied coincident points, an asymmetric one could make
@@ -94,10 +95,11 @@ def _physical_memory() -> int:
 
 
 def _cgroup_memory_limit() -> tuple[int, str] | None:
-    """The smallest memory limit set on this process's own cgroups, with the
-    file that sets it: cgroup v2 memory.max or v1 memory.limit_in_bytes,
-    under the paths /proc/self/cgroup names. None where no file can be read
-    or each reads "max"."""
+    """The smallest memory limit set on this process's cgroups or any of
+    their ancestors, with the file that sets it: cgroup v2 memory.max or v1
+    memory.limit_in_bytes, under each path /proc/self/cgroup names and each
+    of its parents up to the root. None where no file can be read or each
+    reads "max"."""
     try:
         with open(_PROC_CGROUP) as f:
             lines = f.read().splitlines()
@@ -110,24 +112,28 @@ def _cgroup_memory_limit() -> tuple[int, str] | None:
             continue
         controllers, path = parts[1], parts[2].rstrip("/")
         if not controllers:
-            name = f"{_CGROUP_ROOT}{path}/memory.max"
+            base, file = _CGROUP_ROOT, "memory.max"
         elif "memory" in controllers.split(","):
-            name = f"{_CGROUP_ROOT}/memory{path}/memory.limit_in_bytes"
+            base, file = f"{_CGROUP_ROOT}/memory", "memory.limit_in_bytes"
         else:
             continue
-        try:
-            with open(name) as f:
-                value = f.read().strip()
-        except OSError:
-            continue
-        if value.isdigit():
-            limits.append((int(value), name))
+        heads = path.split("/")  # "" first: the root
+        for depth in range(len(heads), 0, -1):
+            name = f"{base}{'/'.join(heads[:depth])}/{file}"
+            try:
+                with open(name) as f:
+                    value = f.read().strip()
+            except OSError:
+                continue
+            if value.isdigit():
+                limits.append((int(value), name))
     return min(limits, default=None)
 
 
 def check_ward_memory(n: int, units: str = "points") -> None:
     """ValueError when the distance matrix over n units exceeds physical
-    memory or, when smaller, the memory limit of the process's cgroup."""
+    memory or, when smaller, the memory limit of the process's cgroup or
+    of one of its ancestors."""
     need, have = ward_matrix_bytes(n), _physical_memory()
     limit = _cgroup_memory_limit()
     if limit is not None and limit[0] < have:
@@ -361,7 +367,7 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     The rows are read in their own dtype and converted to float64 a tile at
     a time. A row that is not finite, or too large for the float32 matrix,
     is a ValueError naming the first such row; so is a matrix larger than
-    physical memory or the memory limit of the process's cgroup.
+    physical memory or the memory limit of the process's cgroups.
     """
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[0] < 1:

@@ -66,7 +66,7 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
     Centers left without any assigned point at the end are dropped and the
     labels relabeled contiguously, so k may effectively shrink.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points)  # read in float64 a batch or chunk of rows at a time
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     cfg.validate()
@@ -76,12 +76,13 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
 
     rng = np.random.default_rng(cfg.seed)
     sub = rng.choice(n, size=min(n, cfg.init_subsample_factor * cfg.k), replace=False)
-    centers = _kmeanspp(points[sub], cfg.k, rng)
+    centers = _kmeanspp(np.asarray(points[sub], dtype=np.float64), cfg.k, rng)
     counts = np.zeros(cfg.k, dtype=np.int64)
 
     batch_size = min(cfg.batch_size, n)
     for _ in range(cfg.max_iters):
-        batch = points[rng.choice(n, size=batch_size, replace=False)]
+        batch = np.asarray(points[rng.choice(n, size=batch_size, replace=False)],
+                           dtype=np.float64)
         assign = np.argmin(sq_distances(batch, centers), axis=1)
         sizes = np.bincount(assign, minlength=cfg.k)
         hit = sizes > 0
@@ -93,7 +94,7 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
 
     labels = np.empty(n, dtype=np.intp)
     for start in range(0, n, LABEL_CHUNK_ROWS):
-        chunk = points[start:start + LABEL_CHUNK_ROWS]
+        chunk = np.asarray(points[start:start + LABEL_CHUNK_ROWS], dtype=np.float64)
         labels[start:start + chunk.shape[0]] = np.argmin(sq_distances(chunk, centers), axis=1)
     used = np.unique(labels)
     if used.size < cfg.k:

@@ -41,6 +41,11 @@ _SOURCE_NAMES = np.array([POS_CLUSTER, POS_NEAR, NEG_CLUSTER, NEG_VIDEO], dtype=
 _POS_CLUSTER, _POS_NEAR, _NEG_CLUSTER, _NEG_VIDEO = range(4)
 
 
+# Rows of the cluster distance matrix `rank_clusters` sorts per step; bounds
+# its sort temporaries to this many rows of M.
+RANK_BLOCK_ROWS = 256
+
+
 @dataclass(frozen=True)
 class MiningConfig:
     z_near: int = 25
@@ -113,12 +118,18 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
         raise ValueError("ranking needs at least 2 clusters")
     unit = unit_rows(means, lambda c: f"mean of cluster {c}")
     dist = sq_distances(unit, unit)
-    np.fill_diagonal(dist, -np.inf)  # a cluster sorts last among its own farthest
-    # Copies, so the M x M argsort results are freed here rather than kept alive as bases.
-    farthest = np.argsort(-dist, axis=1, kind="stable")[:, :min(z_far, m - 1)].copy()
-    np.fill_diagonal(dist, np.inf)  # and last among its own nearest
-    return ClusterRanks(np.argsort(dist, axis=1, kind="stable")[:, :min(z_near, m - 1)].copy(),
-                        farthest)
+    nearest = np.empty((m, min(z_near, m - 1)), dtype=np.intp)
+    farthest = np.empty((m, min(z_far, m - 1)), dtype=np.intp)
+    # a row's stable argsort is independent of the other rows'
+    for start in range(0, m, RANK_BLOCK_ROWS):
+        block = dist[start:start + RANK_BLOCK_ROWS]
+        stop = start + block.shape[0]
+        own = np.arange(block.shape[0]), np.arange(start, stop)
+        block[own] = -np.inf  # a cluster sorts last among its own farthest
+        farthest[start:stop] = np.argsort(-block, axis=1, kind="stable")[:, :farthest.shape[1]]
+        block[own] = np.inf  # and last among its own nearest
+        nearest[start:stop] = np.argsort(block, axis=1, kind="stable")[:, :nearest.shape[1]]
+    return ClusterRanks(nearest, farthest)
 
 
 def _check_cover(labels: np.ndarray, cooc: CooccurrenceSet) -> None:

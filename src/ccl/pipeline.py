@@ -4,12 +4,13 @@
 `StageTimer`: `check_cluster_count` (right after loading, before any stage
 or output) -> `prepare_mining` (normalize, co-occurrence, FINCH level or
 k-means, video correction, cluster ranks) -> `train` -> embed ->
-`cluster_level` (Ward HAC at C) -> metrics, plus the baseline HAC on the
-normalized features. `eval_units` alone gives the evaluation units' ids and
-ground truth, which every score and labels CSV uses. `run_ablation` and the
-CLI subcommands call the same functions. Every stage's artifact lands in the
-output directory and the report echoes the fully resolved configuration for
-provenance.
+`level_points` -> `cluster_points` (Ward HAC at C) -> metrics, plus the
+baseline HAC on the normalized features. Each large array is released after
+its last reader, so a HAC holds no array a later stage does not read.
+`eval_units` alone gives the evaluation units' ids and ground truth, which
+every score and labels CSV uses. `run_ablation` and the CLI subcommands call
+the same functions. Every stage's artifact lands in the output directory and
+the report echoes the fully resolved configuration for provenance.
 """
 
 from __future__ import annotations
@@ -336,11 +337,16 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
     return normalized, hierarchy, stats, partial(mine_epoch, partition, ranks, cooc, mining_cfg)
 
 
-def cluster_level(fs: FeatureSet, num_clusters: int, level: str, timer: StageTimer):
-    """Ward HAC on the level's points: the rows, or one mean per track in
-    `eval_units` order."""
-    points = timer.run("aggregate", lambda: (
+def level_points(fs: FeatureSet, level: str, timer: StageTimer) -> np.ndarray:
+    """The level's points: the rows of ``fs`` themselves, or one new mean per
+    track in `eval_units` order. Every Ward HAC clusters
+    ``cluster_points(level_points(...))``."""
+    return timer.run("aggregate", lambda: (
         aggregate_tracks(fs).features if level == "track" else fs.features))
+
+
+def cluster_points(points: np.ndarray, num_clusters: int, timer: StageTimer):
+    """Ward HAC on a level's points."""
     return timer.run("hac", lambda: ward_hac(points, num_clusters))
 
 
@@ -390,20 +396,23 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     normalized, hierarchy, stats, mine = prepare_mining(cfg, fs, timer)
-    epoch0: list = []  # training's epoch-0 batches, written as the pair audit
+    del fs  # every later stage reads the normalized rows
 
     def factory(epoch):
         batches = mine(epoch)
         if epoch == 0 and out_dir is not None:
-            epoch0[:] = batches
+            write_pairs_csv(batches, out_dir / "pairs_epoch0.csv")  # the pair audit
         return batches
 
     epoch_losses: list[float] = []
     model = timer.run("train", lambda: train(normalized, factory, cfg.resolved_training(),
                                              loss_log=epoch_losses))
-    embedded = timer.run("embed", lambda: embed(model, normalized))
-
-    hac_result = cluster_level(embedded, num_clusters, cfg.eval_level, timer)
+    # The embeddings are freed once their points exist at track level, and
+    # once their HAC has run at frame level, where they are the points.
+    points = level_points(timer.run("embed", lambda: embed(model, normalized)),
+                          cfg.eval_level, timer)
+    hac_result = cluster_points(points, num_clusters, timer)
+    del points
 
     report: dict = {
         "config": cfg.to_dict(),
@@ -415,15 +424,18 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
         ccl_metrics = timer.run("evaluate", lambda: evaluate_clustering(hac_result.labels, gt))
         if baseline is None:
             # same units and ground truth as the refined clustering above
-            baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_level(
-                normalized, num_clusters, cfg.eval_level, StageTimer()).labels, gt).to_dict())
+            inner = StageTimer()
+            baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_points(
+                level_points(normalized, cfg.eval_level, inner), num_clusters, inner).labels,
+                gt).to_dict())
         report["ccl"] = ccl_metrics.to_dict()
         report["baseline"] = baseline
     report["timings"] = timer.timings
 
     if out_dir is not None:
         write_partition_csv(hierarchy, out_dir / "partitions.csv")
-        write_pairs_csv(epoch0 or factory(0), out_dir / "pairs_epoch0.csv")
+        if not cfg.training.epochs:  # training mined no epoch, so no audit yet
+            write_pairs_csv(mine(0), out_dir / "pairs_epoch0.csv")
         save_model(model, out_dir / "model.ccl")
         write_labels_csv(unit_ids, hac_result.labels, out_dir / "labels.csv",
                          ID_COLUMNS[cfg.eval_level])

@@ -33,6 +33,7 @@ mode (`forward`, with the running statistics), l2-normalized.
 
 Memory of a training run: a step gathers its R x D rows into a fresh
 array, which it centres in place; no array of a step has R x H elements.
+An epoch's pair batches are freed before the next epoch is mined.
 Adam holds the tensors the loss depends on, OPTIMIZED, in flat parameter,
 moment and gradient arrays; while training runs, the model's OPTIMIZED
 tensors are views of the flat parameters, updated in place, and the model
@@ -58,7 +59,7 @@ _HEADER = struct.Struct("<4sIQQQfBff")
 _TENSORS = (("enc_w", "DH"), ("enc_b", "H"), ("bn_gamma", "H"), ("bn_beta", "H"),
             ("bn_mean", "H"), ("bn_var", "H"), ("proj_w", "HO"), ("proj_b", "O"))
 
-EMBED_CHUNK_ROWS = 1024  # rows per eval-mode forward pass in `embed`
+EMBED_CHUNK_ROWS = 256  # rows per eval-mode forward pass in `embed`
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients
@@ -299,6 +300,22 @@ def _update_running_stats(model: SiameseModel, mu: np.ndarray, var: np.ndarray,
     model.bn_var += mom * (var * rows / (rows - 1))  # rows = 2 * pairs >= 2
 
 
+def _train_epoch(model: SiameseModel, features: np.ndarray, batches, optimizer: _Adam,
+                 lr: float, epoch: int) -> list[float]:
+    """One Adam step per pair batch of ``batches``; returns the batch losses."""
+    losses = []
+    for batch_index, batch in enumerate(batches):
+        index = np.concatenate([batch.a, batch.b])
+        loss, mu, var = _train_step(model, features[index], batch.a.size, batch.y,
+                                    optimizer.grads)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
+        optimizer.step(lr)
+        _update_running_stats(model, mu, var, index.size)
+        losses.append(loss)
+    return losses
+
+
 def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
           model: SiameseModel | None = None,
           loss_log: list | None = None) -> SiameseModel:
@@ -324,17 +341,8 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     try:
         for epoch in range(cfg.epochs):
             lr = cfg.lr / cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else cfg.lr
-            losses = []
-            for batch_index, batch in enumerate(mining_factory(epoch)):
-                index = np.concatenate([batch.a, batch.b])
-                loss, mu, var = _train_step(model, features[index], batch.a.size, batch.y,
-                                            optimizer.grads)
-                if not np.isfinite(loss):
-                    raise RuntimeError(
-                        f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
-                optimizer.step(lr)
-                _update_running_stats(model, mu, var, index.size)
-                losses.append(loss)
+            # the epoch's batches are freed when it returns, before the next epoch is mined
+            losses = _train_epoch(model, features, mining_factory(epoch), optimizer, lr, epoch)
             if loss_log is not None:
                 loss_log.append(float(np.mean(losses)) if losses else float("nan"))
     finally:

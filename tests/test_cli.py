@@ -329,14 +329,17 @@ def test_train_writes_the_model_run_writes(noisy_file, tmp_path, key, seed_flags
 
 
 def test_mine_writes_the_pair_audit_run_writes(noisy_file, tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("train.epochs = 1\ntrain.hidden_dim = 16\n")
-    main(["run", "--features", str(noisy_file), "--config", str(config), "--seed", "2",
-          "--out-dir", str(tmp_path / "run")])
-    main(["mine", "--features", str(noisy_file), "--seed", "2", "--out", str(tmp_path / "pairs.csv")])
-    audit = (tmp_path / "run" / "pairs_epoch0.csv").read_bytes()
-    assert (tmp_path / "pairs.csv").read_bytes() == audit
-    stats = json.loads((tmp_path / "run" / "report.json").read_text())["partition_stats"]
+    main(["mine", "--features", str(noisy_file), "--seed", "2", "--epoch", "0",
+          "--out", str(tmp_path / "pairs.csv")])
+    # written as training mines epoch 0, or at the end of a run that trains no epoch
+    for epochs in (1, 20, 0):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"train.epochs = {epochs}\ntrain.hidden_dim = 16\n")
+        main(["run", "--features", str(noisy_file), "--config", str(config), "--seed", "2",
+              "--out-dir", str(tmp_path / f"run{epochs}")])
+        audit = (tmp_path / f"run{epochs}" / "pairs_epoch0.csv").read_bytes()
+        assert (tmp_path / "pairs.csv").read_bytes() == audit, epochs
+    stats = json.loads((tmp_path / "run1" / "report.json").read_text())["partition_stats"]
     assert stats["mining_num_clusters"] > stats["selected_num_clusters"]  # rows were evicted
 
 

@@ -18,6 +18,7 @@ from ccl.data import (
     l2_normalize,
     load_features,
     load_features_csv,
+    sq_distances,
     unit_rows,
     write_features,
 )
@@ -381,3 +382,14 @@ def test_feature_set_validation():
     fs = make_fs([[1, 2]], label=[4])
     assert fs.num_classes == 5
     assert make_fs([[1, 2]]).num_classes == 0
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 5), (37, 19), (300, 300), (513, 40)])
+def test_sq_distances_in_place_blocks_match_one_expression_bitwise(rows, cols):
+    rng = np.random.default_rng(rows)
+    a, b = rng.normal(size=(rows, 7)), rng.normal(size=(cols, 7))
+    b[:2] = a[:2]  # clamped: a distance of a row to itself rounds to about 0
+    aa = np.einsum("ij,ij->i", a, a)[:, None]
+    bb = np.einsum("ij,ij->i", b, b)[None, :]
+    want = np.maximum(aa + bb - 2.0 * a @ b.T, 0.0)
+    assert sq_distances(a, b).tobytes() == want.tobytes()

@@ -353,7 +353,15 @@ def test_matrix_within_both_limits_passes_the_check(monkeypatch):
     (["5:cpu,memory:/jobs/a", "0::/jobs/b"], {V1_LIMIT: "300\n", "jobs/b/memory.max": "200\n"},
      (200, "jobs/b/memory.max")),
     (["1:cpu:/jobs/a", "no colons"], {"cpu/jobs/a/memory.limit_in_bytes": "5\n"}, None),
-], ids=["v1", "v1-unlimited", "v2", "v2-max", "missing", "smaller-of-both", "no-memory-controller"])
+    # a limit set only on an ancestor, up to the root, binds the process too
+    (["0::/jobs/b"], {"jobs/memory.max": "4096\n"}, (4096, "jobs/memory.max")),
+    (["4:memory:/jobs/a"], {V1_LIMIT: "9223372036854771712\n",
+                            "memory/memory.limit_in_bytes": "8192\n"},
+     (8192, "memory/memory.limit_in_bytes")),
+    (["0::/jobs/b/c"], {"jobs/b/c/memory.max": "100\n", "jobs/memory.max": "200\n"},
+     (100, "jobs/b/c/memory.max")),
+], ids=["v1", "v1-unlimited", "v2", "v2-max", "missing", "smaller-of-both", "no-memory-controller",
+        "v2-parent", "v1-root", "own-below-ancestor"])
 def test_cgroup_memory_limit_reads_the_process_cgroup_files(tmp_path, monkeypatch, lines, files, want):
     proc = tmp_path / "cgroup"
     proc.write_text("\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,24 @@ def test_chunked_final_labels_match_one_assignment():
     labels, centers = minibatch_kmeans(points, KMeansConfig(k=40, seed=0), return_centers=True)
     whole = relabel_contiguous(np.argmin(sq_distances(points, centers), axis=1))
     np.testing.assert_array_equal(labels, whole)
+
+
+def test_float32_points_are_converted_a_block_of_rows_at_a_time():
+    n, dim = 20000, 32
+    points = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
+    cfg = KMeansConfig(k=40, seed=0, max_iters=20)
+    want_labels, want_centers = minibatch_kmeans(points.astype(np.float64), cfg,
+                                                 return_centers=True)
+    tracemalloc.start()
+    try:
+        labels, centers = minibatch_kmeans(points, cfg, return_centers=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # float32 -> float64 is exact, so reading rows late changes nothing
+    assert labels.tobytes() == want_labels.tobytes()
+    assert centers.tobytes() == want_centers.tobytes()
+    assert peak < 8 * n * dim // 2  # a float64 copy of the points would be all of it
 
 
 def quantization_cost(points, centers) -> float:

@@ -12,6 +12,7 @@ from oracles import (
     pair_set,
 )
 
+from ccl import data, mining
 from ccl.data import CooccurrenceSet
 from ccl.finch import cluster_means
 from ccl.mining import (
@@ -51,17 +52,39 @@ def test_rank_clusters_collinear_middle():
     assert ranks.nearest[1].tolist() == [0]
 
 
-def test_rank_clusters_matches_sort_oracle():
+def test_rank_clusters_matches_sort_oracle(monkeypatch):
     rng = np.random.default_rng(13)
     means = rng.normal(size=(50, 6))
-    unit = means / np.linalg.norm(means, axis=1)[:, None]
-    ranks = rank_clusters(means, z_near=10, z_far=10)
-    for c in range(50):
-        dist = [(float(np.linalg.norm(unit[c] - unit[j])), j) for j in range(50) if j != c]
-        by_near = [j for _, j in sorted(dist, key=lambda t: (t[0], t[1]))]
-        by_far = [j for _, j in sorted(dist, key=lambda t: (-t[0], t[1]))]
-        assert ranks.nearest[c].tolist() == by_near[:10]
-        assert ranks.farthest[c].tolist() == by_far[:10]
+    duplicated = means.copy()
+    duplicated[[7, 20, 33, 48, 49]] = means[3]  # equal distances: the smaller index first
+    duplicated[[16, 17]] = means[40]
+    # 50 rows: one block, or three of 16 and one of 2
+    for rows in (mining.RANK_BLOCK_ROWS, 16):
+        monkeypatch.setattr(mining, "RANK_BLOCK_ROWS", rows)
+        monkeypatch.setattr(data, "DISTANCE_BLOCK_ROWS", rows)
+        for case in (means, duplicated):
+            unit = case / np.linalg.norm(case, axis=1)[:, None]
+            ranks = rank_clusters(case, z_near=10, z_far=10)
+            for c in range(50):
+                dist = [(float(np.linalg.norm(unit[c] - unit[j])), j) for j in range(50) if j != c]
+                by_near = [j for _, j in sorted(dist, key=lambda t: (t[0], t[1]))]
+                by_far = [j for _, j in sorted(dist, key=lambda t: (-t[0], t[1]))]
+                assert ranks.nearest[c].tolist() == by_near[:10]
+                assert ranks.farthest[c].tolist() == by_far[:10]
+
+
+def test_rank_clusters_sorts_a_block_of_rows_at_a_time():
+    m = 2000
+    means = np.random.default_rng(0).normal(size=(m, 16))
+    tracemalloc.start()
+    try:
+        rank_clusters(means, z_near=25, z_far=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the M x M distances and one block of sort temporaries; sorting all rows
+    # at once held three M x M arrays
+    assert peak < 1.5 * 8 * m * m
 
 
 @pytest.mark.parametrize("m, z", [(2, 25), (50, 10), (300, 25)])

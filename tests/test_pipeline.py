@@ -1,12 +1,14 @@
 import json
 import logging
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccl import hac, pipeline
+from ccl import hac, pipeline, siamese
+from ccl.data import write_features
 from ccl.hac import ward_hac, ward_matrix_bytes
 from ccl.mining import MiningConfig
 from ccl.pipeline import (
@@ -15,6 +17,7 @@ from ccl.pipeline import (
     PipelineConfig,
     PipelineError,
     config_from_values,
+    load_any_features,
     parse_config_file,
     read_labels_csv,
     read_partition_csv,
@@ -70,6 +73,51 @@ def test_pair_audit_is_epoch_zero_with_and_without_training(tmp_path, small_data
         audits.append((out / "pairs_epoch0.csv").read_bytes())
     assert audits[0] == audits[1]
     assert audits[0].count(b"\n") > 1
+
+
+def test_a_run_failing_in_training_leaves_the_pair_audit(tmp_path, small_dataset, monkeypatch):
+    run_pipeline(quick_config(out_dir=str(tmp_path / "run")), small_dataset)
+
+    def failing_step(*args):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(siamese, "_train_step", failing_step)
+    with pytest.raises(PipelineError, match="^stage 'train' failed: step failed$"):
+        run_pipeline(quick_config(out_dir=str(tmp_path / "failed")), small_dataset)
+    audit = (tmp_path / "failed" / "pairs_epoch0.csv").read_bytes()
+    assert audit == (tmp_path / "run" / "pairs_epoch0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("level", ["track", "frame"])
+def test_each_hac_runs_without_the_arrays_no_later_stage_reads(tmp_path, small_dataset,
+                                                               monkeypatch, level):
+    path = tmp_path / "features.cclf"
+    write_features(small_dataset, path)
+    refs = {}
+
+    def load(path):
+        fs = load_any_features(path)
+        refs["features"] = weakref.ref(fs.features)
+        return fs
+
+    def embed(model, fs):
+        embedded = siamese.embed(model, fs)
+        refs["embeddings"] = weakref.ref(embedded.features)
+        return embedded
+
+    alive = []
+
+    def ward(points, c):
+        alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+        return ward_hac(points, c)
+
+    monkeypatch.setattr(pipeline, "load_any_features", load)
+    monkeypatch.setattr(pipeline, "embed", embed)
+    monkeypatch.setattr(pipeline, "ward_hac", ward)
+    run_pipeline(quick_config(features=str(path), eval_level=level))
+    # the refined HAC, then the baseline HAC; at frame level the embeddings
+    # are the refined HAC's points
+    assert alive == [["embeddings"] if level == "frame" else [], []]
 
 
 def test_partition_stats_fields(small_dataset):

@@ -2,6 +2,7 @@ import copy
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -204,6 +205,24 @@ def test_training_reduces_loss_on_replayed_epoch():
     train(fs, constant_epoch_factory(batches), cfg, loss_log=losses)
     assert len(losses) == 20
     assert losses[-1] < losses[0]
+
+
+def test_train_frees_each_epochs_batches_before_mining_the_next():
+    fs, batches = synthetic_training_setup(seed=3)
+
+    class Epoch(list):  # a list that weakrefs can follow
+        pass
+
+    previous = [lambda: None] * 2  # weakrefs to the last epoch's list and its last batch
+
+    def factory(epoch):
+        assert [ref() for ref in previous] == [None, None], f"epoch {epoch - 1} still alive"
+        mined = Epoch(PairBatch(b.a.copy(), b.b.copy(), b.y.copy(), b.source.copy())
+                      for b in batches)
+        previous[:] = weakref.ref(mined), weakref.ref(mined[-1])
+        return mined
+
+    train(fs, factory, TrainConfig(epochs=3, lr=1e-3, hidden_dim=16))
 
 
 def test_train_deterministic():
