@@ -240,8 +240,10 @@ def _run_command(args) -> None:
     elif args.command == "cluster":
         fs = load_any_features(args.features)
         unit_ids, _ = check_cluster_count(fs, args.num_clusters, args.level)
+        normalized = l2_normalize(fs)
+        del fs  # the HAC reads only the normalized rows
         timer = StageTimer()
-        result = cluster_points(level_points(l2_normalize(fs), args.level, timer),
+        result = cluster_points(level_points(normalized, args.level, timer),
                                 args.num_clusters, timer)
         write_labels_csv(unit_ids, result.labels, args.out, ID_COLUMNS[args.level])
         print(f"wrote labels for {result.labels.size} units to {args.out}")

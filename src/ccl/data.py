@@ -19,9 +19,16 @@ Frame co-occurrence is one sorted, duplicate-free int64 array of pair codes
 ``i * n + j`` (i < j, n feature rows) in a ``CooccurrenceSet``.
 
 Row primitives shared by every stage: ``unit_rows`` (float64 rows over their
-norms), ``group_sums`` (per-group row sums: k-means folds), ``cluster_means``
-(l2-normalized mean of each group of rows: FINCH's clusters, cluster ranking,
-tracks) and ``sq_distances`` (squared distances).
+norms), ``group_sums`` (per-group row sums: k-means folds), ``GroupMeans``
+(l2-normalized mean of each group of rows, fed a block of rows at a time:
+``cluster_means`` for FINCH's clusters and cluster ranking, ``track_sums`` for
+tracks) and ``sq_distances`` (squared distances). Every per-group sum is one
+sequential scatter-add, ``np.add.at`` of float64 values into a flat m*D
+float64 buffer at ``label * D + column``, BLOCK_ROWS rows per call:
+each group adds its rows in row order, starting from 0.0, so rows fed in
+blocks sum to the same bits as rows fed at once. A track-level run adds each
+block of embeddings into per-track sums (T x H float64) and never holds the
+N x H embeddings.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ _HEADER = struct.Struct("<4sIQQ???")
 # Rows of an `sq_distances` result finished per step; bounds its float64
 # temporary to this many rows.
 DISTANCE_BLOCK_ROWS = 256
+
+# Rows per step of `unit_rows` and per np.add.at call of a group sum; bounds
+# their float64 and int64 temporaries to this many rows.
+BLOCK_ROWS = 256
 
 
 class FeatureFileError(ValueError):
@@ -234,34 +245,77 @@ def load_features_csv(path) -> FeatureSet:
     return FeatureSet(features, np.asarray(frame), np.asarray(track), np.asarray(label))
 
 
-def unit_rows(x, name=lambda r: f"row {r}") -> np.ndarray:
-    """Float64 rows over their norms; ValueError names a zero-norm row ``name(r)``."""
-    x = np.array(x, dtype=np.float64)  # a copy, divided in place
-    norms = np.linalg.norm(x, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm {name(int(zero[0]))}")
-    x /= norms[:, None]
+def unit_rows(x, name=lambda r: f"row {r}", *, in_place=False) -> np.ndarray:
+    """Float64 rows over their norms: a copy of ``x``, or with ``in_place`` the
+    float64 array ``x`` itself, divided BLOCK_ROWS rows at a time; ValueError
+    names the first zero-norm row ``name(r)``."""
+    x = x if in_place else np.array(x, dtype=np.float64)
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        block = x[start:start + BLOCK_ROWS]
+        norms = np.linalg.norm(block, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ValueError(f"zero-norm {name(start + int(zero[0]))}")
+        block /= norms[:, None]
     return x
+
+
+def _scatter_add(sums: np.ndarray, rows, labels: np.ndarray) -> None:
+    """Add each row, as float64, into ``sums[label]`` (an m x D C-contiguous
+    float64 array): np.add.at on the flat buffer at ``label * D + column``,
+    BLOCK_ROWS rows per call."""
+    flat = sums.reshape(-1)  # a view: np.add.at must write into sums itself
+    d = sums.shape[1]
+    columns = np.arange(d)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        np.add.at(flat, (labels[start:stop, None] * d + columns).reshape(-1),
+                  np.asarray(rows[start:stop], dtype=np.float64).reshape(-1))
 
 
 def group_sums(points, labels, m: int) -> np.ndarray:
     """Float64 sum of the rows labelled g, for each group g in [0, m); each
-    group accumulates its rows in row order, starting from 0.0. One column at
-    a time, so no float64 copy of ``points`` is made."""
-    labels = np.asarray(labels, dtype=np.int64)
-    return np.stack([np.bincount(labels, weights=column, minlength=m)
-                     for column in np.asarray(points).T], axis=1)
+    group accumulates its rows in row order, starting from 0.0."""
+    points = np.asarray(points)
+    sums = np.zeros((m, points.shape[1]))
+    _scatter_add(sums, points, np.asarray(labels, dtype=np.int64))
+    return sums
+
+
+class GroupMeans:
+    """The l2-normalized mean of each group of rows, fed consecutive blocks of
+    rows in row order with `add`, so the rows need never be held at once.
+    ``labels`` gives every row's group; groups must be contiguous from 0, and
+    ``name(g)`` names group g's mean in the zero-norm error."""
+
+    def __init__(self, labels, dim: int, name):
+        self.labels = np.asarray(labels, dtype=np.int64)
+        m = int(self.labels.max()) + 1
+        self.counts = np.bincount(self.labels, minlength=m)
+        if np.any(self.counts == 0):
+            raise ValueError(f"empty cluster {int(np.flatnonzero(self.counts == 0)[0])}")
+        self.sums = np.zeros((m, dim))
+        self.added = 0
+        self.name = name
+
+    def add(self, rows) -> "GroupMeans":
+        """Add the next block of rows into their groups' sums."""
+        start, self.added = self.added, self.added + len(rows)
+        _scatter_add(self.sums, rows, self.labels[start:self.added])
+        return self
+
+    def means(self) -> np.ndarray:
+        """The float64 means, once every row is added, made in the sums' array."""
+        if self.added != self.labels.size:
+            raise ValueError(f"{self.added} of {self.labels.size} rows added to the group sums")
+        self.sums /= self.counts[:, None]
+        return unit_rows(self.sums, self.name, in_place=True)
 
 
 def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.ndarray:
     """Per-cluster mean of rows, l2-normalized; labels must be contiguous."""
-    labels = np.asarray(labels, dtype=np.int64)
-    m = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=m)
-    if np.any(counts == 0):
-        raise ValueError(f"empty cluster {int(np.flatnonzero(counts == 0)[0])}")
-    return unit_rows(group_sums(points, labels, m) / counts[:, None], name)
+    points = np.asarray(points)
+    return GroupMeans(labels, points.shape[1], name).add(points).means()
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,13 +360,22 @@ def track_units(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, inverse, labels[first]
 
 
+def track_sums(fs: FeatureSet, dim: int | None = None) -> GroupMeans:
+    """Empty per-track sums of rows aligned with the rows of ``fs`` (``dim``
+    columns, ``fs.dim`` by default): its means come one per track in
+    `track_units` order, and a zero-norm one names its track id."""
+    ids, inverse, _ = track_units(fs)
+    return GroupMeans(inverse, fs.dim if dim is None else dim,
+                      lambda t: f"mean of track {ids[t]}")
+
+
 def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
     """One row per track, by ascending track_id: the l2-normalized mean of
     the track's rows, with its track_id and label and no frame ids; the
     tracks and their labels are those of track_units.
     """
-    ids, inverse, labels = track_units(fs)
-    means = cluster_means(fs.features, inverse, lambda t: f"mean of track {ids[t]}")
+    ids, _, labels = track_units(fs)
+    means = track_sums(fs).add(fs.features).means()
     return FeatureSet(means.astype(np.float32), track_id=ids, label=labels)
 
 

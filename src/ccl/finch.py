@@ -47,10 +47,13 @@ class PartitionHierarchy:
 def first_neighbors(points: np.ndarray) -> np.ndarray:
     """Index of each row's nearest other row under cosine distance.
 
-    Distances are evaluated in float64 on l2-normalized rows, one chunk of
-    rows at a time in one reused NEIGHBOR_CHUNK_ROWS x M block, so memory
-    stays O(NEIGHBOR_CHUNK_ROWS * M). Exact ties resolve to the smallest
-    index, which keeps chunked and serial results identical.
+    Distances are evaluated in float64 on l2-normalized rows, each pair once:
+    a chunk of NEIGHBOR_CHUNK_ROWS rows against itself and every later row,
+    in one reused block of at most NEIGHBOR_CHUNK_ROWS x M and a square copy
+    of NEIGHBOR_CHUNK_ROWS of its columns at a time. The block's row minima
+    serve its own rows and its column minima the later rows. Exact
+    ties resolve to the smallest index (a best distance is replaced only by a
+    strictly smaller one), which keeps chunked and serial results identical.
     """
     points = np.asarray(points)
     m = points.shape[0]
@@ -58,15 +61,34 @@ def first_neighbors(points: np.ndarray) -> np.ndarray:
         raise ValueError(f"first_neighbors needs at least 2 rows, got {m}")
     unit = unit_rows(points)
     kappa = np.empty(m, dtype=np.int64)
-    block = np.empty((min(NEIGHBOR_CHUNK_ROWS, m), m), dtype=np.float64)
+    best = np.full(m, np.inf)
+    buffer = np.empty(min(NEIGHBOR_CHUNK_ROWS, m) * m, dtype=np.float64)
     for start in range(0, m, NEIGHBOR_CHUNK_ROWS):
         stop = min(start + NEIGHBOR_CHUNK_ROWS, m)
-        dist = block[:stop - start]
-        np.matmul(unit[start:stop], unit.T, out=dist)
+        rows = np.arange(stop - start)
+        dist = buffer[:rows.size * (m - start)].reshape(rows.size, m - start)
+        np.matmul(unit[start:stop], unit[start:].T, out=dist)
         np.subtract(1.0, dist, out=dist)
-        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        kappa[start:stop] = np.argmin(dist, axis=1)
+        dist[rows, rows] = np.inf
+        # the chunk's rows: earlier rows reached them through the column minima
+        own = np.argmin(dist, axis=1)
+        _improve(kappa[start:stop], best[start:stop], dist[rows, own], own + start)
+        # later rows: argmin down each square strip of columns (a copy of the
+        # strip), which finds the smallest row at the minimum
+        later = dist[:, rows.size:]
+        first = np.empty(later.shape[1], dtype=np.intp)
+        for c in range(0, first.size, NEIGHBOR_CHUNK_ROWS):
+            first[c:c + NEIGHBOR_CHUNK_ROWS] = np.argmin(
+                later[:, c:c + NEIGHBOR_CHUNK_ROWS], axis=0)
+        _improve(kappa[stop:], best[stop:], later[first, np.arange(first.size)], first + start)
     return kappa
+
+
+def _improve(kappa, best, value, index) -> None:
+    """Where ``value`` beats ``best`` strictly, take it and its ``index``."""
+    better = value < best
+    kappa[better] = index[better]
+    best[better] = value[better]
 
 
 def finch_hierarchy(data) -> PartitionHierarchy:

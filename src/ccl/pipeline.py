@@ -3,10 +3,12 @@
 `run_pipeline` composes the chain once, timing each stage with a
 `StageTimer`: `check_cluster_count` (right after loading, before any stage
 or output) -> `prepare_mining` (normalize, co-occurrence, FINCH level or
-k-means, video correction, cluster ranks) -> `train` -> embed ->
-`level_points` -> `cluster_points` (Ward HAC at C) -> metrics, plus the
-baseline HAC on the normalized features. Each large array is released after
-its last reader, so a HAC holds no array a later stage does not read.
+k-means, video correction, cluster ranks) -> `train` -> `level_points`
+(embed, then track means at track level) -> `cluster_points` (Ward HAC at
+C) -> metrics, plus the baseline HAC on the normalized features. Each large
+array is released after its last reader, so a HAC holds no array a later
+stage does not read; at track level the frame embeddings are summed per
+track a chunk at a time and never held whole.
 `eval_units` alone gives the evaluation units' ids and ground truth, which
 every score and labels CSV uses. `run_ablation` and the CLI subcommands call
 the same functions. Every stage's artifact lands in the output directory and
@@ -27,12 +29,12 @@ import numpy as np
 from .data import (
     CooccurrenceSet,
     FeatureSet,
-    aggregate_tracks,
     build_cooccurrence,
     cluster_means,
     l2_normalize,
     load_features,
     load_features_csv,
+    track_sums,
     track_units,
 )
 from .finch import finch_hierarchy, partition_purity
@@ -40,7 +42,7 @@ from .hac import check_ward_memory, ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import evaluate_clustering
 from .mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters, write_pairs_csv
-from .siamese import TrainConfig, embed, save_model, train
+from .siamese import SiameseModel, TrainConfig, embed, embedded_chunks, save_model, train
 
 
 class PipelineError(RuntimeError):
@@ -337,12 +339,28 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
     return normalized, hierarchy, stats, partial(mine_epoch, partition, ranks, cooc, mining_cfg)
 
 
-def level_points(fs: FeatureSet, level: str, timer: StageTimer) -> np.ndarray:
-    """The level's points: the rows of ``fs`` themselves, or one new mean per
-    track in `eval_units` order. Every Ward HAC clusters
-    ``cluster_points(level_points(...))``."""
-    return timer.run("aggregate", lambda: (
-        aggregate_tracks(fs).features if level == "track" else fs.features))
+def _embedded_track_sums(model: SiameseModel, fs: FeatureSet):
+    tracks = track_sums(fs, model.dim_hidden)
+    for rows in embedded_chunks(model, fs):
+        tracks.add(rows)
+    return tracks
+
+
+def level_points(fs: FeatureSet, level: str, timer: StageTimer,
+                 model: SiameseModel | None = None) -> np.ndarray:
+    """The level's points: the rows of ``fs``, or with ``model`` their
+    embeddings (the "embed" stage), themselves or one new mean per track in
+    `eval_units` order (the "aggregate" stage). At track level the embeddings
+    are added into the per-track sums a chunk at a time and never held whole.
+    Every Ward HAC clusters ``cluster_points(level_points(...))``."""
+    if level == "frame":
+        rows = fs if model is None else timer.run("embed", lambda: embed(model, fs))
+        return timer.run("aggregate", lambda: rows.features)
+    if model is None:
+        return timer.run("aggregate", lambda: (
+            track_sums(fs).add(fs.features).means().astype(np.float32)))
+    tracks = timer.run("embed", lambda: _embedded_track_sums(model, fs))
+    return timer.run("aggregate", lambda: tracks.means().astype(np.float32))
 
 
 def cluster_points(points: np.ndarray, num_clusters: int, timer: StageTimer):
@@ -407,10 +425,9 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
     epoch_losses: list[float] = []
     model = timer.run("train", lambda: train(normalized, factory, cfg.resolved_training(),
                                              loss_log=epoch_losses))
-    # The embeddings are freed once their points exist at track level, and
-    # once their HAC has run at frame level, where they are the points.
-    points = level_points(timer.run("embed", lambda: embed(model, normalized)),
-                          cfg.eval_level, timer)
+    # At frame level the embeddings are the points, freed once their HAC has
+    # run; at track level they are never held whole.
+    points = level_points(normalized, cfg.eval_level, timer, model)
     hac_result = cluster_points(points, num_clusters, timer)
     del points
 

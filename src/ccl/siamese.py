@@ -29,7 +29,8 @@ orthogonal to a batch of fewer rows than features. `_train_projection` is
 the only train-mode forward.
 
 Embeddings for clustering are the batch-normalized hidden layer in eval
-mode (`forward`, with the running statistics), l2-normalized.
+mode (`forward`, with the running statistics), l2-normalized, computed
+EMBED_CHUNK_ROWS rows at a time by `embedded_chunks`.
 
 Memory of a training run: a step gathers its R x D rows into a fresh
 array, which it centres in place; no array of a step has R x H elements.
@@ -59,7 +60,7 @@ _HEADER = struct.Struct("<4sIQQQfBff")
 _TENSORS = (("enc_w", "DH"), ("enc_b", "H"), ("bn_gamma", "H"), ("bn_beta", "H"),
             ("bn_mean", "H"), ("bn_var", "H"), ("proj_w", "HO"), ("proj_b", "O"))
 
-EMBED_CHUNK_ROWS = 256  # rows per eval-mode forward pass in `embed`
+EMBED_CHUNK_ROWS = 256  # rows per eval-mode forward pass in `embedded_chunks`
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients
@@ -351,14 +352,22 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     return model
 
 
+def embedded_chunks(model: SiameseModel, fs: FeatureSet):
+    """Eval-mode hidden embeddings of the rows of ``fs``, l2-normalized, as
+    float32 blocks of EMBED_CHUNK_ROWS rows in row order; `embed` stacks them."""
+    for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
+        h = forward(model, fs.features[start:start + EMBED_CHUNK_ROWS])
+        yield unit_rows(h.astype(np.float32, copy=False),
+                        lambda r: f"embedding row {start + r}").astype(np.float32)
+
+
 def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     """Eval-mode hidden embeddings, l2-normalized, indices carried through."""
     out = np.empty((fs.num_samples, model.dim_hidden), dtype=np.float32)
-    for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
-        stop = min(start + EMBED_CHUNK_ROWS, fs.num_samples)
-        h = forward(model, fs.features[start:stop])
-        out[start:stop] = unit_rows(h.astype(np.float32, copy=False),
-                                    lambda r: f"embedding row {start + r}")
+    start = 0
+    for rows in embedded_chunks(model, fs):
+        out[start:start + len(rows)] = rows
+        start += len(rows)
     return fs.with_features(out)
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -92,6 +93,29 @@ def test_cluster_track_level(feature_file, tmp_path):
     main(["evaluate", "--pred", str(labels), "--gt", str(feature_file),
           "--out", str(report_path)])
     assert json.loads(report_path.read_text())["num_clusters"] == 3
+
+
+@pytest.mark.parametrize("level", ["track", "frame"])
+def test_cluster_runs_its_hac_without_the_loaded_features(feature_file, tmp_path,
+                                                          monkeypatch, level):
+    refs = []
+
+    def load(path):
+        fs = load_any_features(path)
+        refs.append(weakref.ref(fs.features))
+        return fs
+
+    alive = []
+
+    def ward(points, c):
+        alive.append(refs[0]() is not None)
+        return hac.ward_hac(points, c)
+
+    monkeypatch.setattr(cli, "load_any_features", load)
+    monkeypatch.setattr(pipeline, "ward_hac", ward)
+    main(["cluster", "--features", str(feature_file), "--num-clusters", "3",
+          "--level", level, "--out", str(tmp_path / "labels.csv")])
+    assert alive == [False]
 
 
 def test_run_subcommand(feature_file, tmp_path):

@@ -305,6 +305,23 @@ def test_group_sums_match_scatter_add_bitwise(data, rows, dim, extra_groups, dty
     assert sums.tobytes() == add_at_group_sums(points, labels, m).tobytes()
 
 
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_unit_rows_in_blocks_match_one_division_bitwise(monkeypatch, block):
+    monkeypatch.setattr("ccl.data.BLOCK_ROWS", block)
+    wide = np.random.default_rng(block).normal(size=(600, 9))
+    expected = wide / np.linalg.norm(wide, axis=1)[:, None]
+    assert unit_rows(wide).tobytes() == expected.tobytes()
+    narrow = wide.astype(np.float32)
+    as_f64 = narrow.astype(np.float64)
+    assert (unit_rows(narrow).tobytes()
+            == (as_f64 / np.linalg.norm(as_f64, axis=1)[:, None]).tobytes())
+    copy = wide.copy()
+    assert unit_rows(copy, in_place=True) is copy and copy.tobytes() == expected.tobytes()
+    wide[[300, 400]] = 0.0
+    with pytest.raises(ValueError, match="zero-norm row 300$"):
+        unit_rows(wide)
+
+
 def test_unit_rows_names_the_zero_row():
     rows = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]], dtype=np.float32)
     with pytest.raises(ValueError, match="zero-norm row 1$"):

@@ -60,6 +60,20 @@ def test_first_neighbors_chunked_matches_serial(monkeypatch):
         np.testing.assert_array_equal(first_neighbors(points), full)
 
 
+def test_first_neighbors_ties_across_blocks_go_to_the_smallest_index(monkeypatch):
+    rng = np.random.default_rng(8)
+    points = rng.normal(size=(101, 7))
+    # copies of one row in an early, a middle and the last block at every
+    # chunk size below 40; rows 5 and 60 are each other's only copy
+    points[[40, 77, 100]] = points[2]
+    points[60] = points[5]
+    want = brute_first_neighbors(points)
+    assert want[[2, 40, 77, 100, 5, 60]].tolist() == [40, 2, 2, 2, 60, 5]
+    for chunk in (1, 3, 17, 64, points.shape[0]):
+        monkeypatch.setattr(finch, "NEIGHBOR_CHUNK_ROWS", chunk)
+        np.testing.assert_array_equal(first_neighbors(points), want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_first_neighbors_permutation_equivariant(seed):

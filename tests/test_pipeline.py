@@ -1,14 +1,15 @@
 import json
 import logging
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ccl import hac, pipeline, siamese
-from ccl.data import write_features
+from ccl import data, hac, pipeline, siamese
+from ccl.data import FeatureSet, aggregate_tracks, write_features
 from ccl.hac import ward_hac, ward_matrix_bytes
 from ccl.mining import MiningConfig
 from ccl.pipeline import (
@@ -16,8 +17,10 @@ from ccl.pipeline import (
     ID_COLUMNS,
     PipelineConfig,
     PipelineError,
+    StageTimer,
     config_from_values,
     load_any_features,
+    level_points,
     parse_config_file,
     read_labels_csv,
     read_partition_csv,
@@ -26,7 +29,7 @@ from ccl.pipeline import (
     write_labels_csv,
     write_partition_csv,
 )
-from ccl.siamese import TrainConfig
+from ccl.siamese import TrainConfig, embed, init_model
 from ccl.synth import synth_generate
 
 
@@ -118,6 +121,62 @@ def test_each_hac_runs_without_the_arrays_no_later_stage_reads(tmp_path, small_d
     # the refined HAC, then the baseline HAC; at frame level the embeddings
     # are the refined HAC's points
     assert alive == [["embeddings"] if level == "frame" else [], []]
+
+
+def stream_setup(n=53, dim=8, hidden=24, seed=6):
+    """A float32 model with a non-trivial batch norm and rows whose track ids
+    are interleaved and unsorted; track 88's 20 consecutive rows cross chunk
+    boundaries at every chunk size below 20."""
+    rng = np.random.default_rng(seed)
+    model = init_model(dim, hidden, 4, seed=seed, dtype=np.float32)
+    model.bn_mean[:] = 0.25
+    track = np.concatenate([np.full(20, 88), rng.choice([41, 3, 17, 9, 26], n - 20)])
+    return model, FeatureSet(rng.normal(size=(n, dim)), track_id=track)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_track_points_stream_the_embeddings_bitwise(monkeypatch, chunk):
+    model, fs = stream_setup()
+    refined = aggregate_tracks(embed(model, fs)).features
+    baseline = aggregate_tracks(fs).features
+    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", chunk or fs.num_samples)
+    monkeypatch.setattr(data, "BLOCK_ROWS", chunk or fs.num_samples)
+    timer = StageTimer()
+    points = level_points(fs, "track", timer, model)
+    assert timer.timings.keys() == {"embed", "aggregate"}
+    assert points.dtype == np.float32 and points.tobytes() == refined.tobytes()
+    points = level_points(fs, "track", StageTimer())
+    assert points.dtype == np.float32 and points.tobytes() == baseline.tobytes()
+
+
+def test_track_points_name_a_zero_norm_embedding_row_and_track_mean(monkeypatch):
+    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", 16)
+    # zero biases and running mean: the embedding is linear in the row
+    model = init_model(4, 6, 2, seed=0, dtype=np.float32)
+    features = np.random.default_rng(1).normal(size=(40, 4))
+    track = np.arange(40) // 4
+    features[21] = 0.0  # embeds to the zero vector, in the second chunk
+    with pytest.raises(PipelineError, match="^stage 'embed' failed: zero-norm embedding row 21$"):
+        level_points(FeatureSet(features, track_id=track), "track", StageTimer(), model)
+    features[21] = 1.0
+    features[[29, 31]] = -features[[28, 30]]  # track 7's rows cancel in pairs
+    with pytest.raises(PipelineError,
+                       match="^stage 'aggregate' failed: zero-norm mean of track 7$"):
+        level_points(FeatureSet(features, track_id=track), "track", StageTimer(), model)
+
+
+def test_track_points_never_hold_the_embeddings():
+    n, hidden = 6000, 64
+    model, fs = stream_setup(n=n, hidden=hidden)
+    fs = FeatureSet(fs.features, track_id=np.arange(n) // 20)  # 300 tracks
+    tracemalloc.start()
+    try:
+        level_points(fs, "track", StageTimer(), model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # under one N x H float32 array: per-track sums and one chunk's temporaries
+    assert peak < 4 * n * hidden
 
 
 def test_partition_stats_fields(small_dataset):
