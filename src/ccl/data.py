@@ -19,16 +19,17 @@ Frame co-occurrence is one sorted, duplicate-free int64 array of pair codes
 ``i * n + j`` (i < j, n feature rows) in a ``CooccurrenceSet``.
 
 Row primitives shared by every stage: ``unit_rows`` (float64 rows over their
-norms), ``group_sums`` (per-group row sums: k-means folds), ``GroupMeans``
-(l2-normalized mean of each group of rows, fed a block of rows at a time:
-``cluster_means`` for FINCH's clusters and cluster ranking, ``track_sums`` for
-tracks) and ``sq_distances`` (squared distances). Every per-group sum is one
-sequential scatter-add, ``np.add.at`` of float64 values into a flat m*D
-float64 buffer at ``label * D + column``, BLOCK_ROWS rows per call:
-each group adds its rows in row order, starting from 0.0, so rows fed in
-blocks sum to the same bits as rows fed at once. A track-level run adds each
-block of embeddings into per-track sums (T x H float64) and never holds the
-N x H embeddings.
+norms), ``sq_norms`` (float64 squared row norms), ``group_sums`` (per-group
+row sums: k-means folds), ``GroupMeans`` (l2-normalized mean of each group of
+rows, fed a block of rows at a time: ``cluster_means`` for FINCH's clusters
+and cluster ranking, ``track_sums`` for tracks) and ``sq_distances`` (squared
+distances). Each of them, cluster ranking, embedding and k-means' labels loop
+over the `row_blocks` of BLOCK_ROWS rows, read at call time. Every per-group
+sum is one sequential scatter-add, ``np.add.at`` of float64 values into a
+flat m*D float64 buffer at ``label * D + column``: each group adds its rows
+in row order, starting from 0.0, so rows fed in blocks sum to the same bits
+as rows fed at once. A track-level run adds each block of embeddings into
+per-track sums (T x H float64) and never holds the N x H embeddings.
 """
 
 from __future__ import annotations
@@ -45,12 +46,8 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sIQQ???")
 
-# Rows of an `sq_distances` result finished per step; bounds its float64
-# temporary to this many rows.
-DISTANCE_BLOCK_ROWS = 256
-
-# Rows per step of `unit_rows` and per np.add.at call of a group sum; bounds
-# their float64 and int64 temporaries to this many rows.
+# Rows per step of every blocked row loop; bounds each loop's temporaries
+# (float64 rows, int64 indices, distance or sort blocks) to this many rows.
 BLOCK_ROWS = 256
 
 
@@ -245,13 +242,25 @@ def load_features_csv(path) -> FeatureSet:
     return FeatureSet(features, np.asarray(frame), np.asarray(track), np.asarray(label))
 
 
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of BLOCK_ROWS consecutive rows of n rows."""
+    return [(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+
+
+def sq_norms(points) -> np.ndarray:
+    """Squared row norms in float64, converting a block of rows at a time."""
+    blocks = (np.asarray(points[start:stop], dtype=np.float64)
+              for start, stop in row_blocks(points.shape[0]))
+    return np.concatenate([np.einsum("ij,ij->i", rows, rows) for rows in blocks])
+
+
 def unit_rows(x, name=lambda r: f"row {r}", *, in_place=False) -> np.ndarray:
     """Float64 rows over their norms: a copy of ``x``, or with ``in_place`` the
-    float64 array ``x`` itself, divided BLOCK_ROWS rows at a time; ValueError
+    float64 array ``x`` itself, divided a block of rows at a time; ValueError
     names the first zero-norm row ``name(r)``."""
     x = x if in_place else np.array(x, dtype=np.float64)
-    for start in range(0, x.shape[0], BLOCK_ROWS):
-        block = x[start:start + BLOCK_ROWS]
+    for start, stop in row_blocks(x.shape[0]):
+        block = x[start:stop]
         norms = np.linalg.norm(block, axis=1)
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
@@ -263,12 +272,11 @@ def unit_rows(x, name=lambda r: f"row {r}", *, in_place=False) -> np.ndarray:
 def _scatter_add(sums: np.ndarray, rows, labels: np.ndarray) -> None:
     """Add each row, as float64, into ``sums[label]`` (an m x D C-contiguous
     float64 array): np.add.at on the flat buffer at ``label * D + column``,
-    BLOCK_ROWS rows per call."""
+    one block of rows per call."""
     flat = sums.reshape(-1)  # a view: np.add.at must write into sums itself
     d = sums.shape[1]
     columns = np.arange(d)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
+    for start, stop in row_blocks(len(rows)):
         np.add.at(flat, (labels[start:stop, None] * d + columns).reshape(-1),
                   np.asarray(rows[start:stop], dtype=np.float64).reshape(-1))
 
@@ -321,14 +329,14 @@ def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.n
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from each row of ``a`` to each row of ``b``,
     max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), finished in place in the product's
-    array: besides it, one DISTANCE_BLOCK_ROWS x len(b) block is held."""
-    aa = np.einsum("ij,ij->i", a, a)[:, None]
-    bb = np.einsum("ij,ij->i", b, b)[None, :]
+    array: besides it, one block of rows x len(b) is held."""
+    aa = sq_norms(a)[:, None]
+    bb = sq_norms(b)[None, :]
     # (2.0 * a) @ b.T stays a general GEMM when a is b; a @ a.T rounds differently
     d = 2.0 * a @ b.T
-    for start in range(0, d.shape[0], DISTANCE_BLOCK_ROWS):
-        rows = d[start:start + DISTANCE_BLOCK_ROWS]
-        np.subtract(aa[start:start + DISTANCE_BLOCK_ROWS] + bb, rows, out=rows)
+    for start, stop in row_blocks(d.shape[0]):
+        rows = d[start:stop]
+        np.subtract(aa[start:stop] + bb, rows, out=rows)
     return np.maximum(d, 0.0, out=d)
 
 
@@ -360,13 +368,12 @@ def track_units(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, inverse, labels[first]
 
 
-def track_sums(fs: FeatureSet, dim: int | None = None) -> GroupMeans:
-    """Empty per-track sums of rows aligned with the rows of ``fs`` (``dim``
-    columns, ``fs.dim`` by default): its means come one per track in
+def track_sums(units, dim: int) -> GroupMeans:
+    """Empty per-track sums of ``dim`` columns over the rows that ``units``,
+    a `track_units` result, maps to tracks: its means come one per track in
     `track_units` order, and a zero-norm one names its track id."""
-    ids, inverse, _ = track_units(fs)
-    return GroupMeans(inverse, fs.dim if dim is None else dim,
-                      lambda t: f"mean of track {ids[t]}")
+    ids, inverse, _ = units
+    return GroupMeans(inverse, dim, lambda t: f"mean of track {ids[t]}")
 
 
 def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
@@ -374,9 +381,9 @@ def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
     the track's rows, with its track_id and label and no frame ids; the
     tracks and their labels are those of track_units.
     """
-    ids, _, labels = track_units(fs)
-    means = track_sums(fs).add(fs.features).means()
-    return FeatureSet(means.astype(np.float32), track_id=ids, label=labels)
+    units = track_units(fs)
+    means = track_sums(units, fs.dim).add(fs.features).means()
+    return FeatureSet(means.astype(np.float32), track_id=units[0], label=units[2])
 
 
 def build_cooccurrence(fs: FeatureSet) -> CooccurrenceSet:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import sq_norms
 from .labeling import link_components
 
 
@@ -143,13 +144,6 @@ def check_ward_memory(n: int, units: str = "points") -> None:
     if need > have:
         raise ValueError(f"Ward HAC over {n} {units} needs a {need}-byte distance matrix, "
                          f"more than the {have}{which}")
-
-
-def _sq_norms(points: np.ndarray) -> np.ndarray:
-    """Squared row norms in float64, from _TILE_ROWS converted rows at a time."""
-    blocks = (np.asarray(points[a:a + _TILE_ROWS], dtype=np.float64)
-              for a in range(0, points.shape[0], _TILE_ROWS))
-    return np.concatenate([np.einsum("ij,ij->i", rows, rows) for rows in blocks])
 
 
 def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -380,7 +374,7 @@ def ward_hac(points: np.ndarray, c: int) -> HacResult:
     # below 2 N^2 max||x||^2, so under this bound the float32 loop meets no
     # overflow (a dead slot may reach +inf, which its penalty hides anyway).
     # NaN and inf fail the comparison too.
-    sq = _sq_norms(points)
+    sq = sq_norms(points)
     limit = np.finfo(np.float32).max / (2.0 * n * n)
     bad = np.flatnonzero(~(sq <= limit))
     if bad.size:

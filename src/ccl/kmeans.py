@@ -12,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import group_sums, sq_distances
+from .data import group_sums, row_blocks, sq_distances
 from .labeling import relabel_contiguous
 
 log = logging.getLogger(__name__)
-
-# Rows assigned per step when the final labels are computed; bounds the
-# rows x k distance block.
-LABEL_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -57,16 +53,13 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
-                     return_centers: bool = False):
-    """Cluster rows into (at most) cfg.k groups; returns contiguous labels.
+def kmeans_centers(points: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
+    """The cfg.k float64 centers after cfg.max_iters minibatch steps.
 
     Each iteration draws one minibatch, assigns its points against the
     current centers, then folds them into the per-center streaming means.
-    Centers left without any assigned point at the end are dropped and the
-    labels relabeled contiguously, so k may effectively shrink.
     """
-    points = np.asarray(points)  # read in float64 a batch or chunk of rows at a time
+    points = np.asarray(points)  # read in float64 a batch of rows at a time
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
     cfg.validate()
@@ -91,16 +84,24 @@ def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig,
         centers[hit] = ((counts[hit, None] * centers[hit] + group_sums(batch, assign, cfg.k)[hit])
                         / new_counts[hit, None])
         counts = new_counts
+    return centers
 
-    labels = np.empty(n, dtype=np.intp)
-    for start in range(0, n, LABEL_CHUNK_ROWS):
-        chunk = np.asarray(points[start:start + LABEL_CHUNK_ROWS], dtype=np.float64)
-        labels[start:start + chunk.shape[0]] = np.argmin(sq_distances(chunk, centers), axis=1)
+
+def minibatch_kmeans(points: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
+    """Cluster rows into (at most) cfg.k groups; returns contiguous labels.
+
+    Every row goes to its nearest `kmeans_centers` center, a block of rows
+    at a time. Centers left without any assigned point are dropped and the
+    labels relabeled contiguously, so k may effectively shrink.
+    """
+    points = np.asarray(points)
+    centers = kmeans_centers(points, cfg)
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    for start, stop in row_blocks(points.shape[0]):
+        chunk = np.asarray(points[start:stop], dtype=np.float64)
+        labels[start:stop] = np.argmin(sq_distances(chunk, centers), axis=1)
     used = np.unique(labels)
     if used.size < cfg.k:
         log.warning("minibatch_kmeans: %d of %d clusters ended up empty; relabeling",
                     cfg.k - used.size, cfg.k)
-    labels = relabel_contiguous(labels)
-    if return_centers:
-        return labels, centers
-    return labels
+    return relabel_contiguous(labels)

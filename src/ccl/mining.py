@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CooccurrenceSet, sq_distances, unit_rows
+from .data import CooccurrenceSet, row_blocks, sq_distances, unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -39,11 +39,6 @@ NEG_VIDEO = "NVid"
 
 _SOURCE_NAMES = np.array([POS_CLUSTER, POS_NEAR, NEG_CLUSTER, NEG_VIDEO], dtype="U9")
 _POS_CLUSTER, _POS_NEAR, _NEG_CLUSTER, _NEG_VIDEO = range(4)
-
-
-# Rows of the cluster distance matrix `rank_clusters` sorts per step; bounds
-# its sort temporaries to this many rows of M.
-RANK_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -121,9 +116,8 @@ def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> Clust
     nearest = np.empty((m, min(z_near, m - 1)), dtype=np.intp)
     farthest = np.empty((m, min(z_far, m - 1)), dtype=np.intp)
     # a row's stable argsort is independent of the other rows'
-    for start in range(0, m, RANK_BLOCK_ROWS):
-        block = dist[start:start + RANK_BLOCK_ROWS]
-        stop = start + block.shape[0]
+    for start, stop in row_blocks(m):
+        block = dist[start:stop]
         own = np.arange(block.shape[0]), np.arange(start, stop)
         block[own] = -np.inf  # a cluster sorts last among its own farthest
         farthest[start:stop] = np.argsort(-block, axis=1, kind="stable")[:, :farthest.shape[1]]

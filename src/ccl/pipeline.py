@@ -3,12 +3,13 @@
 `run_pipeline` composes the chain once, timing each stage with a
 `StageTimer`: `check_cluster_count` (right after loading, before any stage
 or output) -> `prepare_mining` (normalize, co-occurrence, FINCH level or
-k-means, video correction, cluster ranks) -> `train` -> `level_points`
-(embed, then track means at track level) -> `cluster_points` (Ward HAC at
-C) -> metrics, plus the baseline HAC on the normalized features. Each large
-array is released after its last reader, so a HAC holds no array a later
-stage does not read; at track level the frame embeddings are summed per
-track a chunk at a time and never held whole.
+k-means, video correction, cluster ranks) -> `train` -> the baseline HAC on
+the normalized features -> `level_points` (embed, then track means at track
+level) -> `cluster_points` (Ward HAC at C) -> metrics. Each large array is
+released after its last reader, so each HAC holds only its own points: the
+normalized rows are dropped once embedded, before the refined HAC; at track
+level the frame embeddings are summed per track a block at a time and never
+held whole.
 `eval_units` alone gives the evaluation units' ids and ground truth, which
 every score and labels CSV uses. `run_ablation` and the CLI subcommands call
 the same functions. Every stage's artifact lands in the output directory and
@@ -29,6 +30,7 @@ import numpy as np
 from .data import (
     CooccurrenceSet,
     FeatureSet,
+    aggregate_tracks,
     build_cooccurrence,
     cluster_means,
     l2_normalize,
@@ -340,7 +342,7 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
 
 
 def _embedded_track_sums(model: SiameseModel, fs: FeatureSet):
-    tracks = track_sums(fs, model.dim_hidden)
+    tracks = track_sums(track_units(fs), model.dim_hidden)
     for rows in embedded_chunks(model, fs):
         tracks.add(rows)
     return tracks
@@ -357,8 +359,7 @@ def level_points(fs: FeatureSet, level: str, timer: StageTimer,
         rows = fs if model is None else timer.run("embed", lambda: embed(model, fs))
         return timer.run("aggregate", lambda: rows.features)
     if model is None:
-        return timer.run("aggregate", lambda: (
-            track_sums(fs).add(fs.features).means().astype(np.float32)))
+        return timer.run("aggregate", lambda: aggregate_tracks(fs).features)
     tracks = timer.run("embed", lambda: _embedded_track_sums(model, fs))
     return timer.run("aggregate", lambda: tracks.means().astype(np.float32))
 
@@ -425,9 +426,16 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
     epoch_losses: list[float] = []
     model = timer.run("train", lambda: train(normalized, factory, cfg.resolved_training(),
                                              loss_log=epoch_losses))
+    if gt is not None and baseline is None:
+        # same units and ground truth as the refined clustering below
+        inner = StageTimer()
+        baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_points(
+            level_points(normalized, cfg.eval_level, inner), num_clusters, inner).labels,
+            gt).to_dict())
     # At frame level the embeddings are the points, freed once their HAC has
     # run; at track level they are never held whole.
     points = level_points(normalized, cfg.eval_level, timer, model)
+    del normalized  # the refined HAC holds only its points
     hac_result = cluster_points(points, num_clusters, timer)
     del points
 
@@ -438,14 +446,8 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
         "num_clusters": num_clusters,
     }
     if gt is not None:
-        ccl_metrics = timer.run("evaluate", lambda: evaluate_clustering(hac_result.labels, gt))
-        if baseline is None:
-            # same units and ground truth as the refined clustering above
-            inner = StageTimer()
-            baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_points(
-                level_points(normalized, cfg.eval_level, inner), num_clusters, inner).labels,
-                gt).to_dict())
-        report["ccl"] = ccl_metrics.to_dict()
+        report["ccl"] = timer.run("evaluate", lambda: evaluate_clustering(
+            hac_result.labels, gt)).to_dict()
         report["baseline"] = baseline
     report["timings"] = timer.timings
 

@@ -30,7 +30,7 @@ the only train-mode forward.
 
 Embeddings for clustering are the batch-normalized hidden layer in eval
 mode (`forward`, with the running statistics), l2-normalized, computed
-EMBED_CHUNK_ROWS rows at a time by `embedded_chunks`.
+one `data.row_blocks` block of rows at a time by `embedded_chunks`.
 
 Memory of a training run: a step gathers its R x D rows into a fresh
 array, which it centres in place; no array of a step has R x H elements.
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSet, unit_rows
+from .data import FeatureSet, row_blocks, unit_rows
 
 CHECKPOINT_MAGIC = b"CCLM"
 CHECKPOINT_VERSION = 1
@@ -59,8 +59,6 @@ _HEADER = struct.Struct("<4sIQQQfBff")
 # the f32 tensors after the header, in file order, each shape in the header's D, H, O
 _TENSORS = (("enc_w", "DH"), ("enc_b", "H"), ("bn_gamma", "H"), ("bn_beta", "H"),
             ("bn_mean", "H"), ("bn_var", "H"), ("proj_w", "HO"), ("proj_b", "O"))
-
-EMBED_CHUNK_ROWS = 256  # rows per eval-mode forward pass in `embedded_chunks`
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients
@@ -335,7 +333,7 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     if model.dim_in != fs.dim:
         raise ValueError(f"model expects dim {model.dim_in}, features have {fs.dim}")
 
-    features = fs.features.astype(model.dtype)
+    features = fs.features.astype(model.dtype, copy=False)
     optimizer = _Adam(cfg, model)
     model.bn_mean = model.bn_mean.astype(model.dtype)
     model.bn_var = model.bn_var.astype(model.dtype)
@@ -354,9 +352,9 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
 
 def embedded_chunks(model: SiameseModel, fs: FeatureSet):
     """Eval-mode hidden embeddings of the rows of ``fs``, l2-normalized, as
-    float32 blocks of EMBED_CHUNK_ROWS rows in row order; `embed` stacks them."""
-    for start in range(0, fs.num_samples, EMBED_CHUNK_ROWS):
-        h = forward(model, fs.features[start:start + EMBED_CHUNK_ROWS])
+    float32 blocks of `row_blocks` rows in row order; `embed` stacks them."""
+    for start, stop in row_blocks(fs.num_samples):
+        h = forward(model, fs.features[start:stop])
         yield unit_rows(h.astype(np.float32, copy=False),
                         lambda r: f"embedding row {start + r}").astype(np.float32)
 

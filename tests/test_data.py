@@ -19,6 +19,7 @@ from ccl.data import (
     load_features,
     load_features_csv,
     sq_distances,
+    sq_norms,
     unit_rows,
     write_features,
 )
@@ -402,11 +403,14 @@ def test_feature_set_validation():
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 5), (37, 19), (300, 300), (513, 40)])
-def test_sq_distances_in_place_blocks_match_one_expression_bitwise(rows, cols):
+def test_sq_distances_in_place_blocks_match_one_expression_bitwise(monkeypatch, rows, cols):
     rng = np.random.default_rng(rows)
     a, b = rng.normal(size=(rows, 7)), rng.normal(size=(cols, 7))
     b[:2] = a[:2]  # clamped: a distance of a row to itself rounds to about 0
     aa = np.einsum("ij,ij->i", a, a)[:, None]
     bb = np.einsum("ij,ij->i", b, b)[None, :]
     want = np.maximum(aa + bb - 2.0 * a @ b.T, 0.0)
-    assert sq_distances(a, b).tobytes() == want.tobytes()
+    for block in (1, 7, 256):  # the norms and the finishing step, in blocks
+        monkeypatch.setattr("ccl.data.BLOCK_ROWS", block)
+        assert sq_norms(a).tobytes() == aa[:, 0].tobytes()
+        assert sq_distances(a, b).tobytes() == want.tobytes()

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import hac
-from ccl.hac import _half_sq_distances, _nn_chain_merges, _sq_norms, ward_hac, ward_matrix_bytes
+from ccl.data import sq_norms
+from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac, ward_matrix_bytes
 from ccl.labeling import relabel_contiguous
 
 from oracles import (
@@ -178,7 +179,7 @@ def test_float32_rows_build_the_matrix_of_their_float64_copy_bitwise(n, d):
     # Tiles are 256 x 512 and read their rows in the caller's dtype, so n
     # crosses tile and row-group edges and d the float64 GEMM's depth blocks.
     rows = np.random.default_rng(n * d).normal(size=(n, d)).astype(np.float32)
-    sq = _sq_norms(rows)
+    sq = sq_norms(rows)
     wide = rows.astype(np.float64)
     assert sq.tobytes() == np.einsum("ij,ij->i", wide, wide).tobytes()
     assert square(_half_sq_distances(rows, sq), n).tobytes() == square(half_distances(wide), n).tobytes()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl.data import sq_distances
-from ccl.kmeans import LABEL_CHUNK_ROWS, KMeansConfig, minibatch_kmeans
+from ccl.data import BLOCK_ROWS, sq_distances
+from ccl.kmeans import KMeansConfig, kmeans_centers, minibatch_kmeans
 from ccl.labeling import relabel_contiguous
 from ccl.metrics import wcp
 
@@ -62,29 +62,31 @@ def test_empty_clusters_relabeled_contiguously():
     assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
 
 
-def test_chunked_final_labels_match_one_assignment():
-    n = 2 * LABEL_CHUNK_ROWS + 37  # two whole chunks and a partial one
+def test_chunked_final_labels_match_one_assignment(monkeypatch):
+    n = 2 * BLOCK_ROWS + 37  # two whole chunks and a partial one
     points = np.random.default_rng(5).normal(size=(n, 16))
-    labels, centers = minibatch_kmeans(points, KMeansConfig(k=40, seed=0), return_centers=True)
-    whole = relabel_contiguous(np.argmin(sq_distances(points, centers), axis=1))
-    np.testing.assert_array_equal(labels, whole)
+    cfg = KMeansConfig(k=40, seed=0)
+    whole = relabel_contiguous(np.argmin(sq_distances(points, kmeans_centers(points, cfg)), axis=1))
+    for block in (1, 7, BLOCK_ROWS, n):
+        monkeypatch.setattr("ccl.data.BLOCK_ROWS", block)
+        assert minibatch_kmeans(points, cfg).tobytes() == whole.tobytes()
 
 
 def test_float32_points_are_converted_a_block_of_rows_at_a_time():
     n, dim = 20000, 32
     points = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
     cfg = KMeansConfig(k=40, seed=0, max_iters=20)
-    want_labels, want_centers = minibatch_kmeans(points.astype(np.float64), cfg,
-                                                 return_centers=True)
+    want_labels = minibatch_kmeans(points.astype(np.float64), cfg)
+    want_centers = kmeans_centers(points.astype(np.float64), cfg)
     tracemalloc.start()
     try:
-        labels, centers = minibatch_kmeans(points, cfg, return_centers=True)
+        labels = minibatch_kmeans(points, cfg)  # fits its centers as kmeans_centers does
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # float32 -> float64 is exact, so reading rows late changes nothing
     assert labels.tobytes() == want_labels.tobytes()
-    assert centers.tobytes() == want_centers.tobytes()
+    assert kmeans_centers(points, cfg).tobytes() == want_centers.tobytes()
     assert peak < 8 * n * dim // 2  # a float64 copy of the points would be all of it
 
 
@@ -99,7 +101,7 @@ def test_cost_non_increasing_on_final_checkpoints():
     costs = []
     for iters in (70, 80, 90, 100):
         cfg = KMeansConfig(k=6, batch_size=64, max_iters=iters, seed=21)
-        _, centers = minibatch_kmeans(points, cfg, return_centers=True)
+        centers = kmeans_centers(points, cfg)
         costs.append(quantization_cost(points, centers))
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -113,7 +115,7 @@ def test_minibatch_fold_matches_the_per_cluster_loop_bitwise(n, dim, data, seed)
     cfg = KMeansConfig(k=k, batch_size=data.draw(st.integers(1, n)),
                        max_iters=data.draw(st.integers(0, 12)), seed=seed)
     points = np.random.default_rng(seed).normal(size=(n, dim))
-    labels, centers = minibatch_kmeans(points, cfg, return_centers=True)
+    labels, centers = minibatch_kmeans(points, cfg), kmeans_centers(points, cfg)
     expected_labels, expected_centers = loop_minibatch_kmeans(points, cfg)
     np.testing.assert_array_equal(labels, expected_labels)
     assert centers.tobytes() == expected_centers.tobytes()

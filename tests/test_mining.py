@@ -59,9 +59,8 @@ def test_rank_clusters_matches_sort_oracle(monkeypatch):
     duplicated[[7, 20, 33, 48, 49]] = means[3]  # equal distances: the smaller index first
     duplicated[[16, 17]] = means[40]
     # 50 rows: one block, or three of 16 and one of 2
-    for rows in (mining.RANK_BLOCK_ROWS, 16):
-        monkeypatch.setattr(mining, "RANK_BLOCK_ROWS", rows)
-        monkeypatch.setattr(data, "DISTANCE_BLOCK_ROWS", rows)
+    for rows in (data.BLOCK_ROWS, 16):
+        monkeypatch.setattr(data, "BLOCK_ROWS", rows)
         for case in (means, duplicated):
             unit = case / np.linalg.norm(case, axis=1)[:, None]
             ranks = rank_clusters(case, z_near=10, z_far=10)

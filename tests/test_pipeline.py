@@ -103,6 +103,11 @@ def test_each_hac_runs_without_the_arrays_no_later_stage_reads(tmp_path, small_d
         refs["features"] = weakref.ref(fs.features)
         return fs
 
+    def normalize(fs):
+        normalized = data.l2_normalize(fs)
+        refs["normalized"] = weakref.ref(normalized.features)
+        return normalized
+
     def embed(model, fs):
         embedded = siamese.embed(model, fs)
         refs["embeddings"] = weakref.ref(embedded.features)
@@ -115,12 +120,13 @@ def test_each_hac_runs_without_the_arrays_no_later_stage_reads(tmp_path, small_d
         return ward_hac(points, c)
 
     monkeypatch.setattr(pipeline, "load_any_features", load)
+    monkeypatch.setattr(pipeline, "l2_normalize", normalize)
     monkeypatch.setattr(pipeline, "embed", embed)
     monkeypatch.setattr(pipeline, "ward_hac", ward)
     run_pipeline(quick_config(features=str(path), eval_level=level))
-    # the refined HAC, then the baseline HAC; at frame level the embeddings
-    # are the refined HAC's points
-    assert alive == [["embeddings"] if level == "frame" else [], []]
+    # the baseline HAC, then the refined HAC; the normalized rows are dead by
+    # the refined HAC, whose points at frame level are the embeddings
+    assert alive == [["normalized"], ["embeddings"] if level == "frame" else []]
 
 
 def stream_setup(n=53, dim=8, hidden=24, seed=6):
@@ -139,7 +145,6 @@ def test_track_points_stream_the_embeddings_bitwise(monkeypatch, chunk):
     model, fs = stream_setup()
     refined = aggregate_tracks(embed(model, fs)).features
     baseline = aggregate_tracks(fs).features
-    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", chunk or fs.num_samples)
     monkeypatch.setattr(data, "BLOCK_ROWS", chunk or fs.num_samples)
     timer = StageTimer()
     points = level_points(fs, "track", timer, model)
@@ -150,7 +155,7 @@ def test_track_points_stream_the_embeddings_bitwise(monkeypatch, chunk):
 
 
 def test_track_points_name_a_zero_norm_embedding_row_and_track_mean(monkeypatch):
-    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", 16)
+    monkeypatch.setattr(data, "BLOCK_ROWS", 16)
     # zero biases and running mean: the embedding is linear in the row
     model = init_model(4, 6, 2, seed=0, dtype=np.float32)
     features = np.random.default_rng(1).normal(size=(40, 4))

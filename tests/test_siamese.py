@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import siamese
+from ccl import data, siamese
 from ccl.data import FeatureSet, unit_rows
 from ccl.mining import PairBatch
 from ccl.siamese import (
@@ -465,7 +465,7 @@ def test_embed_properties():
 
 
 def test_embed_in_chunks_matches_one_forward_pass():
-    n = 2 * siamese.EMBED_CHUNK_ROWS + 37  # two whole chunks and a partial one
+    n = 2 * data.BLOCK_ROWS + 37  # two whole chunks and a partial one
     model = init_model(8, 24, 4, seed=0, dtype=np.float32)
     model.bn_mean[:] = 0.25
     fs = FeatureSet(np.random.default_rng(2).normal(size=(n, 8)))
@@ -475,7 +475,7 @@ def test_embed_in_chunks_matches_one_forward_pass():
 
 
 def test_embed_holds_no_float64_copy_of_the_embeddings(monkeypatch):
-    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", 256)
+    monkeypatch.setattr(data, "BLOCK_ROWS", 256)
     n, hidden = 6000, 64
     model = init_model(8, hidden, 4, seed=0, dtype=np.float32)
     fs = FeatureSet(np.random.default_rng(0).normal(size=(n, 8)))
@@ -491,7 +491,7 @@ def test_embed_holds_no_float64_copy_of_the_embeddings(monkeypatch):
 
 
 def test_embed_zero_norm_error_names_the_global_row(monkeypatch):
-    monkeypatch.setattr(siamese, "EMBED_CHUNK_ROWS", 16)
+    monkeypatch.setattr(data, "BLOCK_ROWS", 16)
     model = init_model(4, 6, 2, seed=0, dtype=np.float32)  # enc_b, bn_mean, bn_beta are 0
     features = np.random.default_rng(1).normal(size=(40, 4))
     features[21] = 0.0  # embeds to the zero vector, in the second chunk
