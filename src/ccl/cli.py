@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureFileError, l2_normalize, write_features
+from .data import l2_normalize, write_features
 from .finch import finch_hierarchy
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import evaluate_clustering
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _run_command(args)
-    except (FeatureFileError, ValueError, PipelineError, OSError) as exc:
+    except (ValueError, PipelineError, OSError, MemoryError) as exc:
         parser.exit(2, f"ccl {args.command}: error: {exc}\n")
     return 0
 

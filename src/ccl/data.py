@@ -22,8 +22,9 @@ Row primitives shared by every stage: ``unit_rows`` (float64 rows over their
 norms), ``sq_norms`` (float64 squared row norms), ``group_sums`` (per-group
 row sums: k-means folds), ``GroupMeans`` (l2-normalized mean of each group of
 rows, fed a block of rows at a time: ``cluster_means`` for FINCH's clusters
-and cluster ranking, ``track_sums`` for tracks) and ``sq_distances`` (squared
-distances). Each of them, cluster ranking, embedding and k-means' labels loop
+and cluster ranking, ``track_sums`` for tracks) and ``finish_sq_distances``
+(squared distances from doubled products: ``sq_distances``, each Ward tile).
+Each of them, cluster ranking, embedding and k-means' labels loop
 over the `row_blocks` of BLOCK_ROWS rows, read at call time. Every per-group
 sum is one sequential scatter-add, ``np.add.at`` of float64 values into a
 flat m*D float64 buffer at ``label * D + column``: each group adds its rows
@@ -326,18 +327,22 @@ def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.n
     return GroupMeans(labels, points.shape[1], name).add(points).means()
 
 
-def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from each row of ``a`` to each row of ``b``,
-    max(|a_i|^2 + |b_j|^2 - 2 a_i.b_j, 0), finished in place in the product's
-    array: besides it, one block of rows x len(b) is held."""
-    aa = sq_norms(a)[:, None]
-    bb = sq_norms(b)[None, :]
-    # (2.0 * a) @ b.T stays a general GEMM when a is b; a @ a.T rounds differently
-    d = 2.0 * a @ b.T
+def finish_sq_distances(d: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
+    """``d``, a float64 block of doubled products 2 a_i.b_j, made in place into
+    max((|a_i|^2 + |b_j|^2) - d_ij, 0) from the squared row norms ``sq_a`` and
+    ``sq_b``, one block of rows at a time (its norm sums are the only temporary)."""
     for start, stop in row_blocks(d.shape[0]):
         rows = d[start:stop]
-        np.subtract(aa[start:stop] + bb, rows, out=rows)
-    return np.maximum(d, 0.0, out=d)
+        np.subtract(np.add.outer(sq_a[start:stop], sq_b), rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+    return d
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from each row of ``a`` to each row of ``b``,
+    finished in the product's array by `finish_sq_distances`."""
+    # (2.0 * a) @ b.T stays a general GEMM when a is b; a @ a.T rounds differently
+    return finish_sq_distances((2.0 * a) @ b.T, sq_norms(a), sq_norms(b))
 
 
 def l2_normalize(fs: FeatureSet) -> FeatureSet:

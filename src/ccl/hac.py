@@ -21,16 +21,17 @@ process's cgroup or of one of its ancestors, before allocating it. The
 distances are computed in float64 tiles of at most 256 x 512, on and above
 the diagonal, each from only its own rows of the points converted to
 float64, so float32 points are never copied whole; the build holds ~3 MiB
-besides the matrix at D = 256. Each tile is rounded once to float32 and
-stored once, as its mirror. The
-8 x 8 diagonal blocks are stored whole, and the diagonal tile's lower
-triangle copies its upper one, so the matrix is symmetric bitwise, as the
-chain needs (with near-tied coincident points, an asymmetric one could make
-it cycle). The merge loop and its Lance-Williams updates run in float32,
-so merge costs are float32 values. It keeps contiguous copies of the rows
-on its chain, so the packed row reads are one per chain step. Once half of
-the live clusters have merged away the survivors are compacted in place,
-one 8-row block at a time, into the layout of their own count.
+besides the matrix at D = 256. Each tile is finished whole by
+data.finish_sq_distances, rounded once to float32 and stored once, as its
+mirror; the diagonal is +inf. The 8 x 8 diagonal blocks are stored whole,
+and the diagonal tile's lower triangle copies its upper one, so the matrix
+is symmetric bitwise, as the chain needs (with near-tied coincident
+points, an asymmetric one could make it cycle). The merge loop and its
+Lance-Williams updates run in float32, so merge costs are float32 values.
+It keeps contiguous copies of the rows on its chain, so the packed row
+reads are one per chain step. Once half of the live clusters have merged
+away the survivors are compacted in place, one 8-row block at a time, into
+the layout of their own count.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import sq_norms
+from .data import finish_sq_distances, sq_norms
 from .labeling import link_components
 
 
@@ -61,9 +62,6 @@ class HacResult:
 # float64 buffer from only its own rows of the points, converted to float64.
 _TILE_ROWS = 256
 _TILE_COLS = 512
-# Rows of a tile finished at once (sq_i + sq_j - 2 x_i.x_j, clamped, halved);
-# bounds the float64 buffer of their sq_i + sq_j sums.
-_PAIR_ROWS = 32
 # Rows per group of the packed layout: group g holds rows 8g..8g+7 at columns 0..8g+7.
 _GROUP = 8
 # Chain positions whose rows the merge loop keeps as contiguous, penalized copies.
@@ -147,25 +145,24 @@ def check_ward_memory(n: int, units: str = "points") -> None:
 
 
 def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """max(||x_i - x_j||^2, 0) / 2 for all pairs, rounded once to float32.
+    """max(||x_i - x_j||^2, 0) / 2 for pairs i != j, +inf for i = j, in float32.
 
     sq holds the squared row norms. The result is the packed lower triangle
     of the module docstring: t[4g(g+1) + c, q] holds the entry of rows
     8g + q and c <= 8g + 7; rows and columns past N, in the last group, are
     padding and never read. It is built in tiles of at most _TILE_ROWS x
     _TILE_COLS, from each row block's first column on: a tile converts only
-    its own rows of points to float64, takes (sq_i + sq_j - 2 x_i.x_j),
-    clamps and halves it in one reused float64 buffer, is rounded once to
-    float32 and stored once, as its mirror. The diagonal tile's lower
-    triangle first copies its upper one, so the 8 x 8 diagonal blocks, which
-    are stored whole, are symmetric bitwise.
+    its own rows of points to float64, takes 2 x_i.x_j in one reused float64
+    buffer, finishes it there with data.finish_sq_distances, is halved,
+    rounded once to float32 and stored once, as its mirror. The diagonal
+    tile's diagonal is set to +inf, then its lower triangle copies its upper
+    one, so the 8 x 8 diagonal blocks, stored whole, are symmetric bitwise.
     """
     n = points.shape[0]
     start = _group_starts(n)
     t = np.empty((start[-1], _GROUP), dtype=np.float32)
     scratch = np.empty(min(n, _TILE_ROWS) * min(n, _TILE_COLS))
     rounded = np.empty(scratch.size, dtype=np.float32)
-    pair = np.empty(min(n, _PAIR_ROWS) * min(n, _TILE_COLS))
     low = np.tri(min(n, _TILE_ROWS), k=-1, dtype=bool)
     for r0 in range(0, n, _TILE_ROWS):
         r1 = min(r0 + _TILE_ROWS, n)
@@ -178,15 +175,11 @@ def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
             tile = scratch[: rows * (c1 - c0)].reshape(rows, c1 - c0)
             out = rounded[: tile.size].reshape(tile.shape)
             np.matmul(left, np.asarray(points[c0:c1], dtype=np.float64).T, out=tile)
-            for a in range(0, rows, _PAIR_ROWS):
-                part = tile[a:a + _PAIR_ROWS]
-                sums = pair[: part.size].reshape(part.shape)
-                np.add.outer(sq[r0 + a:r0 + a + part.shape[0]], sq[c0:c1], out=sums)
-                np.subtract(sums, part, out=part)
-                np.maximum(part, 0.0, out=part)
-                np.divide(part, 2.0, out=out[a:a + _PAIR_ROWS], casting="same_kind")
+            finish_sq_distances(tile, sq[r0:r1], sq[c0:c1])
+            np.divide(tile, 2.0, out=out, casting="same_kind")
             if c0 == r0:
                 square = out[:, :rows]
+                np.fill_diagonal(square, np.inf)
                 np.copyto(square, square.T, where=low[:rows, :rows])
             _store_mirror(t, start, out, r0, c0)
     return t
@@ -200,12 +193,6 @@ def _store_mirror(t: np.ndarray, start: np.ndarray, tile: np.ndarray, r0: int, c
         g = (c0 + c) // _GROUP
         keep = min(rows, _GROUP * (g + 1) - r0)
         t[start[g] + r0:start[g] + r0 + keep, :cols - c] = tile[:keep, c:c + _GROUP]
-
-
-def _set_diagonal(t: np.ndarray, start: np.ndarray, n: int) -> None:
-    """d(k, k) = +inf for the n slots of the packed matrix."""
-    k = np.arange(n)
-    t[start[k // _GROUP] + k, k % _GROUP] = np.inf
 
 
 def _read_row(t: np.ndarray, start: np.ndarray, slot: int, width: int, out: np.ndarray) -> np.ndarray:
@@ -286,7 +273,6 @@ def _nn_chain_merges(t: np.ndarray, n: int) -> list[tuple[int, int, float]]:
     """
     width = n
     start = _group_starts(n)
-    _set_diagonal(t, start, n)
     # float32 like the matrix: cluster sizes stay below 2^24, so they are exact.
     size = np.ones(n, dtype=np.float32)
     pen = np.zeros(n, dtype=np.float32)

@@ -264,7 +264,8 @@ def load_any_features(path) -> FeatureSet:
 
 
 class StageTimer:
-    """Wall time per named stage; a failure becomes a PipelineError naming it."""
+    """Wall time per named stage; a failure becomes a PipelineError naming it
+    (one from a nested stage already names its own)."""
 
     def __init__(self):
         self.timings: dict[str, float] = {}
@@ -273,6 +274,8 @@ class StageTimer:
         start = time.perf_counter()
         try:
             result = func()
+        except PipelineError:
+            raise
         except Exception as exc:
             raise PipelineError(f"stage '{name}' failed: {exc}") from exc
         self.timings[name] = time.perf_counter() - start

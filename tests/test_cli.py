@@ -491,6 +491,17 @@ def test_synth_rejects_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_of_an_unallocatable_size_is_a_one_line_error(tmp_path, capsys):
+    # 2^55 rows: 256 PiB of int64, past any 64-bit Linux address space, and
+    # below the size NumPy refuses with a ValueError.
+    out = tmp_path / "huge.cclf"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["synth", "--classes", "2", "--per-class", str(2**54), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert re.fullmatch(r"ccl synth: error: Unable to allocate .*\n", capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("level, units", [("frame", 150), ("track", 30)])
 def test_run_rejects_more_clusters_than_units_before_training(feature_file, tmp_path, capsys,
                                                               level, units):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccl import hac
-from ccl.data import sq_norms
+from ccl.data import BLOCK_ROWS, sq_norms
 from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac, ward_matrix_bytes
 from ccl.labeling import relabel_contiguous
 
@@ -162,15 +162,27 @@ def test_labels_and_merge_log_match_union_find_replay(seed, n, d, kind, data):
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 255, 256, 257, 263, 511, 513, 1100])
-def test_blocked_distances_match_full_build_bitwise(n):
+def test_blocked_distances_match_full_build_bitwise(monkeypatch, n):
     points = np.random.default_rng(n).normal(size=(n, 7))
-    got = square(half_distances(points), n)
     want = (sq_dist_to_all(points) / 2.0).astype(np.float32)
-    assert got.dtype == np.float32
-    # The diagonal is overwritten with +inf before any read; a blocked GEMM may
-    # round x_i.x_i differently from the full one.
+    # The diagonal is +inf; a blocked GEMM may round x_i.x_i differently from
+    # the full one.
     off = ~np.eye(n, dtype=bool)
-    assert got[off].tobytes() == want[off].tobytes()
+    # Blocks of 1 and 7 rows finish each tile in several row blocks.
+    for block in (BLOCK_ROWS, 1, 7):
+        monkeypatch.setattr("ccl.data.BLOCK_ROWS", block)
+        got = square(half_distances(points), n)
+        assert got.dtype == np.float32
+        assert got[off].tobytes() == want[off].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 255, 256, 257, 513])
+def test_build_writes_inf_on_the_diagonal_and_nowhere_else(n):
+    # The merge loop reads the built matrix as it is: no pass of its own
+    # writes the diagonal.
+    got = square(half_distances(np.random.default_rng(n).normal(size=(n, 5))), n)
+    assert np.isposinf(np.diagonal(got)).all()
+    assert np.isfinite(got[~np.eye(n, dtype=bool)]).all()
 
 
 @pytest.mark.parametrize("d", [1, 7, 256, 300])

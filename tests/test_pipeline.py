@@ -170,6 +170,20 @@ def test_track_points_name_a_zero_norm_embedding_row_and_track_mean(monkeypatch)
         level_points(FeatureSet(features, track_id=track), "track", StageTimer(), model)
 
 
+def test_run_names_a_stage_nested_in_another_once(small_dataset):
+    # Track 0 keeps four rows, which cancel in pairs once normalized, so the
+    # baseline HAC's 'aggregate' stage fails inside the 'baseline' stage.
+    fs = small_dataset
+    track_id = fs.track_id.copy()
+    rows = np.flatnonzero(track_id == 0)
+    track_id[rows[4:]] = track_id.max() + 1 + np.arange(rows.size - 4)
+    features = fs.features.copy()
+    features[rows[[1, 3]]] = -features[rows[[0, 2]]]
+    with pytest.raises(PipelineError, match="^stage 'aggregate' failed: zero-norm mean of track 0$"):
+        run_pipeline(quick_config(eval_level="track"),
+                     FeatureSet(features, fs.frame_id, track_id, fs.label))
+
+
 def test_track_points_never_hold_the_embeddings():
     n, hidden = 6000, 64
     model, fs = stream_setup(n=n, hidden=hidden)
