@@ -6,12 +6,14 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .data import l2_normalize, write_features
 from .finch import finch_hierarchy
+from .hac import ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import evaluate_clustering
 from .mining import write_pairs_csv
@@ -22,7 +24,6 @@ from .pipeline import (
     PipelineError,
     StageTimer,
     check_cluster_count,
-    cluster_points,
     config_from_values,
     eval_units,
     level_points,
@@ -243,8 +244,8 @@ def _run_command(args) -> None:
         normalized = l2_normalize(fs)
         del fs  # the HAC reads only the normalized rows
         timer = StageTimer()
-        result = cluster_points(level_points(normalized, args.level, timer),
-                                args.num_clusters, timer)
+        result = timer.run("hac", partial(ward_hac, level_points(normalized, args.level, timer),
+                                          args.num_clusters))
         write_labels_csv(unit_ids, result.labels, args.out, ID_COLUMNS[args.level])
         print(f"wrote labels for {result.labels.size} units to {args.out}")
 

@@ -13,7 +13,8 @@ Binary feature file layout (all little-endian):
 Nothing follows the last array: the file size must equal the declared size.
 
 The CSV import path expects a header row ``frame_id,track_id,label,f0,...,f{D-1}``
-with -1 marking unknown track/label entries.
+with -1 marking unknown track/label entries; each feature cell must lie in
+the float32 range, checked before the cast.
 
 Frame co-occurrence is one sorted, duplicate-free int64 array of pair codes
 ``i * n + j`` (i < j, n feature rows) in a ``CooccurrenceSet``.
@@ -22,8 +23,9 @@ Row primitives shared by every stage: ``unit_rows`` (float64 rows over their
 norms), ``sq_norms`` (float64 squared row norms), ``group_sums`` (per-group
 row sums: k-means folds), ``GroupMeans`` (l2-normalized mean of each group of
 rows, fed a block of rows at a time: ``cluster_means`` for FINCH's clusters
-and cluster ranking, ``track_sums`` for tracks) and ``finish_sq_distances``
-(squared distances from doubled products: ``sq_distances``, each Ward tile).
+and cluster ranking, ``track_sums`` for tracks, given its row blocks) and
+``finish_sq_distances`` (squared distances from doubled products:
+``sq_distances``, each Ward tile).
 Each of them, cluster ranking, embedding and k-means' labels loop
 over the `row_blocks` of BLOCK_ROWS rows, read at call time. Every per-group
 sum is one sequential scatter-add, ``np.add.at`` of float64 values into a
@@ -171,6 +173,15 @@ def write_features(fs: FeatureSet, path) -> None:
                 fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
 
 
+def check_declared_size(fh, declared: int, shape: str, what: str, error) -> None:
+    """Raise ``error`` unless the open file ``fh`` has the ``declared`` size of its
+    header stating ``shape``: "truncated <what>" when shorter, else "trailing bytes"."""
+    available = os.fstat(fh.fileno()).st_size
+    if declared != available:
+        problem = f"truncated {what}" if declared > available else "trailing bytes"
+        raise error(f"{problem}: header declares {shape} ({declared} bytes), file has {available}")
+
+
 def load_features(path) -> FeatureSet:
     """Load a binary feature file; rows are kept in file order, unnormalized.
 
@@ -190,12 +201,7 @@ def load_features(path) -> FeatureSet:
         if n < 1 or d < 1:
             raise FeatureFileError(f"malformed header: N={n}, D={d}")
         declared = _HEADER.size + n * d * 4 + (has_frame + has_track + has_label) * n * 8
-        available = os.fstat(fh.fileno()).st_size
-        if declared != available:
-            problem = "truncated payload" if declared > available else "trailing bytes"
-            raise FeatureFileError(
-                f"{problem}: header declares N={n}, D={d} ({declared} bytes), "
-                f"file has {available}")
+        check_declared_size(fh, declared, f"N={n}, D={d}", "payload", FeatureFileError)
         # the size check above guarantees every read below is complete
         features = np.frombuffer(fh.read(n * d * 4), dtype="<f4").reshape(n, d)
         arrays = {name: np.frombuffer(fh.read(n * 8), dtype="<i8").copy() if present else None
@@ -238,7 +244,12 @@ def load_features_csv(path) -> FeatureSet:
             lines.append(reader.line_num)
     if not rows:
         raise FeatureFileError("CSV file has no data rows")
-    features = np.asarray(rows, dtype=np.float32)
+    values, largest = np.asarray(rows), float(np.finfo(np.float32).max)
+    outside = np.flatnonzero((np.isfinite(values) & (np.abs(values) > largest)).any(axis=1))
+    if outside.size:  # checked in float64, before the float32 cast would overflow
+        raise FeatureFileError(f"{path} line {lines[outside[0]]}: value outside the float32 "
+                               f"range [-{largest:.8g}, {largest:.8g}] in feature row")
+    features = values.astype(np.float32)
     _check_rows(features, reject_zero_rows=True, where=lambda r: f"{path} line {lines[r]}")
     return FeatureSet(features, np.asarray(frame), np.asarray(track), np.asarray(label))
 
@@ -373,12 +384,16 @@ def track_units(fs: FeatureSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, inverse, labels[first]
 
 
-def track_sums(units, dim: int) -> GroupMeans:
-    """Empty per-track sums of ``dim`` columns over the rows that ``units``,
-    a `track_units` result, maps to tracks: its means come one per track in
-    `track_units` order, and a zero-norm one names its track id."""
+def track_sums(units, dim: int, blocks=()) -> GroupMeans:
+    """Per-track sums of ``dim`` columns over the rows that ``units``, a
+    `track_units` result, maps to tracks, with the consecutive row ``blocks``
+    added in row order: its means come one per track in `track_units` order,
+    and a zero-norm one names its track id."""
     ids, inverse, _ = units
-    return GroupMeans(inverse, dim, lambda t: f"mean of track {ids[t]}")
+    tracks = GroupMeans(inverse, dim, lambda t: f"mean of track {ids[t]}")
+    for rows in blocks:
+        tracks.add(rows)
+    return tracks
 
 
 def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
@@ -387,7 +402,7 @@ def aggregate_tracks(fs: FeatureSet) -> FeatureSet:
     tracks and their labels are those of track_units.
     """
     units = track_units(fs)
-    means = track_sums(units, fs.dim).add(fs.features).means()
+    means = track_sums(units, fs.dim, [fs.features]).means()
     return FeatureSet(means.astype(np.float32), track_id=units[0], label=units[2])
 
 

@@ -36,13 +36,13 @@ the layout of their own count.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import finish_sq_distances, sq_norms
 from .labeling import link_components
+from .memory import memory_limit
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,6 @@ _TILE_COLS = 512
 _GROUP = 8
 # Chain positions whose rows the merge loop keeps as contiguous, penalized copies.
 _CHAIN_ROWS = 64
-# The process's cgroups, and the cgroup file systems: v2 at the root, v1
-# controllers below it.
-_PROC_CGROUP = "/proc/self/cgroup"
-_CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 def _groups(n: int) -> int:
@@ -89,56 +85,11 @@ def ward_matrix_bytes(n: int) -> int:
     return _GROUP // 2 * groups * (groups + 1) * _GROUP * 4
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _cgroup_memory_limit() -> tuple[int, str] | None:
-    """The smallest memory limit set on this process's cgroups or any of
-    their ancestors, with the file that sets it: cgroup v2 memory.max or v1
-    memory.limit_in_bytes, under each path /proc/self/cgroup names and each
-    of its parents up to the root. None where no file can be read or each
-    reads "max"."""
-    try:
-        with open(_PROC_CGROUP) as f:
-            lines = f.read().splitlines()
-    except OSError:
-        return None
-    limits = []
-    for line in lines:
-        parts = line.split(":", 2)
-        if len(parts) != 3:
-            continue
-        controllers, path = parts[1], parts[2].rstrip("/")
-        if not controllers:
-            base, file = _CGROUP_ROOT, "memory.max"
-        elif "memory" in controllers.split(","):
-            base, file = f"{_CGROUP_ROOT}/memory", "memory.limit_in_bytes"
-        else:
-            continue
-        heads = path.split("/")  # "" first: the root
-        for depth in range(len(heads), 0, -1):
-            name = f"{base}{'/'.join(heads[:depth])}/{file}"
-            try:
-                with open(name) as f:
-                    value = f.read().strip()
-            except OSError:
-                continue
-            if value.isdigit():
-                limits.append((int(value), name))
-    return min(limits, default=None)
-
-
 def check_ward_memory(n: int, units: str = "points") -> None:
     """ValueError when the distance matrix over n units exceeds physical
     memory or, when smaller, the memory limit of the process's cgroup or
     of one of its ancestors."""
-    need, have = ward_matrix_bytes(n), _physical_memory()
-    limit = _cgroup_memory_limit()
-    if limit is not None and limit[0] < have:
-        have, which = limit[0], f"-byte memory limit of {limit[1]}"
-    else:
-        which = " bytes of physical memory"
+    need, (have, which) = ward_matrix_bytes(n), memory_limit()
     if need > have:
         raise ValueError(f"Ward HAC over {n} {units} needs a {need}-byte distance matrix, "
                          f"more than the {have}{which}")

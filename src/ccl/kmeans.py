@@ -1,8 +1,9 @@
 """MiniBatch K-means, the alternative weak-label source.
 
 Streaming per-center mean updates with learning rate 1/count over randomly
-drawn minibatches; k-means++ seeding on a subsample. Fully deterministic
-for a fixed seed.
+drawn minibatches; k-means++ seeding on a subsample. A run sets k and the
+seed; the module constants, read at call time, fix the rest. Fully
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,20 +18,19 @@ from .labeling import relabel_contiguous
 
 log = logging.getLogger(__name__)
 
+BATCH_SIZE = 1024           # rows per minibatch (all rows when fewer)
+MAX_ITERS = 100             # minibatch steps per fit
+INIT_SUBSAMPLE_FACTOR = 10  # k-means++ seeds from this many rows per center (or all rows)
+
 
 @dataclass(frozen=True)
 class KMeansConfig:
     k: int
-    batch_size: int = 1024
-    max_iters: int = 100
     seed: int = 0
-    init_subsample_factor: int = 10
 
     def validate(self) -> None:
         if self.k < 1:
             raise ValueError(f"k-means k (--k) must be >= 1, got {self.k}")
-        if self.batch_size < 1 or self.max_iters < 0:
-            raise ValueError("batch_size must be >= 1 and max_iters >= 0")
         if self.seed < 0:
             raise ValueError(f"k-means seed (--seed) must be >= 0, got {self.seed}")
 
@@ -54,7 +54,7 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 
 
 def kmeans_centers(points: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
-    """The cfg.k float64 centers after cfg.max_iters minibatch steps.
+    """The cfg.k float64 centers after MAX_ITERS minibatch steps.
 
     Each iteration draws one minibatch, assigns its points against the
     current centers, then folds them into the per-center streaming means.
@@ -68,12 +68,12 @@ def kmeans_centers(points: np.ndarray, cfg: KMeansConfig) -> np.ndarray:
         raise ValueError(f"k={cfg.k} exceeds the {n} points to cluster")
 
     rng = np.random.default_rng(cfg.seed)
-    sub = rng.choice(n, size=min(n, cfg.init_subsample_factor * cfg.k), replace=False)
+    sub = rng.choice(n, size=min(n, INIT_SUBSAMPLE_FACTOR * cfg.k), replace=False)
     centers = _kmeanspp(np.asarray(points[sub], dtype=np.float64), cfg.k, rng)
     counts = np.zeros(cfg.k, dtype=np.int64)
 
-    batch_size = min(cfg.batch_size, n)
-    for _ in range(cfg.max_iters):
+    batch_size = min(BATCH_SIZE, n)
+    for _ in range(MAX_ITERS):
         batch = np.asarray(points[rng.choice(n, size=batch_size, replace=False)],
                            dtype=np.float64)
         assign = np.argmin(sq_distances(batch, centers), axis=1)

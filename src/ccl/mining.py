@@ -23,14 +23,12 @@ this draw order or the candidate order changes every mined pair after it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CooccurrenceSet, row_blocks, sq_distances, unit_rows
-
-log = logging.getLogger(__name__)
+from .memory import memory_limit
 
 POS_CLUSTER = "PosC"
 POS_NEAR = "PosC-near"
@@ -39,6 +37,13 @@ NEG_VIDEO = "NVid"
 
 _SOURCE_NAMES = np.array([POS_CLUSTER, POS_NEAR, NEG_CLUSTER, NEG_VIDEO], dtype="U9")
 _POS_CLUSTER, _POS_NEAR, _NEG_CLUSTER, _NEG_VIDEO = range(4)
+
+# Peak bytes of `mine_epoch` per pair its slots may add and per member row
+# they list, rounded up from tracemalloc peaks: 177-182 per pair (clusters of
+# 1-2 rows, quotas of 100-250) and 96-128 per row (clusters of 200-2,000
+# rows, quota 1); the round-up covers each slot's own arrays at quota 1.
+_PAIR_BYTES = 256
+_ROW_BYTES = 128
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,6 @@ class MiningConfig:
     near_positives_for_all: bool = False
 
     def validate(self) -> None:
-        """Raise on a value out of range; warn when no negative pair source is on."""
-        self._check()
-        if not (self.use_neg_cluster or self.use_neg_video):
-            log.warning("no negative pair source enabled; training may collapse embeddings")
-
-    def _check(self) -> None:
         for key in ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
                     "pos_per_cluster", "neg_per_cluster"):
             if getattr(self, key) < 1:
@@ -101,7 +100,7 @@ class ClusterRanks:
     farthest: np.ndarray
 
 
-def rank_clusters(means: np.ndarray, z_near: int = 25, z_far: int = 25) -> ClusterRanks:
+def rank_clusters(means: np.ndarray, z_near: int, z_far: int) -> ClusterRanks:
     """Sort other clusters by Euclidean distance between normalized means.
 
     Rows truncate to M-1 entries when fewer than z other clusters exist;
@@ -263,8 +262,10 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
 
     Each slot adds ``pos_per_cluster`` positives and as many negatives (none
     of a kind it has no candidates for); a batch lists its positives first.
+    An epoch that may need more than the process's `memory_limit` is refused
+    before anything is allocated.
     """
-    cfg._check()  # validate() without its warning, which would repeat every epoch
+    cfg.validate()
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     labels = np.asarray(partition, dtype=np.int64)
@@ -272,12 +273,22 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     m = int(labels.max()) + 1
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")
-    rng = np.random.default_rng([cfg.seed, epoch])
-    order = rng.permutation(m)
     per_batch = cfg.clusters_per_batch
     num_batches = -(-m // per_batch)
-    reps = -(-num_batches * per_batch // m)
-    slots = np.tile(order, reps)[: num_batches * per_batch]
+    num_slots = num_batches * per_batch
+    reps = -(-num_slots // m)
+    quota = cfg.pos_per_cluster + cfg.neg_per_cluster
+    # each slot lists its cluster's rows; there are at most reps * N of them
+    need = num_slots * quota * _PAIR_BYTES + reps * labels.size * _ROW_BYTES
+    have, which = memory_limit()
+    if need > have:
+        raise ValueError(f"an epoch of {num_slots} cluster slots "
+                         f"(mining.clusters_per_batch = {per_batch} per batch) with up to "
+                         f"{quota} pairs each (mining.pos_per_cluster + mining.neg_per_cluster) "
+                         f"may need {need} bytes, more than the {have}{which}")
+    rng = np.random.default_rng([cfg.seed, epoch])
+    order = rng.permutation(m)
+    slots = np.tile(order, reps)[:num_slots]
 
     # cluster c's rows, ascending: rows[start[c]:start[c] + size[c]]
     rows = np.argsort(labels, kind="stable")

@@ -5,7 +5,7 @@
 or output) -> `prepare_mining` (normalize, co-occurrence, FINCH level or
 k-means, video correction, cluster ranks) -> `train` -> the baseline HAC on
 the normalized features -> `level_points` (embed, then track means at track
-level) -> `cluster_points` (Ward HAC at C) -> metrics. Each large array is
+level) -> the "hac" stage (`ward_hac` at C) -> metrics. Each large array is
 released after its last reader, so each HAC holds only its own points: the
 normalized rows are dropped once embedded, before the refined HAC; at track
 level the frame embeddings are summed per track a block at a time and never
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -47,8 +48,14 @@ from .mining import MiningConfig, apply_video_correction, mine_epoch, rank_clust
 from .siamese import SiameseModel, TrainConfig, embed, embedded_chunks, save_model, train
 
 
+log = logging.getLogger(__name__)
+
+
 class PipelineError(RuntimeError):
-    """Stage failure; the message names the failing stage."""
+    """Failure of the stage ``stage``: "stage '<stage>' failed: <problem>"."""
+
+    def __init__(self, stage: str, problem):
+        super().__init__(f"stage '{stage}' failed: {problem}")
 
 
 # evaluation level -> the id column of its labels CSV
@@ -86,6 +93,8 @@ class PipelineConfig:
                                  f"{self.seed}; pipeline.seed (--seed) sets the seed")
         self.resolved_mining().validate()
         self.resolved_training().validate()
+        if not (self.mining.use_neg_cluster or self.mining.use_neg_video):
+            log.warning("no negative pair source enabled; training may collapse embeddings")
 
     def resolved_mining(self) -> MiningConfig:
         return replace(self.mining, seed=self.seed)
@@ -277,7 +286,7 @@ class StageTimer:
         except PipelineError:
             raise
         except Exception as exc:
-            raise PipelineError(f"stage '{name}' failed: {exc}") from exc
+            raise PipelineError(name, exc) from exc
         self.timings[name] = time.perf_counter() - start
         return result
 
@@ -344,32 +353,21 @@ def prepare_mining(cfg: PipelineConfig, fs: FeatureSet, timer: StageTimer,
     return normalized, hierarchy, stats, partial(mine_epoch, partition, ranks, cooc, mining_cfg)
 
 
-def _embedded_track_sums(model: SiameseModel, fs: FeatureSet):
-    tracks = track_sums(track_units(fs), model.dim_hidden)
-    for rows in embedded_chunks(model, fs):
-        tracks.add(rows)
-    return tracks
-
-
 def level_points(fs: FeatureSet, level: str, timer: StageTimer,
                  model: SiameseModel | None = None) -> np.ndarray:
     """The level's points: the rows of ``fs``, or with ``model`` their
     embeddings (the "embed" stage), themselves or one new mean per track in
     `eval_units` order (the "aggregate" stage). At track level the embeddings
     are added into the per-track sums a chunk at a time and never held whole.
-    Every Ward HAC clusters ``cluster_points(level_points(...))``."""
+    Every Ward HAC clusters ``level_points(...)`` in its own "hac" stage."""
     if level == "frame":
         rows = fs if model is None else timer.run("embed", lambda: embed(model, fs))
         return timer.run("aggregate", lambda: rows.features)
     if model is None:
         return timer.run("aggregate", lambda: aggregate_tracks(fs).features)
-    tracks = timer.run("embed", lambda: _embedded_track_sums(model, fs))
+    tracks = timer.run("embed", lambda: track_sums(track_units(fs), model.dim_hidden,
+                                                   embedded_chunks(model, fs)))
     return timer.run("aggregate", lambda: tracks.means().astype(np.float32))
-
-
-def cluster_points(points: np.ndarray, num_clusters: int, timer: StageTimer):
-    """Ward HAC on a level's points."""
-    return timer.run("hac", lambda: ward_hac(points, num_clusters))
 
 
 def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str):
@@ -378,21 +376,20 @@ def check_cluster_count(fs: FeatureSet, num_clusters: int, level: str):
     outside [1, units] and a Ward distance matrix over the units larger than
     physical memory or the process's cgroup memory limit."""
     if num_clusters < 1:
-        raise PipelineError(f"stage 'cluster' failed: the cluster count must be >= 1, "
-                            f"got {num_clusters}")
+        raise PipelineError("cluster", f"the cluster count must be >= 1, got {num_clusters}")
     try:
         ids, gt = eval_units(fs, level)
     except ValueError as exc:
-        raise PipelineError(f"stage 'aggregate' failed: {exc}") from None
+        raise PipelineError("aggregate", exc) from None
     if num_clusters > ids.size:
-        raise PipelineError(f"stage 'cluster' failed: {num_clusters} clusters requested, but "
-                            f"there are only {ids.size} {level}-level units to cluster")
+        raise PipelineError("cluster", f"{num_clusters} clusters requested, but there are "
+                                       f"only {ids.size} {level}-level units to cluster")
     try:
         check_ward_memory(ids.size, f"{level}-level units")
     except ValueError as exc:
         hint = ("; track-level evaluation (--level track) clusters one point per track"
                 if level == "frame" else "")
-        raise PipelineError(f"stage 'cluster' failed: {exc}{hint}") from None
+        raise PipelineError("cluster", f"{exc}{hint}") from None
     return ids, gt
 
 
@@ -412,8 +409,8 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
         fs = timer.run("load", lambda: load_any_features(cfg.features))
     num_clusters = cfg.num_clusters or fs.num_classes
     if num_clusters < 1:
-        raise PipelineError("stage 'cluster' failed: no cluster count configured "
-                            "and the features carry no labels")
+        raise PipelineError("cluster", "no cluster count configured and the features "
+                                       "carry no labels")
     unit_ids, gt = check_cluster_count(fs, num_clusters, cfg.eval_level)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -432,14 +429,14 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
     if gt is not None and baseline is None:
         # same units and ground truth as the refined clustering below
         inner = StageTimer()
-        baseline = timer.run("baseline", lambda: evaluate_clustering(cluster_points(
-            level_points(normalized, cfg.eval_level, inner), num_clusters, inner).labels,
+        baseline = timer.run("baseline", lambda: evaluate_clustering(inner.run("hac", partial(
+            ward_hac, level_points(normalized, cfg.eval_level, inner), num_clusters)).labels,
             gt).to_dict())
     # At frame level the embeddings are the points, freed once their HAC has
     # run; at track level they are never held whole.
     points = level_points(normalized, cfg.eval_level, timer, model)
     del normalized  # the refined HAC holds only its points
-    hac_result = cluster_points(points, num_clusters, timer)
+    hac_result = timer.run("hac", lambda: ward_hac(points, num_clusters))
     del points
 
     report: dict = {

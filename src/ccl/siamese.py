@@ -44,13 +44,12 @@ gets plain copies of all TRAINABLE tensors back when training ends.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureSet, row_blocks, unit_rows
+from .data import FeatureSet, check_declared_size, row_blocks, unit_rows
 
 CHECKPOINT_MAGIC = b"CCLM"
 CHECKPOINT_VERSION = 1
@@ -126,6 +125,14 @@ class TrainConfig:
                 raise ValueError(f"train.{key} must lie in [0, 1), got {getattr(self, key)}")
         if not 0 < self.adam_eps < math.inf:
             raise ValueError(f"train.adam_eps must be positive and finite, got {self.adam_eps}")
+        # the float32 step adds adam_eps and squares the hinge, which is at most margin
+        largest = float(np.finfo(np.float32).max)
+        if self.adam_eps > largest:
+            raise ValueError(f"train.adam_eps must be finite in float32 (at most "
+                             f"{largest:.8g}), got {self.adam_eps}")
+        if not (self.margin <= largest and float(np.float32(self.margin)) ** 2 <= largest):
+            raise ValueError(f"train.margin must keep the squared hinge finite in float32 "
+                             f"(at most {math.sqrt(largest):.7g}), got {self.margin}")
         if self.seed < 0:
             raise ValueError(f"training seed must be >= 0, got {self.seed}")
 
@@ -301,17 +308,20 @@ def _update_running_stats(model: SiameseModel, mu: np.ndarray, var: np.ndarray,
 
 def _train_epoch(model: SiameseModel, features: np.ndarray, batches, optimizer: _Adam,
                  lr: float, epoch: int) -> list[float]:
-    """One Adam step per pair batch of ``batches``; returns the batch losses."""
+    """One Adam step per pair batch of ``batches``; returns the batch losses.
+    A diverging step overflows silently: the non-finite loss reports it."""
     losses = []
-    for batch_index, batch in enumerate(batches):
-        index = np.concatenate([batch.a, batch.b])
-        loss, mu, var = _train_step(model, features[index], batch.a.size, batch.y,
-                                    optimizer.grads)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"non-finite loss {loss} at epoch {epoch}, batch {batch_index}")
-        optimizer.step(lr)
-        _update_running_stats(model, mu, var, index.size)
-        losses.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch_index, batch in enumerate(batches):
+            index = np.concatenate([batch.a, batch.b])
+            loss, mu, var = _train_step(model, features[index], batch.a.size, batch.y,
+                                        optimizer.grads)
+            if not np.isfinite(loss):
+                raise RuntimeError(f"non-finite loss {loss} at epoch {epoch}, "
+                                   f"batch {batch_index}")
+            optimizer.step(lr)
+            _update_running_stats(model, mu, var, index.size)
+            losses.append(loss)
     return losses
 
 
@@ -324,7 +334,8 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     fs rows. The learning rate divides by lr_drop_factor from lr_drop_epoch
     on. With epochs=0 the freshly initialized model is returned unchanged.
     A given model is updated and returned; its tensors are replaced by new
-    arrays, so arrays it held before are left as they were.
+    arrays, so arrays it held before are left as they were. A tensor the
+    last step made non-finite is a RuntimeError naming it.
     """
     cfg.validate()
     if model is None:
@@ -344,6 +355,9 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
             losses = _train_epoch(model, features, mining_factory(epoch), optimizer, lr, epoch)
             if loss_log is not None:
                 loss_log.append(float(np.mean(losses)) if losses else float("nan"))
+        bad = [name for name, _ in _TENSORS if not np.isfinite(getattr(model, name)).all()]
+        if bad:
+            raise RuntimeError(f"non-finite {bad[0]} after training")
     finally:
         for name in TRAINABLE:  # plain arrays again, not views of optimizer.param
             setattr(model, name, getattr(model, name).copy())
@@ -352,9 +366,14 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
 
 def embedded_chunks(model: SiameseModel, fs: FeatureSet):
     """Eval-mode hidden embeddings of the rows of ``fs``, l2-normalized, as
-    float32 blocks of `row_blocks` rows in row order; `embed` stacks them."""
+    float32 blocks of `row_blocks` rows in row order; `embed` stacks them.
+    A row the model takes out of float32 is a ValueError naming it."""
     for start, stop in row_blocks(fs.num_samples):
-        h = forward(model, fs.features[start:stop])
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = forward(model, fs.features[start:stop])
+        bad = np.flatnonzero(~np.isfinite(h).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite embedding row {start + int(bad[0])}")
         yield unit_rows(h.astype(np.float32, copy=False),
                         lambda r: f"embedding row {start + r}").astype(np.float32)
 
@@ -391,11 +410,7 @@ def load_model(path) -> SiameseModel:
         dims = {"D": d, "H": hidden, "O": out}
         shapes = {name: tuple(dims[axis] for axis in axes) for name, axes in _TENSORS}
         declared = _HEADER.size + 4 * sum(math.prod(shape) for shape in shapes.values())
-        available = os.fstat(fh.fileno()).st_size
-        if declared != available:
-            problem = "truncated checkpoint" if declared > available else "trailing bytes"
-            raise ValueError(f"{problem}: header declares D={d}, H={hidden}, "
-                             f"O={out} ({declared} bytes), file has {available}")
+        check_declared_size(fh, declared, f"D={d}, H={hidden}, O={out}", "checkpoint", ValueError)
         # the size check above guarantees every read below is complete
         arrays = {name: np.frombuffer(fh.read(4 * math.prod(shape)), "<f4").reshape(shape).copy()
                   for name, shape in shapes.items()}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ccl import kmeans
 from ccl.data import sq_distances
 from ccl.kmeans import _kmeanspp
 from ccl.labeling import relabel_contiguous
@@ -86,11 +87,11 @@ def loop_minibatch_kmeans(points, cfg) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     rng = np.random.default_rng(cfg.seed)
-    sub = rng.choice(n, size=min(n, cfg.init_subsample_factor * cfg.k), replace=False)
+    sub = rng.choice(n, size=min(n, kmeans.INIT_SUBSAMPLE_FACTOR * cfg.k), replace=False)
     centers = _kmeanspp(points[sub], cfg.k, rng)
     counts = np.zeros(cfg.k, dtype=np.int64)
-    batch_size = min(cfg.batch_size, n)
-    for _ in range(cfg.max_iters):
+    batch_size = min(kmeans.BATCH_SIZE, n)
+    for _ in range(kmeans.MAX_ITERS):
         batch = rng.choice(n, size=batch_size, replace=False)
         assign = np.argmin(sq_distances(points[batch], centers), axis=1)
         for c in np.unique(assign):

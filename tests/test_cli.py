@@ -1,12 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import naive_cooccurrence
 
-from ccl import cli, hac, pipeline
+from ccl import cli, hac, memory, pipeline
 from ccl.cli import main
 from ccl.data import FeatureSet, load_features, write_features
 from ccl.pipeline import load_any_features, read_labels_csv
@@ -112,7 +116,7 @@ def test_cluster_runs_its_hac_without_the_loaded_features(feature_file, tmp_path
         return hac.ward_hac(points, c)
 
     monkeypatch.setattr(cli, "load_any_features", load)
-    monkeypatch.setattr(pipeline, "ward_hac", ward)
+    monkeypatch.setattr(cli, "ward_hac", ward)
     main(["cluster", "--features", str(feature_file), "--num-clusters", "3",
           "--level", level, "--out", str(tmp_path / "labels.csv")])
     assert alive == [False]
@@ -534,7 +538,7 @@ def test_track_level_run_rejects_untracked_rows_before_training(feature_file, tm
 def test_frame_run_whose_ward_matrix_exceeds_memory_is_refused_before_training(
         feature_file, tmp_path, capsys, monkeypatch):
     need = hac.ward_matrix_bytes(150)
-    monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(memory, "_physical_memory", lambda: need - 1)
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exit_info:
         main(["run", "--features", str(feature_file), "--out-dir", str(out), "--level", "frame"])
@@ -551,7 +555,7 @@ def no_stage(fs):
     raise AssertionError("a stage ran")
 
 
-@pytest.mark.parametrize("count, memory, message", [
+@pytest.mark.parametrize("count, physical, message", [
     ("3", lambda need: need - 1,
      "Ward HAC over 150 frame-level units needs a {need}-byte distance matrix, more than the "
      "{less} bytes of physical memory; track-level evaluation (--level track) clusters one "
@@ -559,9 +563,9 @@ def no_stage(fs):
     ("0", lambda need: need, "the cluster count must be >= 1, got 0"),
 ], ids=["memory", "zero-count"])
 def test_frame_cluster_it_cannot_run_is_refused_before_any_stage(
-        feature_file, tmp_path, capsys, monkeypatch, count, memory, message):
+        feature_file, tmp_path, capsys, monkeypatch, count, physical, message):
     need = hac.ward_matrix_bytes(150)
-    monkeypatch.setattr(hac, "_physical_memory", lambda: memory(need))
+    monkeypatch.setattr(memory, "_physical_memory", lambda: physical(need))
     for module in (cli, pipeline):
         monkeypatch.setattr(module, "l2_normalize", no_stage)
     out = tmp_path / "labels.csv"
@@ -614,3 +618,62 @@ def test_track_cluster_refuses_a_mixed_label_track_before_any_stage(
     assert exit_info.value.code == 2
     assert capsys.readouterr().err == f"ccl cluster: error: stage 'aggregate' failed: {message}\n"
     assert not out.exists()
+
+
+# -- every failure is one stderr line: `python -m ccl.cli` in a subprocess ----
+
+SWEEP_KEYS = ["train.hidden_dim = 16", "train.epochs = 2"]
+
+
+def ccl_subprocess(*argv) -> subprocess.CompletedProcess:
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "ccl.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def sweep_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sweep") / "synth.cclf"
+    main(["synth", "--classes", "4", "--per-class", "50", "--seed", "0", "--out", str(path)])
+    return path
+
+
+def sweep_run(sweep_file, tmp_path, keys):
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(SWEEP_KEYS + keys) + "\n")
+    return ccl_subprocess("run", "--features", sweep_file, "--config", config,
+                          "--out-dir", tmp_path / "run")
+
+
+@pytest.mark.parametrize("keys, named", [
+    (["train.adam_eps = 1e300"], "train.adam_eps must be finite in float32"),
+    (["train.margin = 1e20"], "train.margin must keep the squared hinge finite in float32"),
+    (["train.lr = 1e10"], "stage 'train' failed: non-finite loss"),
+    # one single-batch epoch: training ends with finite tensors too large to embed
+    (["train.lr = 1e30", "train.epochs = 1", "mining.clusters_per_batch = 1000"],
+     "stage 'embed' failed: non-finite embedding row"),
+    (["mining.clusters_per_batch = 1000000000000000"], "mining.clusters_per_batch"),
+], ids=["adam_eps", "margin", "lr", "lr-one-step", "clusters_per_batch"])
+def test_an_extreme_setting_ends_run_with_one_error_line(sweep_file, tmp_path, keys, named):
+    result = sweep_run(sweep_file, tmp_path, keys)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), result.stderr
+    assert result.stderr.startswith("ccl run: error: ") and named in result.stderr
+
+
+@pytest.mark.parametrize("keys", [["train.adam_eps = 1e-50"], ["train.lr = 1e-12"],
+                                  ["mining.clusters_per_batch = 1000"]],
+                         ids=["adam_eps", "lr", "clusters_per_batch"])
+def test_a_benign_extreme_setting_runs_silently(sweep_file, tmp_path, keys):
+    result = sweep_run(sweep_file, tmp_path, keys)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_a_csv_cell_outside_float32_is_one_error_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("frame_id,track_id,label,f0,f1\n0,0,1,0.5,0.25\n1,1,0,1e39,1.0\n")
+    result = ccl_subprocess("finch", "--features", path, "--out", tmp_path / "partitions.csv")
+    assert result.returncode == 2
+    assert result.stderr == (f"ccl finch: error: {path} line 3: value outside the float32 range "
+                             f"[-3.4028235e+38, 3.4028235e+38] in feature row\n")

@@ -175,6 +175,8 @@ def test_csv_import(tmp_path):
     ("0,0,1,0.5", "4 fields, expected 5"),
     ("0,99999999999999999999,1,0.5,0.25", "id outside the int64 range"),
     ("0,0,1,0.5,nan", "non-finite value in feature row"),
+    ("0,0,1,0.5,-1e39", r"value outside the float32 range \[-3\.4028235e\+38, "
+                        r"3\.4028235e\+38\] in feature row"),
     ("0,0,1,0.0,0.0", "zero-norm feature row"),
 ])
 def test_csv_bad_cell_names_file_and_line(tmp_path, bad_line, message):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import hac
+from ccl import hac, memory
 from ccl.data import BLOCK_ROWS, sq_norms
 from ccl.hac import _half_sq_distances, _nn_chain_merges, ward_hac, ward_matrix_bytes
 from ccl.labeling import relabel_contiguous
@@ -324,7 +324,7 @@ def test_matrix_larger_than_physical_memory_is_refused_before_allocating(monkeyp
     points = np.random.default_rng(0).normal(size=(20, 3))
     need = ward_matrix_bytes(20)
     monkeypatch.setattr(hac, "_half_sq_distances", None)  # any allocation would fail
-    monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(memory, "_physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=f"^Ward HAC over 20 points needs a {need}-byte distance "
                                          f"matrix, more than the {need - 1} bytes of physical "
                                          "memory$"):
@@ -343,8 +343,8 @@ def test_matrix_larger_than_the_smaller_memory_limit_is_refused_naming_it(
         monkeypatch, physical, cgroup, message):
     need = ward_matrix_bytes(20)
     monkeypatch.setattr(hac, "_half_sq_distances", None)  # any allocation would fail
-    monkeypatch.setattr(hac, "_physical_memory", lambda: physical(need))
-    monkeypatch.setattr(hac, "_cgroup_memory_limit", lambda: cgroup(need))
+    monkeypatch.setattr(memory, "_physical_memory", lambda: physical(need))
+    monkeypatch.setattr(memory, "_cgroup_memory_limit", lambda: cgroup(need))
     with pytest.raises(ValueError, match=f"^Ward HAC over 20 points needs a {need}-byte distance "
                                          f"matrix, more than the {message.format(less=need - 1)}$"):
         ward_hac(np.random.default_rng(0).normal(size=(20, 3)), 3)
@@ -352,8 +352,8 @@ def test_matrix_larger_than_the_smaller_memory_limit_is_refused_naming_it(
 
 def test_matrix_within_both_limits_passes_the_check(monkeypatch):
     need = ward_matrix_bytes(20)
-    monkeypatch.setattr(hac, "_physical_memory", lambda: need)
-    monkeypatch.setattr(hac, "_cgroup_memory_limit", lambda: (need, V1_LIMIT))
+    monkeypatch.setattr(memory, "_physical_memory", lambda: need)
+    monkeypatch.setattr(memory, "_cgroup_memory_limit", lambda: (need, V1_LIMIT))
     hac.check_ward_memory(20)
 
 
@@ -382,11 +382,11 @@ def test_cgroup_memory_limit_reads_the_process_cgroup_files(tmp_path, monkeypatc
     for name, text in files.items():
         (root / name).parent.mkdir(parents=True, exist_ok=True)
         (root / name).write_text(text)
-    monkeypatch.setattr(hac, "_PROC_CGROUP", str(proc))
-    monkeypatch.setattr(hac, "_CGROUP_ROOT", str(root))
-    assert hac._cgroup_memory_limit() == (None if want is None else (want[0], str(root / want[1])))
+    monkeypatch.setattr(memory, "_PROC_CGROUP", str(proc))
+    monkeypatch.setattr(memory, "_CGROUP_ROOT", str(root))
+    assert memory._cgroup_memory_limit() == (None if want is None else (want[0], str(root / want[1])))
 
 
 def test_cgroup_memory_limit_without_a_cgroup_file_is_none(tmp_path, monkeypatch):
-    monkeypatch.setattr(hac, "_PROC_CGROUP", str(tmp_path / "missing"))
-    assert hac._cgroup_memory_limit() is None
+    monkeypatch.setattr(memory, "_PROC_CGROUP", str(tmp_path / "missing"))
+    assert memory._cgroup_memory_limit() is None

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccl import kmeans
 from ccl.data import BLOCK_ROWS, sq_distances
 from ccl.kmeans import KMeansConfig, kmeans_centers, minibatch_kmeans
 from ccl.labeling import relabel_contiguous
@@ -41,9 +43,11 @@ def test_three_gaussians():
     assert wcp(labels, gt)[0] >= 0.99
 
 
-def test_same_seed_same_labels():
+def test_same_seed_same_labels(monkeypatch):
+    monkeypatch.setattr(kmeans, "BATCH_SIZE", 32)
+    monkeypatch.setattr(kmeans, "MAX_ITERS", 40)
     points, _ = blobs(seed=5)
-    cfg = KMeansConfig(k=7, batch_size=32, max_iters=40, seed=11)
+    cfg = KMeansConfig(k=7, seed=11)
     a = minibatch_kmeans(points, cfg)
     b = minibatch_kmeans(points, cfg)
     np.testing.assert_array_equal(a, b)
@@ -72,10 +76,11 @@ def test_chunked_final_labels_match_one_assignment(monkeypatch):
         assert minibatch_kmeans(points, cfg).tobytes() == whole.tobytes()
 
 
-def test_float32_points_are_converted_a_block_of_rows_at_a_time():
+def test_float32_points_are_converted_a_block_of_rows_at_a_time(monkeypatch):
+    monkeypatch.setattr(kmeans, "MAX_ITERS", 20)
     n, dim = 20000, 32
     points = np.random.default_rng(6).normal(size=(n, dim)).astype(np.float32)
-    cfg = KMeansConfig(k=40, seed=0, max_iters=20)
+    cfg = KMeansConfig(k=40, seed=0)
     want_labels = minibatch_kmeans(points.astype(np.float64), cfg)
     want_centers = kmeans_centers(points.astype(np.float64), cfg)
     tracemalloc.start()
@@ -95,13 +100,14 @@ def quantization_cost(points, centers) -> float:
     return float(sq_distances(np.asarray(points, dtype=np.float64), centers).min(axis=1).mean())
 
 
-def test_cost_non_increasing_on_final_checkpoints():
+def test_cost_non_increasing_on_final_checkpoints(monkeypatch):
     # identical seed => each run is a prefix of the same trajectory
+    monkeypatch.setattr(kmeans, "BATCH_SIZE", 64)
     points, _ = blobs(seed=8, per=100, spread=0.3)
     costs = []
     for iters in (70, 80, 90, 100):
-        cfg = KMeansConfig(k=6, batch_size=64, max_iters=iters, seed=21)
-        centers = kmeans_centers(points, cfg)
+        monkeypatch.setattr(kmeans, "MAX_ITERS", iters)
+        centers = kmeans_centers(points, KMeansConfig(k=6, seed=21))
         costs.append(quantization_cost(points, centers))
     assert all(a >= b - 1e-12 for a, b in zip(costs, costs[1:]))
 
@@ -112,10 +118,12 @@ def test_cost_non_increasing_on_final_checkpoints():
 def test_minibatch_fold_matches_the_per_cluster_loop_bitwise(n, dim, data, seed):
     # at dim 1 the loop's member.sum sums pairwise, so only the last bits agree there
     k = data.draw(st.integers(1, min(n, 8)))
-    cfg = KMeansConfig(k=k, batch_size=data.draw(st.integers(1, n)),
-                       max_iters=data.draw(st.integers(0, 12)), seed=seed)
+    cfg = KMeansConfig(k=k, seed=seed)
     points = np.random.default_rng(seed).normal(size=(n, dim))
-    labels, centers = minibatch_kmeans(points, cfg), kmeans_centers(points, cfg)
-    expected_labels, expected_centers = loop_minibatch_kmeans(points, cfg)
+    # monkeypatch is function-scoped, so each example patches the constants itself
+    with mock.patch.object(kmeans, "BATCH_SIZE", data.draw(st.integers(1, n))), \
+            mock.patch.object(kmeans, "MAX_ITERS", data.draw(st.integers(0, 12))):
+        labels, centers = minibatch_kmeans(points, cfg), kmeans_centers(points, cfg)
+        expected_labels, expected_centers = loop_minibatch_kmeans(points, cfg)
     np.testing.assert_array_equal(labels, expected_labels)
     assert centers.tobytes() == expected_centers.tobytes()

@@ -12,7 +12,7 @@ from oracles import (
     pair_set,
 )
 
-from ccl import data, mining
+from ccl import data, memory, mining
 from ccl.data import CooccurrenceSet
 from ccl.finch import cluster_means
 from ccl.mining import (
@@ -355,6 +355,27 @@ def test_draw_subsamples_picks_each_candidate_at_quota_over_count():
         rate = quota / count
         sigma = np.sqrt(trials * rate * (1 - rate))
         assert np.all(np.abs(hits - trials * rate) <= 5 * sigma), (count, hits)
+
+
+def test_epoch_larger_than_memory_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(memory, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(memory, "_cgroup_memory_limit", lambda: None)
+    labels = np.repeat(np.arange(2), 5)
+    ranks = rank_clusters(np.eye(2), z_near=1, z_far=1)
+    # 2,000 slots of 2 clusters: 100,000 pairs, several MiB when mined
+    cfg = MiningConfig(clusters_per_batch=2000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^an epoch of 2000 cluster slots \(mining\."
+                                             r"clusters_per_batch = 2000 per batch\) with up "
+                                             r"to 50 pairs each \(mining\.pos_per_cluster \+ "
+                                             r"mining\.neg_per_cluster\) may need \d+ bytes, "
+                                             r"more than the 1048576 bytes of physical memory$"):
+            mine_epoch(labels, ranks, CooccurrenceSet(), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_mine_epoch_never_lists_the_pairs_of_a_cluster():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ccl import data, hac, pipeline, siamese
+from ccl import data, hac, memory, pipeline, siamese
 from ccl.data import FeatureSet, aggregate_tracks, write_features
 from ccl.hac import ward_hac, ward_matrix_bytes
 from ccl.mining import MiningConfig
@@ -386,7 +386,7 @@ def test_no_negative_source_warns_once_per_run(caplog, small_dataset):
         run_pipeline(quick_config(mining=MiningConfig(z_near=5, z_far=5, use_neg_cluster=False,
                                                       use_neg_video=False)), small_dataset)
     assert [(r.name, r.getMessage()) for r in caplog.records] == [
-        ("ccl.mining", "no negative pair source enabled; training may collapse embeddings")]
+        ("ccl.pipeline", "no negative pair source enabled; training may collapse embeddings")]
 
 
 @pytest.mark.parametrize("nested", [{"mining": MiningConfig(seed=7)},
@@ -470,7 +470,7 @@ def test_ward_matrix_larger_than_physical_memory_fails_before_any_stage(
         tmp_path, small_dataset, monkeypatch):
     # track level: 36 tracks, so the frame-level hint of the CLI test is left out
     need = ward_matrix_bytes(36)
-    monkeypatch.setattr(hac, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(memory, "_physical_memory", lambda: need - 1)
     monkeypatch.setattr(pipeline, "prepare_mining", None)  # the first stage
     with pytest.raises(PipelineError) as error:
         run_pipeline(quick_config(eval_level="track", out_dir=str(tmp_path)), small_dataset)

@@ -2,6 +2,7 @@ import copy
 import math
 import struct
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -444,6 +445,56 @@ def test_train_aborts_on_non_finite_loss():
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             train(fs, constant_epoch_factory(batches), cfg, model=model)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+# the largest float32 margin whose float32 square is finite: just below 2**64
+F32_MARGIN = float(np.nextafter(np.float32(2.0**64), np.float32(0)))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("adam_eps", 1e300), ("adam_eps", 2 * F32_MAX), ("adam_eps", 0.0),
+    ("margin", 1e20), ("margin", 2.0**64), ("margin", math.inf),
+])
+def test_train_config_refuses_values_float32_training_cannot_hold(key, value):
+    with pytest.raises(ValueError, match=f"^train.{key} must "):
+        TrainConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key, value", [("adam_eps", F32_MAX), ("adam_eps", 1e-50),
+                                        ("margin", F32_MARGIN)])
+def test_train_config_accepts_float32_extremes(key, value):
+    TrainConfig(**{key: value}).validate()
+
+
+def test_diverging_training_is_one_error_and_no_numpy_warning():
+    fs, batches = synthetic_training_setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="^non-finite loss nan at epoch 1, batch 0$"):
+            train(fs, constant_epoch_factory(batches[:1]),
+                  TrainConfig(epochs=2, lr=1e10, seed=0, hidden_dim=8))
+
+
+def test_a_last_step_that_leaves_a_non_finite_tensor_fails_training():
+    fs, batches = synthetic_training_setup()
+    # float32 cannot hold this step size: the one step makes enc_w non-finite
+    cfg = TrainConfig(epochs=1, lr=1e300, seed=0, hidden_dim=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="^non-finite enc_w after training$"):
+            train(fs, constant_epoch_factory(batches[:1]), cfg)
+
+
+def test_an_embedding_out_of_float32_is_an_error_naming_its_row():
+    fs, _ = synthetic_training_setup()
+    model = init_model(fs.dim, 8, 2, seed=0)
+    model.enc_w[:, 3] = 1e30
+    model.bn_gamma[3] = 1e30  # finite tensors, but row values of ~1e60
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^non-finite embedding row 0$"):
+            embed(model, fs)
 
 
 def test_embed_properties():
