@@ -212,36 +212,47 @@ def load_features(path) -> FeatureSet:
     return FeatureSet(features, **arrays)
 
 
-def load_features_csv(path) -> FeatureSet:
-    """Import features from CSV with header ``frame_id,track_id,label,f0,...``."""
+def csv_rows(path, error=ValueError):
+    """(line number, row) of each row of the CSV file at ``path``; a row the
+    csv module cannot read, such as a cell over its field limit, is ``error``
+    naming the file and line. Every CSV reader reads its file through it."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FeatureFileError("empty CSV file") from None
-        if header[:3] != ["frame_id", "track_id", "label"]:
-            raise FeatureFileError(f"bad CSV header: {header[:3]}")
-        d = len(header) - 3
-        expected = [f"f{i}" for i in range(d)]
-        if d < 1 or header[3:] != expected:
-            raise FeatureFileError("bad CSV header: feature columns must be f0..f{D-1}")
-        frame, track, label, rows, lines = [], [], [], [], []
-        for row in reader:
-            where = f"{path} line {reader.line_num}"
-            if len(row) != d + 3:
-                raise FeatureFileError(f"{where}: {len(row)} fields, expected {d + 3}")
-            try:
-                ids = [int(v) for v in row[:3]]
-                rows.append([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise FeatureFileError(f"{where}: {exc}") from None
-            if not -2**63 <= min(ids) <= max(ids) < 2**63:
-                raise FeatureFileError(f"{where}: id outside the int64 range in {row[:3]}")
-            frame.append(ids[0])
-            track.append(ids[1])
-            label.append(ids[2])
-            lines.append(reader.line_num)
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise error(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def load_features_csv(path) -> FeatureSet:
+    """Import features from CSV with header ``frame_id,track_id,label,f0,...``."""
+    reader = csv_rows(path, FeatureFileError)
+    _, header = next(reader, (0, None))
+    if header is None:
+        raise FeatureFileError("empty CSV file")
+    if header[:3] != ["frame_id", "track_id", "label"]:
+        raise FeatureFileError(f"bad CSV header: {header[:3]}")
+    d = len(header) - 3
+    expected = [f"f{i}" for i in range(d)]
+    if d < 1 or header[3:] != expected:
+        raise FeatureFileError("bad CSV header: feature columns must be f0..f{D-1}")
+    frame, track, label, rows, lines = [], [], [], [], []
+    for line, row in reader:
+        where = f"{path} line {line}"
+        if len(row) != d + 3:
+            raise FeatureFileError(f"{where}: {len(row)} fields, expected {d + 3}")
+        try:
+            ids = [int(v) for v in row[:3]]
+            rows.append([float(v) for v in row[3:]])
+        except ValueError as exc:
+            raise FeatureFileError(f"{where}: {exc}") from None
+        if not -2**63 <= min(ids) <= max(ids) < 2**63:
+            raise FeatureFileError(f"{where}: id outside the int64 range in {row[:3]}")
+        frame.append(ids[0])
+        track.append(ids[1])
+        label.append(ids[2])
+        lines.append(line)
     if not rows:
         raise FeatureFileError("CSV file has no data rows")
     values, largest = np.asarray(rows), float(np.finfo(np.float32).max)

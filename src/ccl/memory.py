@@ -1,7 +1,7 @@
 """The memory a process can have: physical memory or, when smaller, the
 smallest memory limit of its cgroups and their ancestors. Every check that
-refuses a size before allocating it (the Ward matrix, a mining epoch) reads
-it from `memory_limit`.
+refuses a size before allocating it (Ward's matrix, and `check_memory`'s
+callers) reads it from `memory_limit`.
 """
 
 from __future__ import annotations
@@ -62,3 +62,10 @@ def memory_limit() -> tuple[int, str]:
     if limit is not None and limit[0] < have:
         have, which = limit[0], f"-byte memory limit of {limit[1]}"
     return have, which
+
+
+def check_memory(need: int, what: str) -> None:
+    """ValueError "<what> may need <need> bytes, ..." above `memory_limit`."""
+    have, which = memory_limit()
+    if need > have:
+        raise ValueError(f"{what} may need {need} bytes, more than the {have}{which}")

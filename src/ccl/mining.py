@@ -3,9 +3,10 @@
 An epoch's slots are the clusters in seeded-shuffled order, wrapped around
 so every batch holds ``clusters_per_batch`` of them. A slot's positive
 candidates are its cluster's pairs (i, j) (PosC, row-major i < j over the
-ascending members), then for small clusters one draw per member from one of
-the nearest clusters that does not co-occur with it (PosC-near; when every
-draw co-occurs, all allowed pairs with the near clusters, drawing nothing).
+ascending members), then, for a cluster of fewer than
+``small_cluster_threshold`` rows, one draw per member from one of the
+nearest clusters that does not co-occur with it (PosC-near; when every draw
+co-occurs, all allowed pairs with the near clusters, drawing nothing).
 Its negative candidates are two draws per member from the farthest clusters
 (NegC), then every co-occurrence pair touching the cluster (NVid), ascending.
 Each slot contributes a fixed quota of positives (y = 0) and negatives (y = 1).
@@ -14,11 +15,10 @@ Pair streams are a pure function of (partition, ranks, co-occurrence,
 config, epoch). One generator seeded with ``[seed, epoch]`` draws the
 shuffle, then makes one ``rng.integers`` call with per-element bounds per
 draw kind, over all slots in slot order: (1) near cluster, per slot taking
-PosC-near (a cluster under ``small_cluster_threshold``, or any with
-``near_positives_for_all``); (2) near partner, per member of those slots;
-(3) far cluster, twice per member; (4) far member, per far cluster drawn;
-(5) the positive, then the negative subsample (`draw_subsamples`). Changing
-this draw order or the candidate order changes every mined pair after it.
+PosC-near; (2) near partner, per member of those slots; (3) far cluster,
+twice per member; (4) far member, per far cluster drawn; (5) the positive,
+then the negative subsample (`draw_subsamples`). Changing this draw order or
+the candidate order changes every mined pair after it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CooccurrenceSet, row_blocks, sq_distances, unit_rows
-from .memory import memory_limit
+from .memory import check_memory
 
 POS_CLUSTER = "PosC"
 POS_NEAR = "PosC-near"
@@ -59,8 +59,6 @@ class MiningConfig:
     use_pos_cluster: bool = True
     use_neg_cluster: bool = True
     use_neg_video: bool = True
-    # extend near-cluster positives to every cluster, not only small ones
-    near_positives_for_all: bool = False
 
     def validate(self) -> None:
         for key in ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
@@ -279,13 +277,10 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     reps = -(-num_slots // m)
     quota = cfg.pos_per_cluster + cfg.neg_per_cluster
     # each slot lists its cluster's rows; there are at most reps * N of them
-    need = num_slots * quota * _PAIR_BYTES + reps * labels.size * _ROW_BYTES
-    have, which = memory_limit()
-    if need > have:
-        raise ValueError(f"an epoch of {num_slots} cluster slots "
-                         f"(mining.clusters_per_batch = {per_batch} per batch) with up to "
-                         f"{quota} pairs each (mining.pos_per_cluster + mining.neg_per_cluster) "
-                         f"may need {need} bytes, more than the {have}{which}")
+    check_memory(num_slots * quota * _PAIR_BYTES + reps * labels.size * _ROW_BYTES,
+                 f"an epoch of {num_slots} cluster slots (mining.clusters_per_batch = "
+                 f"{per_batch} per batch) with up to {quota} pairs each "
+                 f"(mining.pos_per_cluster + mining.neg_per_cluster)")
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
     slots = np.tile(order, reps)[:num_slots]
@@ -297,7 +292,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     members, n = (rows, start, size), size[slots]
     in_cluster = n * (n - 1) // 2 * cfg.use_pos_cluster
     takes_near = (cfg.use_pos_cluster and ranks.nearest.shape[1] > 0) & (
-        (n < cfg.small_cluster_threshold) | cfg.near_positives_for_all)
+        n < cfg.small_cluster_threshold)
     near_a, near_b, near_count = _near_positives(rng, slots, takes_near, ranks.nearest,
                                                  members, cooc)
     use_far = cfg.use_neg_cluster and ranks.farthest.shape[1] > 0

@@ -34,6 +34,7 @@ from .data import (
     aggregate_tracks,
     build_cooccurrence,
     cluster_means,
+    csv_rows,
     l2_normalize,
     load_features,
     load_features_csv,
@@ -118,11 +119,9 @@ _SECTIONS = {
                           "video_correction")),
     "sources": ("mining", "use_", ("pos_cluster", "neg_cluster", "neg_video")),
     "mining": ("mining", "", ("z_near", "z_far", "small_cluster_threshold",
-                              "clusters_per_batch", "pos_per_cluster", "neg_per_cluster",
-                              "near_positives_for_all")),
+                              "clusters_per_batch", "pos_per_cluster", "neg_per_cluster")),
     "train": ("training", "", ("epochs", "lr", "lr_drop_epoch", "lr_drop_factor", "beta1",
-                               "beta2", "adam_eps", "hidden_dim", "out_dim", "margin",
-                               "squared_hinge")),
+                               "beta2", "adam_eps", "hidden_dim", "out_dim", "margin")),
 }
 
 
@@ -197,23 +196,23 @@ def write_partition_csv(hierarchy, path) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def _int_cell(path, reader, row: list[str], column: int) -> int:
+def _int_cell(path, line: int, row: list[str], column: int) -> int:
     try:
         return int(np.int64(row[column]))
     except (IndexError, ValueError, OverflowError):
-        raise ValueError(f"{path} line {reader.line_num}: expected an integer "
+        raise ValueError(f"{path} line {line}: expected an integer "
                          f"in the int64 range in column {column + 1}, got {row!r}") from None
 
 
 def read_partition_csv(path, index: int, num_rows: int) -> np.ndarray:
     """Load one 1-based partition column; one row per feature row, ids in [0, num_rows)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        depth = len(next(reader, [])[1:])
-        if not 1 <= index <= depth:
-            raise ValueError(f"partition index {index} out of range: file has L={depth}")
-        labels = np.asarray([_int_cell(path, reader, row, index) for row in reader],
-                            dtype=np.int64)
+    reader = csv_rows(path)
+    _, header = next(reader, (0, []))
+    depth = len(header) - 1
+    if not 1 <= index <= depth:
+        raise ValueError(f"partition index {index} out of range: file has L={depth}")
+    labels = np.asarray([_int_cell(path, line, row, index) for line, row in reader],
+                        dtype=np.int64)
     if labels.size != num_rows:
         raise ValueError(f"{path}: {labels.size} partition rows, expected one per "
                          f"feature row ({num_rows})")
@@ -234,16 +233,15 @@ def write_labels_csv(ids, labels, path, id_column: str) -> None:
 
 def read_labels_csv(path) -> tuple[str, np.ndarray, np.ndarray]:
     """(level, unit ids, labels); the header's id column names the level."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        level = next((level for level, column in ID_COLUMNS.items()
-                      if header == [column, "label"]), None)
-        if level is None:
-            expected = " or ".join(f"'{column},label'" for column in ID_COLUMNS.values())
-            raise ValueError(f"{path}: header {','.join(header)!r} is not {expected}")
-        rows = [(_int_cell(path, reader, row, 0), _int_cell(path, reader, row, 1))
-                for row in reader]
+    reader = csv_rows(path)
+    _, header = next(reader, (0, []))
+    level = next((level for level, column in ID_COLUMNS.items()
+                  if header == [column, "label"]), None)
+    if level is None:
+        expected = " or ".join(f"'{column},label'" for column in ID_COLUMNS.values())
+        raise ValueError(f"{path}: header {','.join(header)!r} is not {expected}")
+    rows = [(_int_cell(path, line, row, 0), _int_cell(path, line, row, 1))
+            for line, row in reader]
     ids, labels = np.asarray(rows, dtype=np.int64).reshape(-1, 2).T
     return level, ids, labels
 
@@ -251,16 +249,15 @@ def read_labels_csv(path) -> tuple[str, np.ndarray, np.ndarray]:
 def read_cooc_csv(path, num_rows: int) -> CooccurrenceSet:
     """Load co-occurring row pairs: two distinct indices in [0, num_rows) per line."""
     first, second = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            i, j = _int_cell(path, reader, row, 0), _int_cell(path, reader, row, 1)
-            if not (0 <= i < num_rows and 0 <= j < num_rows) or i == j:
-                raise ValueError(f"{path} line {reader.line_num}: pair ({i}, {j}) is not "
-                                 f"two distinct rows of the {num_rows} feature rows")
-            first.append(i)
-            second.append(j)
+    reader = csv_rows(path)
+    next(reader, None)
+    for line, row in reader:
+        i, j = _int_cell(path, line, row, 0), _int_cell(path, line, row, 1)
+        if not (0 <= i < num_rows and 0 <= j < num_rows) or i == j:
+            raise ValueError(f"{path} line {line}: pair ({i}, {j}) is not "
+                             f"two distinct rows of the {num_rows} feature rows")
+        first.append(i)
+        second.append(j)
     return CooccurrenceSet(num_rows, first, second)
 
 

@@ -5,28 +5,28 @@ for positive and y=1 for negative pairs, margin m, and pair distance d
 
     loss = 1/2 * ((1 - y) * d^2 + y * max(0, m - d)^2),
 
-is minimized with Adam over mined pair batches. d is the (unsquared)
-Euclidean distance between the projected pair by default; squared_hinge=True
-switches d to the squared distance. `_pair_loss` is the one implementation
-of this loss. Gradients are computed analytically,
-including the flow through batch statistics and the summed contribution of
-both branches; at the hinge boundary d == m the zero branch is taken.
+is minimized with Adam over mined pair batches. d is the Euclidean
+distance between the projected pair, sqrt(sum((p1 - p2)^2)), and
+`_pair_loss` is the one implementation of this loss. Gradients are computed
+analytically, including the flow through batch statistics and the summed
+contribution of both branches; at the hinge boundary d == m the zero branch
+is taken.
 
 Train mode has no nonlinearity. A step stacks both branches into R rows x
 (R = 2 * pairs), centres them on their column means and projects
 
-    p = x_c @ M + (bn_beta @ proj_w + proj_b),
-    M = enc_w @ diag(s) @ proj_w,   s = bn_gamma / sqrt(var + eps),
+    p = x_c @ M,   M = enc_w @ diag(s) @ proj_w,   s = bn_gamma / sqrt(var + eps),
 
 where var_j = w_j' C w_j is the batch variance of hidden unit j, read from
 the D x D covariance C = x_c' x_c / R. Forward and backward work on D x D,
 D x H, H x O and D x O products and never form the R x H activations. The
-loss depends on p only through pair differences, so the gradients of enc_b,
-bn_beta and proj_b are exactly zero and training leaves those tensors as
-they were. var_j read from C carries an absolute error of order
-eps * |w_j|' |C| |w_j|, which matters only for a hidden unit nearly
-orthogonal to a batch of fewer rows than features. `_train_projection` is
-the only train-mode forward.
+full train-mode projection adds bn_beta @ proj_w + proj_b to every row; the
+loss reads p only through pair differences, so the step leaves that offset
+out, the gradients of enc_b, bn_beta and proj_b are exactly zero and
+training leaves those tensors as they were. var_j read from C carries an
+absolute error of order eps * |w_j|' |C| |w_j|, which matters only for a
+hidden unit nearly orthogonal to a batch of fewer rows than features.
+`_train_projection` is the only train-mode forward.
 
 Embeddings for clustering are the batch-normalized hidden layer in eval
 mode (`forward`, with the running statistics), l2-normalized, computed
@@ -34,7 +34,9 @@ one `data.row_blocks` block of rows at a time by `embedded_chunks`.
 
 Memory of a training run: a step gathers its R x D rows into a fresh
 array, which it centres in place; no array of a step has R x H elements.
-An epoch's pair batches are freed before the next epoch is mined.
+`train` and `embed` refuse a model or output larger than `check_memory`
+allows before allocating it. An epoch's pair batches are freed before the
+next epoch is mined.
 Adam holds the tensors the loss depends on, OPTIMIZED, in flat parameter,
 moment and gradient arrays; while training runs, the model's OPTIMIZED
 tensors are views of the flat parameters, updated in place, and the model
@@ -50,10 +52,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureSet, check_declared_size, row_blocks, unit_rows
+from .memory import check_memory
 
 CHECKPOINT_MAGIC = b"CCLM"
 CHECKPOINT_VERSION = 1
-# magic, version, D, H, O, margin, squared_hinge, bn_eps, bn_momentum
+# magic, version, D, H, O, margin, reserved (always 0), bn_eps, bn_momentum
 _HEADER = struct.Struct("<4sIQQQfBff")
 # the f32 tensors after the header, in file order, each shape in the header's D, H, O
 _TENSORS = (("enc_w", "DH"), ("enc_b", "H"), ("bn_gamma", "H"), ("bn_beta", "H"),
@@ -61,6 +64,14 @@ _TENSORS = (("enc_w", "DH"), ("enc_b", "H"), ("bn_gamma", "H"), ("bn_beta", "H")
 
 TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients
+
+# Peak bytes rounded up from tracemalloc peaks: of `train` per model parameter
+# (16-46: tensors, Adam's six flat buffers, a step's D x H and H x O arrays),
+# of `embed` per output element (5.0-5.1 at 8,000-20,000 rows) and per element
+# of its first row block (20-24: the block's float32 and float64 copies).
+_PARAM_BYTES = 64
+_EMBED_BYTES = 8
+_EMBED_BLOCK_BYTES = 32
 
 
 @dataclass
@@ -76,7 +87,6 @@ class SiameseModel:
     margin: float = 1.0
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
-    squared_hinge: bool = False
 
     @property
     def dim_in(self) -> int:
@@ -111,7 +121,6 @@ class TrainConfig:
     hidden_dim: int = 256
     out_dim: int = 2
     margin: float = 1.0
-    squared_hinge: bool = False
 
     def validate(self) -> None:
         for key, low in (("epochs", 0), ("hidden_dim", 1), ("out_dim", 1)):
@@ -138,8 +147,7 @@ class TrainConfig:
 
 
 def init_model(dim_in: int, hidden_dim: int = 256, out_dim: int = 2,
-               margin: float = 1.0, seed: int = 0, dtype=np.float32,
-               squared_hinge: bool = False) -> SiameseModel:
+               margin: float = 1.0, seed: int = 0, dtype=np.float32) -> SiameseModel:
     """Uniform(+-1/sqrt(fan_in)) weights, zero biases, identity batch norm."""
     rng = np.random.default_rng(seed)
     enc_scale = 1.0 / np.sqrt(dim_in)
@@ -154,7 +162,6 @@ def init_model(dim_in: int, hidden_dim: int = 256, out_dim: int = 2,
         proj_w=rng.uniform(-proj_scale, proj_scale, (hidden_dim, out_dim)).astype(dtype),
         proj_b=np.zeros(out_dim, dtype=dtype),
         margin=float(margin),
-        squared_hinge=squared_hinge,
     )
 
 
@@ -169,7 +176,8 @@ def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
 
 
 def _train_projection(model: SiameseModel, x: np.ndarray):
-    """Centre the rows of x in place and project them with batch statistics.
+    """Centre the rows of x in place and project them with batch statistics,
+    leaving out the offset bn_beta @ proj_w + proj_b that every row shares.
 
     Returns (p, mean, var, inv_std, scale, cw): the projection, the column
     means of the rows, the hidden units' batch variances, 1 / sqrt(var + eps),
@@ -185,7 +193,6 @@ def _train_projection(model: SiameseModel, x: np.ndarray):
     inv_std = 1.0 / np.sqrt(var + model.bn_eps)
     scale = model.bn_gamma * inv_std
     p = x @ ((model.enc_w * scale) @ model.proj_w)
-    p += model.bn_beta @ model.proj_w + model.proj_b
     return p, mean, var, inv_std, scale, cw
 
 
@@ -204,12 +211,11 @@ def forward(model: SiameseModel, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _pair_loss(p: np.ndarray, n: int, y: np.ndarray, margin: float, squared_hinge: bool):
+def _pair_loss(p: np.ndarray, n: int, y: np.ndarray, margin: float):
     """Mean loss of the pairs (p[k], p[n + k]); also returns their
     differences, distances and hinge terms."""
     diff = p[:n] - p[n:]
-    dsq = np.sum(diff ** 2, axis=-1)
-    d = dsq if squared_hinge else np.sqrt(dsq)
+    d = np.sqrt(np.sum(diff ** 2, axis=-1))
     hinge = np.maximum(0.0, margin - d)
     loss = float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
     return loss, diff, d, hinge
@@ -224,19 +230,16 @@ def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads
         raise ValueError("empty pair batch")
     y = np.asarray(y, dtype=model.dtype)
     p, mean, var, inv_std, scale, cw = _train_projection(model, x)
-    loss, diff, d, hinge = _pair_loss(p, n, y, model.margin, model.squared_hinge)
+    loss, diff, d, hinge = _pair_loss(p, n, y, model.margin)
 
     # d(loss)/d(d) averaged over pairs, then chain to the pair difference
     ddist = ((1 - y) * d - y * hinge) / n
-    if model.squared_hinge:
-        gdiff = (2.0 * ddist)[:, None] * diff
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            direction = np.where(d[:, None] > 0, diff / np.where(d == 0, 1.0, d)[:, None], 0.0)
-        gdiff = ddist[:, None] * direction
-    gp = np.concatenate([gdiff, -gdiff]).astype(model.dtype)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direction = np.where(d[:, None] > 0, diff / np.where(d == 0, 1.0, d)[:, None], 0.0)
+    gdiff = ddist[:, None] * direction
+    gp = np.concatenate([gdiff, -gdiff])
 
-    # p = x @ M + const with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
+    # p = x @ M with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
     gm = x.T @ gp
     g_scaled_proj = model.enc_w.T @ gm
     np.multiply(g_scaled_proj, scale[:, None], out=grads["proj_w"])
@@ -334,13 +337,17 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     fs rows. The learning rate divides by lr_drop_factor from lr_drop_epoch
     on. With epochs=0 the freshly initialized model is returned unchanged.
     A given model is updated and returned; its tensors are replaced by new
-    arrays, so arrays it held before are left as they were. A tensor the
-    last step made non-finite is a RuntimeError naming it.
+    arrays, so arrays it held before are left as they were; its enc_b,
+    bn_beta and proj_b, left out of the step, change its loss only by
+    rounding. A tensor the last step made non-finite is a RuntimeError.
     """
     cfg.validate()
     if model is None:
-        model = init_model(fs.dim, cfg.hidden_dim, cfg.out_dim, cfg.margin, seed=cfg.seed,
-                           squared_hinge=cfg.squared_hinge)
+        d, h, o = fs.dim, cfg.hidden_dim, cfg.out_dim
+        check_memory(_PARAM_BYTES * (d * h + h * o + 6 * h + o),
+                     f"training a {d} x {h} x {o} model (train.hidden_dim = {h}, "
+                     f"train.out_dim = {o})")
+        model = init_model(d, h, o, cfg.margin, seed=cfg.seed)
     if model.dim_in != fs.dim:
         raise ValueError(f"model expects dim {model.dim_in}, features have {fs.dim}")
 
@@ -380,11 +387,13 @@ def embedded_chunks(model: SiameseModel, fs: FeatureSet):
 
 def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     """Eval-mode hidden embeddings, l2-normalized, indices carried through."""
-    out = np.empty((fs.num_samples, model.dim_hidden), dtype=np.float32)
-    start = 0
-    for rows in embedded_chunks(model, fs):
-        out[start:start + len(rows)] = rows
-        start += len(rows)
+    n, h = fs.num_samples, model.dim_hidden
+    blocks = row_blocks(n)
+    check_memory(_EMBED_BYTES * n * h + _EMBED_BLOCK_BYTES * blocks[0][1] * h,
+                 f"the {n} x {h} embeddings (train.hidden_dim = {h})")
+    out = np.empty((n, h), dtype=np.float32)
+    for (start, stop), rows in zip(blocks, embedded_chunks(model, fs)):
+        out[start:stop] = rows
     return fs.with_features(out)
 
 
@@ -393,8 +402,7 @@ def save_model(model: SiameseModel, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                               model.dim_in, model.dim_hidden, model.dim_out,
-                              model.margin, int(model.squared_hinge),
-                              model.bn_eps, model.bn_momentum))
+                              model.margin, 0, model.bn_eps, model.bn_momentum))
         for name, _ in _TENSORS:
             fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f4").tobytes())
 
@@ -404,9 +412,12 @@ def load_model(path) -> SiameseModel:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise ValueError("malformed checkpoint header")
-        magic, version, d, hidden, out, margin, squared, eps, momentum = _HEADER.unpack(header)
+        magic, version, d, hidden, out, margin, reserved, eps, momentum = _HEADER.unpack(header)
         if magic != CHECKPOINT_MAGIC or version != CHECKPOINT_VERSION:
             raise ValueError(f"not a model checkpoint (magic={magic!r}, version={version})")
+        if reserved:
+            raise ValueError(f"checkpoint reserved byte is {reserved}, not 0: "
+                             f"the squared-distance hinge is not supported")
         dims = {"D": d, "H": hidden, "O": out}
         shapes = {name: tuple(dims[axis] for axis in axes) for name, axes in _TENSORS}
         declared = _HEADER.size + 4 * sum(math.prod(shape) for shape in shapes.values())
@@ -417,5 +428,5 @@ def load_model(path) -> SiameseModel:
     for name, value in {"margin": margin, "bn_eps": eps, "bn_momentum": momentum, **arrays}.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint {name} holds a non-finite value")
-    return SiameseModel(margin=float(margin), squared_hinge=bool(squared),
-                        bn_eps=float(eps), bn_momentum=float(momentum), **arrays)
+    return SiameseModel(margin=float(margin), bn_eps=float(eps), bn_momentum=float(momentum),
+                        **arrays)

@@ -1,4 +1,4 @@
-"""Hypothesis strategy that damages a valid binary file: truncate, extend or flip bytes."""
+"""Hypothesis strategy that damages a valid file: truncate, extend or flip bytes."""
 
 from __future__ import annotations
 

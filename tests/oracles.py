@@ -435,8 +435,7 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
                           for j in range(i + 1, len(mem))] if cfg.use_pos_cluster else [])
     near_slots = [s for s, c in enumerate(slots)
                   if cfg.use_pos_cluster and ranks.nearest[c].size
-                  and (len(members[c]) < cfg.small_cluster_threshold
-                       or cfg.near_positives_for_all)]
+                  and len(members[c]) < cfg.small_cluster_threshold]
     picks = _bounded(rng, [ranks.nearest[slots[s]].size for s in near_slots])
     near = [int(ranks.nearest[slots[s]][p]) for s, p in zip(near_slots, picks)]
     picks = iter(_bounded(rng, [len(members[g]) for s, g in zip(near_slots, near)
@@ -502,21 +501,14 @@ def textbook_loss_and_gradients(model, x1, x2, y):
     h, p, cache = _textbook_train_forward(model, x)
 
     diff = p[:n] - p[n:]
-    dsq = np.sum(diff ** 2, axis=1)
-    if model.squared_hinge:
-        d = dsq
-    else:
-        d = np.sqrt(dsq)
+    d = np.sqrt(np.sum(diff ** 2, axis=1))
     hinge = np.maximum(0.0, model.margin - d)
     loss = float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
 
     ddist = ((1 - y) * d - y * hinge) / n
-    if model.squared_hinge:
-        gdiff = (2.0 * ddist)[:, None] * diff
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            direction = np.where(d[:, None] > 0, diff / np.where(d == 0, 1.0, d)[:, None], 0.0)
-        gdiff = ddist[:, None] * direction
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direction = np.where(d[:, None] > 0, diff / np.where(d == 0, 1.0, d)[:, None], 0.0)
+    gdiff = ddist[:, None] * direction
     gp = np.concatenate([gdiff, -gdiff]).astype(model.dtype)
 
     grads = {}
@@ -589,7 +581,8 @@ def textbook_train(fs, mining_factory, cfg, model, loss_log: list) -> None:
 
 def train_forward(model, x):
     """Train-mode hidden layer and projection of the rows x, normalized with
-    their own batch statistics; p is the program's `_train_projection`."""
+    their own batch statistics; p is the program's `_train_projection`, which
+    leaves out the offset bn_beta @ proj_w + proj_b that every row shares."""
     centred = np.array(x, dtype=model.dtype)
     p, _, _, _, scale, _ = _train_projection(model, centred)
     h = centred @ model.enc_w
@@ -598,10 +591,10 @@ def train_forward(model, x):
     return h, p
 
 
-def pair_loss(p1, p2, y, margin: float = 1.0, squared_hinge: bool = False) -> float:
+def pair_loss(p1, p2, y, margin: float = 1.0) -> float:
     """The program's contrastive loss of one pair of projections, in float64."""
     p = np.stack([np.asarray(p1, dtype=np.float64), np.asarray(p2, dtype=np.float64)])
-    return _pair_loss(p, 1, np.float64(y), margin, squared_hinge)[0]
+    return _pair_loss(p, 1, np.float64(y), margin)[0]
 
 
 def batch_loss(model, x1, x2, y) -> float:
@@ -609,7 +602,7 @@ def batch_loss(model, x1, x2, y) -> float:
     span both branches)."""
     x = np.concatenate([x1, x2]).astype(model.dtype)
     p = _train_projection(model, x)[0]
-    return _pair_loss(p, x1.shape[0], y, model.margin, model.squared_hinge)[0]
+    return _pair_loss(p, x1.shape[0], y, model.margin)[0]
 
 
 def loss_and_gradients(model, x1, x2, y):

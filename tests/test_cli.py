@@ -677,3 +677,12 @@ def test_a_csv_cell_outside_float32_is_one_error_line(tmp_path):
     assert result.returncode == 2
     assert result.stderr == (f"ccl finch: error: {path} line 3: value outside the float32 range "
                              f"[-3.4028235e+38, 3.4028235e+38] in feature row\n")
+
+
+def test_a_csv_cell_over_the_field_limit_is_one_error_line(sweep_file, tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"track_id,label\n0,{'1' * 131073}\n")
+    result = ccl_subprocess("evaluate", "--pred", path, "--gt", sweep_file)
+    assert result.returncode == 2
+    assert result.stderr == (f"ccl evaluate: error: {path} line 2: field larger than "
+                             f"field limit (131072)\n")

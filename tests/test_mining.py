@@ -252,9 +252,8 @@ SOURCE_TOGGLES = [(p, c, v) for p in (True, False) for c in (True, False) for v 
        kind=st.sampled_from(["random", "singletons", "giant", "two"]),
        density=st.sampled_from([0.0, 0.1, 0.4, 0.9, 1.0]),
        toggles=st.sampled_from(SOURCE_TOGGLES),
-       near_for_all=st.booleans(),
        epoch=st.integers(0, 3))
-def test_mine_epoch_matches_naive_oracle(seed, kind, density, toggles, near_for_all, epoch):
+def test_mine_epoch_matches_naive_oracle(seed, kind, density, toggles, epoch):
     points, labels, cooc = random_instance(seed, kind, density)
     rng = np.random.default_rng(seed + 1)
     quota = int(rng.integers(1, 40))
@@ -263,8 +262,7 @@ def test_mine_epoch_matches_naive_oracle(seed, kind, density, toggles, near_for_
         small_cluster_threshold=int(rng.integers(1, 12)),
         clusters_per_batch=int(rng.integers(1, 5)),
         pos_per_cluster=quota, neg_per_cluster=quota, seed=int(rng.integers(0, 100)),
-        use_pos_cluster=toggles[0], use_neg_cluster=toggles[1], use_neg_video=toggles[2],
-        near_positives_for_all=near_for_all)
+        use_pos_cluster=toggles[0], use_neg_cluster=toggles[1], use_neg_video=toggles[2])
     ranks = rank_clusters(cluster_means(points, labels), cfg.z_near, cfg.z_far)
     ours = mine_epoch(labels, ranks, cooc, cfg, epoch)
     expected = naive_mine_epoch(labels, ranks, cooc, cfg, epoch)

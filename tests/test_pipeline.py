@@ -7,9 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from ccl import data, hac, memory, pipeline, siamese
-from ccl.data import FeatureSet, aggregate_tracks, write_features
+from ccl.data import (FeatureFileError, FeatureSet, aggregate_tracks, load_features_csv,
+                      write_features)
 from ccl.hac import ward_hac, ward_matrix_bytes
 from ccl.mining import MiningConfig
 from ccl.pipeline import (
@@ -22,6 +24,7 @@ from ccl.pipeline import (
     load_any_features,
     level_points,
     parse_config_file,
+    read_cooc_csv,
     read_labels_csv,
     read_partition_csv,
     run_ablation,
@@ -31,6 +34,8 @@ from ccl.pipeline import (
 )
 from ccl.siamese import TrainConfig, embed, init_model
 from ccl.synth import synth_generate
+
+from corruption import corrupt, corruptions
 
 
 @pytest.fixture(scope="module")
@@ -325,12 +330,20 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     ("pipeline.backend = 3", "pipeline.backend must be str"),
     ("pipeline.features = x.cclf", "unknown config key 'pipeline.features'"),
     ("pipeline.out_dir = out", "unknown config key 'pipeline.out_dir'"),
+    ("train.squared_hinge = true", "unknown config key 'train.squared_hinge'"),
+    ("mining.near_positives_for_all = true", "unknown config key 'mining.near_positives_for_all'"),
 ])
 def test_config_file_rejects_values_of_the_wrong_type(tmp_path, line, message):
     path = tmp_path / "bad.cfg"
     path.write_text(f"train.epochs = 2\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
         parse_config_file(path)
+
+
+@pytest.mark.parametrize("key", ["train.squared_hinge", "mining.near_positives_for_all"])
+def test_values_naming_a_removed_training_variant_are_refused(key):
+    with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+        config_from_values({key: True})
 
 
 def test_config_file_accepts_an_int_for_a_float(tmp_path):
@@ -464,6 +477,54 @@ def test_csv_readers_name_the_file_and_line_of_a_bad_cell(tmp_path):
     path.write_text("sample_index,label\n0,1\n1,-9223372036854775809\n")
     with pytest.raises(ValueError, match=r"bad\.csv line 3: expected an integer"):
         read_labels_csv(path)
+
+
+# one character over the csv module's default field limit
+LONG_CELL = "1" * 131_073
+# a valid file of each text kind, and its reader
+TEXT_FILES = {
+    "features": ("frame_id,track_id,label,f0,f1\n0,0,1,0.5,0.25\n0,1,0,1.0,-1.0\n"
+                 "3,2,0,2.0,0.0\n", load_features_csv),
+    "partition": ("sample_index,p1,p2\n0,0,0\n1,1,0\n2,1,0\n",
+                  lambda path: read_partition_csv(path, 2, 3)),
+    "cooccurrence": ("i,j\n0,1\n2,0\n", lambda path: read_cooc_csv(path, 3)),
+    "labels": ("track_id,label\n0,1\n1,0\n2,1\n", read_labels_csv),
+    "config": ("pipeline.num_clusters = 3\nmining.z_near = 4\ntrain.lr = 1e-3\n"
+               "sources.neg_video = false\n",
+               lambda path: config_from_values(parse_config_file(path)).validate()),
+}
+
+
+@pytest.mark.parametrize("kind", ["features", "partition", "cooccurrence", "labels"])
+def test_csv_readers_refuse_a_cell_over_the_field_limit(tmp_path, kind):
+    text, read = TEXT_FILES[kind]
+    lines = text.split("\n")
+    lines[2] = LONG_CELL + lines[2][lines[2].index(","):]  # line 3's first cell
+    path = tmp_path / "long.csv"
+    path.write_text("\n".join(lines))
+    with pytest.raises(FeatureFileError if kind == "features" else ValueError,
+                       match=f"^{re.escape(str(path))} line 3: field larger than field "
+                             f"limit \\(131072\\)$"):
+        read(path)
+
+
+@pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text")
+
+
+@pytest.mark.parametrize("kind", list(TEXT_FILES))
+@settings(max_examples=200, deadline=None)
+@given(corruption=corruptions)
+@example(corruption=("extend", f",{LONG_CELL}\n".encode()))
+def test_corrupted_text_file_raises_only_domain_errors(text_dir, kind, corruption):
+    text, read = TEXT_FILES[kind]
+    path = text_dir / f"corrupt-{kind}.txt"
+    path.write_bytes(corrupt(text.encode(), corruption))
+    try:
+        read(path)
+    except (FeatureFileError, ValueError, PipelineError):
+        pass
 
 
 def test_ward_matrix_larger_than_physical_memory_fails_before_any_stage(

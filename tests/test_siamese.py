@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccl import data, siamese
+from ccl import data, memory, siamese
 from ccl.data import FeatureSet, unit_rows
 from ccl.mining import PairBatch
 from ccl.siamese import (
@@ -83,10 +83,9 @@ def test_forward_dimension_mismatch():
 def test_loss_closed_forms():
     p = np.array([0.3, -0.7])
     far = np.array([5.0, 0.0])
-    for squared_hinge in (False, True):  # d = |p1 - p2|, then d = |p1 - p2|^2
-        assert pair_loss(p, p, 0, squared_hinge=squared_hinge) == 0.0
-        assert pair_loss(far, -far, 1, margin=1.0, squared_hinge=squared_hinge) == 0.0
-        assert abs(pair_loss(p, p, 1, margin=1.0, squared_hinge=squared_hinge) - 0.5) < 1e-12
+    assert pair_loss(p, p, 0) == 0.0
+    assert pair_loss(far, -far, 1, margin=1.0) == 0.0
+    assert abs(pair_loss(p, p, 1, margin=1.0) - 0.5) < 1e-12
 
 
 @settings(max_examples=100)
@@ -100,15 +99,14 @@ def test_loss_non_negative(values, y, margin):
 
 def test_gradcheck_against_central_differences():
     rng = np.random.default_rng(99)
-    for squared in (False, True):
-        for trial in range(3):
-            model = small_model(seed=trial, squared_hinge=squared)
-            x1, x2, y = random_batch(rng, 8, 9)
-            _, grads, _ = loss_and_gradients(model, x1, x2, y)
-            for name, grad in grads.items():
-                numeric = numeric_gradient(model, name, x1, x2, y)
-                err = np.abs(grad - numeric) / np.maximum(np.abs(grad) + np.abs(numeric), 1e-6)
-                assert err.max() < 1e-4, f"{name} (squared={squared}): {err.max()}"
+    for trial in range(3):
+        model = small_model(seed=trial)
+        x1, x2, y = random_batch(rng, 8, 9)
+        _, grads, _ = loss_and_gradients(model, x1, x2, y)
+        for name, grad in grads.items():
+            numeric = numeric_gradient(model, name, x1, x2, y)
+            err = np.abs(grad - numeric) / np.maximum(np.abs(grad) + np.abs(numeric), 1e-6)
+            assert err.max() < 1e-4, f"{name}: {err.max()}"
 
 
 def numeric_gradient(model, name, x1, x2, y, step=1e-5):
@@ -269,17 +267,14 @@ def error_scales(model, x1, x2, y):
     p = h @ twin.proj_w
     diff = p[:n] - p[n:]
     dist = np.sqrt(np.sum(diff ** 2, axis=1))
-    d = dist ** 2 if model.squared_hinge else dist
     p_norm = np.linalg.norm(p_mag[:n] + p_mag[n:], axis=1)
     # the program's two projections of a pair round apart by up to about
     # eps * p_norm, even when the pair is one row twice (dist 0): so no
     # distance counts for less than that rounding, in units of tol
     reach = np.maximum(dist, p_norm / ULPS)
-    reach_d = reach ** 2 if model.squared_hinge else reach
-    slope = np.abs((1 - y) * reach_d - y * np.maximum(0.0, model.margin - d))
-    chain = 2 * reach if model.squared_hinge else np.ones_like(dist)  # |d d / d |diff||
-    loss = np.sum(slope * chain * p_norm) / n
-    per_pair = np.broadcast_to((slope * chain / n)[:, None], diff.shape)
+    slope = np.abs((1 - y) * reach - y * np.maximum(0.0, model.margin - dist))
+    loss = np.sum(slope * p_norm) / n
+    per_pair = np.broadcast_to((slope / n)[:, None], diff.shape)
     gp = np.concatenate([per_pair, per_pair])  # bounds |d loss / d p| per element
     zhat = np.abs(cache["zhat"])
     gh = gp @ np.abs(twin.proj_w).T
@@ -295,13 +290,12 @@ def error_scales(model, x1, x2, y):
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 64)] * 3),
-       pairs=st.integers(1, 40), squared_hinge=st.booleans(), margin=st.floats(0.1, 3.0),
+       pairs=st.integers(1, 40), margin=st.floats(0.1, 3.0),
        dtype=st.sampled_from([np.float32, np.float64]))
-def test_loss_and_gradients_match_textbook(seed, dims, pairs, squared_hinge, margin, dtype):
+def test_loss_and_gradients_match_textbook(seed, dims, pairs, margin, dtype):
     dim_in, hidden, out = dims
     rng = np.random.default_rng(seed)
-    model = init_model(dim_in, hidden, out, margin=margin, seed=seed % 1000, dtype=dtype,
-                       squared_hinge=squared_hinge)
+    model = init_model(dim_in, hidden, out, margin=margin, seed=seed % 1000, dtype=dtype)
     for name in ("enc_b", "bn_beta", "proj_b"):
         getattr(model, name)[:] = rng.normal(size=getattr(model, name).shape)
     model.bn_gamma[:] = rng.uniform(0.5, 2.0, hidden) * rng.choice([-1, 1], hidden)
@@ -329,11 +323,9 @@ def test_loss_and_gradients_match_textbook(seed, dims, pairs, squared_hinge, mar
 @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 64)] * 3),
        batch_sizes=st.lists(st.integers(1, 40), min_size=1, max_size=4),
        epochs=st.integers(1, 4), lr_drop_epoch=st.integers(0, 4),
-       squared_hinge=st.booleans(), given_model=st.booleans(),
-       dtype=st.sampled_from([np.float32, np.float64]))
+       given_model=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]))
 def test_train_matches_textbook_loop_within_tolerance(seed, dims, batch_sizes, epochs,
-                                                      lr_drop_epoch, squared_hinge,
-                                                      given_model, dtype):
+                                                      lr_drop_epoch, given_model, dtype):
     dim_in, hidden, out = dims
     rng = np.random.default_rng(seed)
     num_rows = 30
@@ -355,7 +347,7 @@ def test_train_matches_textbook_loop_within_tolerance(seed, dims, batch_sizes, e
 
     # train() initializes a float32 model; a given model may be float64
     start = init_model(dim_in, hidden, out, seed=seed % 1000,
-                       dtype=dtype if given_model else np.float32, squared_hinge=squared_hinge)
+                       dtype=dtype if given_model else np.float32)
     if given_model:  # non-zero tensors that training must still leave as given
         for name in ZERO_GRADIENT:
             getattr(start, name)[:] = rng.normal(size=getattr(start, name).shape)
@@ -364,8 +356,7 @@ def test_train_matches_textbook_loop_within_tolerance(seed, dims, batch_sizes, e
     # gradient becomes a step of up to lr, so the comparison uses an
     # adam_eps at which that factor is 10
     cfg = TrainConfig(epochs=epochs, lr=1e-2, lr_drop_epoch=lr_drop_epoch, seed=seed % 1000,
-                      hidden_dim=hidden, out_dim=out, squared_hinge=squared_hinge,
-                      adam_eps=1e-3)
+                      hidden_dim=hidden, out_dim=out, adam_eps=1e-3)
     tol = 2 ** 12 * np.finfo(start.dtype).eps
 
     reference = copy.deepcopy(start)
@@ -541,6 +532,44 @@ def test_embed_holds_no_float64_copy_of_the_embeddings(monkeypatch):
     assert peak < 8 * n * hidden
 
 
+@pytest.fixture
+def one_mib(monkeypatch):
+    monkeypatch.setattr(memory, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr(memory, "_cgroup_memory_limit", lambda: None)
+
+
+def test_a_model_larger_than_memory_is_refused_before_allocating(one_mib):
+    fs = FeatureSet(np.random.default_rng(0).normal(size=(50, 64)).astype(np.float32))
+    # 88,080 parameters: a few MiB with Adam's buffers and a step's temporaries
+    cfg = TrainConfig(epochs=1, hidden_dim=1024, out_dim=16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^training a 64 x 1024 x 16 model "
+                                             r"\(train\.hidden_dim = 1024, train\.out_dim = 16\) "
+                                             r"may need \d+ bytes, more than the 1048576 bytes "
+                                             r"of physical memory$"):
+            train(fs, lambda epoch: [], cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+def test_embeddings_larger_than_memory_are_refused_before_allocating(one_mib):
+    model = init_model(4, 1024, 2, seed=0)
+    fs = FeatureSet(np.random.default_rng(0).normal(size=(1000, 4)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^the 1000 x 1024 embeddings "
+                                             r"\(train\.hidden_dim = 1024\) may need \d+ bytes, "
+                                             r"more than the 1048576 bytes of physical memory$"):
+            embed(model, fs)  # 4 MB of float32 output
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
 def test_embed_zero_norm_error_names_the_global_row(monkeypatch):
     monkeypatch.setattr(data, "BLOCK_ROWS", 16)
     model = init_model(4, 6, 2, seed=0, dtype=np.float32)  # enc_b, bn_mean, bn_beta are 0
@@ -551,19 +580,31 @@ def test_embed_zero_norm_error_names_the_global_row(monkeypatch):
 
 
 def test_checkpoint_round_trip(tmp_path):
-    model = init_model(9, 6, 2, margin=1.5, seed=3, dtype=np.float32, squared_hinge=True)
+    model = init_model(9, 6, 2, margin=1.5, seed=3, dtype=np.float32)
     model.bn_mean[:] = 0.25
     path = tmp_path / "model.ccl"
     save_model(model, path)
     loaded = load_model(path)
     assert loaded.margin == pytest.approx(1.5)
-    assert loaded.squared_hinge is True
     for name in ("enc_w", "enc_b", "bn_gamma", "bn_beta", "bn_mean", "bn_var", "proj_w", "proj_b"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(model, name))
     with pytest.raises(ValueError, match="checkpoint"):
         bad = tmp_path / "bad.ccl"
         bad.write_bytes(b"garbage-not-a-checkpoint")
         load_model(bad)
+
+
+def test_checkpoint_with_a_non_zero_reserved_byte_is_refused(tmp_path):
+    path = tmp_path / "model.ccl"
+    save_model(init_model(9, 6, 2, seed=0, dtype=np.float32), path)
+    raw = bytearray(path.read_bytes())
+    reserved = siamese._HEADER.size - 9  # the byte before bn_eps and bn_momentum
+    assert raw[reserved] == 0
+    raw[reserved] = 1  # a squared-distance-hinge model
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="^checkpoint reserved byte is 1, not 0: "
+                                         "the squared-distance hinge is not supported$"):
+        load_model(path)
 
 
 def test_checkpoint_header_larger_than_file_is_rejected(tmp_path):
