@@ -38,7 +38,7 @@ from .pipeline import (
     write_labels_csv,
     write_partition_csv,
 )
-from .siamese import embed, load_model, save_model, train
+from .siamese import check_model_memory, embed, load_model, save_model, train
 from .synth import synth_generate
 
 
@@ -172,10 +172,13 @@ def _pipeline_config(args, fixed_keys=()) -> PipelineConfig:
 
 
 def _pair_miner(args, cfg: PipelineConfig):
-    """`run`'s stages up to pair mining; --partition and --cooc files replace
-    the computed partition and co-occurrence."""
+    """`run`'s stages up to pair mining, after `ccl train` has checked its
+    model's size; --partition and --cooc files replace the computed partition
+    and co-occurrence."""
     cfg.validate()
     fs = load_any_features(cfg.features)
+    if args.command == "train":
+        check_model_memory(fs.dim, cfg.resolved_training())
     cooc = read_cooc_csv(args.cooc, fs.num_samples) if getattr(args, "cooc", None) else None
     partition = (read_partition_csv(args.partition, cfg.partition_index, fs.num_samples)
                  if args.partition else None)

@@ -1,15 +1,15 @@
 """End-to-end orchestration: features in, refined clustering report out.
 
 `run_pipeline` composes the chain once, timing each stage with a
-`StageTimer`: `check_cluster_count` (right after loading, before any stage
-or output) -> `prepare_mining` (normalize, co-occurrence, FINCH level or
-k-means, video correction, cluster ranks) -> `train` -> the baseline HAC on
-the normalized features -> `level_points` (embed, then track means at track
-level) -> the "hac" stage (`ward_hac` at C) -> metrics. Each large array is
-released after its last reader, so each HAC holds only its own points: the
-normalized rows are dropped once embedded, before the refined HAC; at track
-level the frame embeddings are summed per track a block at a time and never
-held whole.
+`StageTimer`: `check_cluster_count` and `check_model_memory` (right after
+loading, before any stage or output) -> `prepare_mining` (normalize,
+co-occurrence, FINCH level or k-means, video correction, cluster ranks) ->
+`train` -> the baseline HAC on the normalized features -> `level_points`
+(embed, then track means at track level) -> the "hac" stage (`ward_hac` at
+C) -> metrics. Each large array is released after its last reader, so each
+HAC holds only its own points: the normalized rows are dropped once
+embedded, before the refined HAC; at track level the frame embeddings are
+summed per track a block at a time and never held whole.
 `eval_units` alone gives the evaluation units' ids and ground truth, which
 every score and labels CSV uses. `run_ablation` and the CLI subcommands call
 the same functions. Every stage's artifact lands in the output directory and
@@ -46,7 +46,15 @@ from .hac import check_ward_memory, ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
 from .metrics import evaluate_clustering
 from .mining import MiningConfig, apply_video_correction, mine_epoch, rank_clusters, write_pairs_csv
-from .siamese import SiameseModel, TrainConfig, embed, embedded_chunks, save_model, train
+from .siamese import (
+    SiameseModel,
+    TrainConfig,
+    check_model_memory,
+    embed,
+    embedded_chunks,
+    save_model,
+    train,
+)
 
 
 log = logging.getLogger(__name__)
@@ -409,6 +417,8 @@ def run_pipeline(cfg: PipelineConfig, fs: FeatureSet | None = None,
         raise PipelineError("cluster", "no cluster count configured and the features "
                                        "carry no labels")
     unit_ids, gt = check_cluster_count(fs, num_clusters, cfg.eval_level)
+    check_model_memory(fs.dim, cfg.resolved_training(),
+                       fs.num_samples if cfg.eval_level == "frame" else 0)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     normalized, hierarchy, stats, mine = prepare_mining(cfg, fs, timer)

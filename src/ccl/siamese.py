@@ -13,20 +13,20 @@ contribution of both branches; at the hinge boundary d == m the zero branch
 is taken.
 
 Train mode has no nonlinearity. A step stacks both branches into R rows x
-(R = 2 * pairs), centres them on their column means and projects
+(R = 2 * pairs), centres them on their column means for the batch
+statistics, and projects the n pair differences delta = x[:n] - x[n:], in
+which the mean and the offset bn_beta @ proj_w + proj_b of every row cancel:
 
-    p = x_c @ M,   M = enc_w @ diag(s) @ proj_w,   s = bn_gamma / sqrt(var + eps),
+    diff = delta @ M,   M = enc_w @ diag(s) @ proj_w,   s = bn_gamma / sqrt(var + eps),
 
 where var_j = w_j' C w_j is the batch variance of hidden unit j, read from
-the D x D covariance C = x_c' x_c / R. Forward and backward work on D x D,
-D x H, H x O and D x O products and never form the R x H activations. The
-full train-mode projection adds bn_beta @ proj_w + proj_b to every row; the
-loss reads p only through pair differences, so the step leaves that offset
-out, the gradients of enc_b, bn_beta and proj_b are exactly zero and
-training leaves those tensors as they were. var_j read from C carries an
-absolute error of order eps * |w_j|' |C| |w_j|, which matters only for a
-hidden unit nearly orthogonal to a batch of fewer rows than features.
-`_train_projection` is the only train-mode forward.
+the D x D covariance C = x_c' x_c / R. Only C and delta' @ d(loss)/d(diff)
+sum over batch rows; the other products are D x H, H x O and D x O, and no
+R x H activations are formed. The gradients of enc_b, bn_beta and proj_b
+are exactly zero, so training leaves those tensors as they were. var_j read
+from C carries an absolute error of order eps * |w_j|' |C| |w_j|, which
+matters only for a hidden unit nearly orthogonal to a batch of fewer rows
+than features.
 
 Embeddings for clustering are the batch-normalized hidden layer in eval
 mode (`forward`, with the running statistics), l2-normalized, computed
@@ -34,9 +34,10 @@ one `data.row_blocks` block of rows at a time by `embedded_chunks`.
 
 Memory of a training run: a step gathers its R x D rows into a fresh
 array, which it centres in place; no array of a step has R x H elements.
-`train` and `embed` refuse a model or output larger than `check_memory`
-allows before allocating it. An epoch's pair batches are freed before the
-next epoch is mined.
+`check_model_memory` and `check_embed_memory` refuse a model or output
+larger than `check_memory` allows before anything is allocated: `train` and
+`embed` call them, and so do `ccl run` and `ccl train` before any stage.
+An epoch's pair batches are freed before the next epoch is mined.
 Adam holds the tensors the loss depends on, OPTIMIZED, in flat parameter,
 moment and gradient arrays; while training runs, the model's OPTIMIZED
 tensors are views of the flat parameters, updated in place, and the model
@@ -66,7 +67,7 @@ TRAINABLE = ("enc_w", "enc_b", "bn_gamma", "bn_beta", "proj_w", "proj_b")
 OPTIMIZED = ("enc_w", "bn_gamma", "proj_w")  # the others get exactly zero gradients
 
 # Peak bytes rounded up from tracemalloc peaks: of `train` per model parameter
-# (16-46: tensors, Adam's six flat buffers, a step's D x H and H x O arrays),
+# (at most 16-46: tensors, Adam's five flat buffers, a step's D x H and H x O arrays),
 # of `embed` per output element (5.0-5.1 at 8,000-20,000 rows) and per element
 # of its first row block (20-24: the block's float32 and float64 copies).
 _PARAM_BYTES = 64
@@ -165,6 +166,25 @@ def init_model(dim_in: int, hidden_dim: int = 256, out_dim: int = 2,
     )
 
 
+def check_model_memory(dim_in: int, cfg: TrainConfig, rows: int = 0) -> None:
+    """ValueError, before anything is allocated, when training cfg's model on
+    dim_in features, or with ``rows`` embedding that many rows, may need more
+    than `check_memory` allows; the error names train.hidden_dim."""
+    d, h, o = dim_in, cfg.hidden_dim, cfg.out_dim
+    check_memory(_PARAM_BYTES * (d * h + h * o + 6 * h + o),
+                 f"training a {d} x {h} x {o} model (train.hidden_dim = {h}, "
+                 f"train.out_dim = {o})")
+    if rows:
+        check_embed_memory(rows, h)
+
+
+def check_embed_memory(rows: int, hidden: int) -> None:
+    """`embed`'s check of its rows x hidden output and first row block."""
+    check_memory(_EMBED_BYTES * rows * hidden
+                 + _EMBED_BLOCK_BYTES * row_blocks(rows)[0][1] * hidden,
+                 f"the {rows} x {hidden} embeddings (train.hidden_dim = {hidden})")
+
+
 def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
     """Consecutive reshaped views of ``flat``, one per named shape, in order."""
     views, start = {}, 0
@@ -175,15 +195,11 @@ def _flat_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
     return views
 
 
-def _train_projection(model: SiameseModel, x: np.ndarray):
-    """Centre the rows of x in place and project them with batch statistics,
-    leaving out the offset bn_beta @ proj_w + proj_b that every row shares.
-
-    Returns (p, mean, var, inv_std, scale, cw): the projection, the column
-    means of the rows, the hidden units' batch variances, 1 / sqrt(var + eps),
-    the batch-norm scale bn_gamma * inv_std and C @ enc_w, C being the
-    covariance of the rows.
-    """
+def _batch_statistics(model: SiameseModel, x: np.ndarray):
+    """Centre the rows of x in place and return (mean, var, inv_std, scale,
+    cw): the column means of the rows, the hidden units' batch variances,
+    1 / sqrt(var + eps), the batch-norm scale bn_gamma * inv_std and C @ enc_w,
+    C being the covariance of the rows."""
     mean = x.mean(axis=0)
     x -= mean
     cov = x.T @ x
@@ -192,8 +208,7 @@ def _train_projection(model: SiameseModel, x: np.ndarray):
     var = np.einsum("dh,dh->h", model.enc_w, cw)
     inv_std = 1.0 / np.sqrt(var + model.bn_eps)
     scale = model.bn_gamma * inv_std
-    p = x @ ((model.enc_w * scale) @ model.proj_w)
-    return p, mean, var, inv_std, scale, cw
+    return mean, var, inv_std, scale, cw
 
 
 def forward(model: SiameseModel, x: np.ndarray) -> np.ndarray:
@@ -211,14 +226,13 @@ def forward(model: SiameseModel, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def _pair_loss(p: np.ndarray, n: int, y: np.ndarray, margin: float):
-    """Mean loss of the pairs (p[k], p[n + k]); also returns their
-    differences, distances and hinge terms."""
-    diff = p[:n] - p[n:]
-    d = np.sqrt(np.sum(diff ** 2, axis=-1))
+def _pair_loss(diff: np.ndarray, y: np.ndarray, margin: float):
+    """Mean loss of the pairs whose projections differ by the rows of diff;
+    also returns their distances and hinge terms."""
+    d = np.sqrt(np.einsum("ko,ko->k", diff, diff))
     hinge = np.maximum(0.0, margin - d)
     loss = float(np.mean(0.5 * ((1 - y) * d ** 2 + y * hinge ** 2)))
-    return loss, diff, d, hinge
+    return loss, d, hinge
 
 
 def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads: dict):
@@ -229,32 +243,33 @@ def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads
     if n == 0:
         raise ValueError("empty pair batch")
     y = np.asarray(y, dtype=model.dtype)
-    p, mean, var, inv_std, scale, cw = _train_projection(model, x)
-    loss, diff, d, hinge = _pair_loss(p, n, y, model.margin)
+    delta = x[:n] - x[n:]
+    mean, var, inv_std, scale, cw = _batch_statistics(model, x)
+    scaled_proj = scale[:, None] * model.proj_w
+    diff = delta @ (model.enc_w @ scaled_proj)
+    loss, d, hinge = _pair_loss(diff, y, model.margin)
 
-    # d(loss)/d(d) averaged over pairs, then chain to the pair difference
-    ddist = ((1 - y) * d - y * hinge) / n
+    # d(loss)/d(diff) = coef * diff: d(loss)/d(d) averaged over pairs, over d
     with np.errstate(invalid="ignore", divide="ignore"):
-        direction = np.where(d[:, None] > 0, diff / np.where(d == 0, 1.0, d)[:, None], 0.0)
-    gdiff = ddist[:, None] * direction
-    gp = np.concatenate([gdiff, -gdiff])
+        coef = np.where(d > 0, ((1 - y) * d - y * hinge) / (n * d), 0.0)
+    diff *= coef[:, None]  # now d(loss)/d(diff)
 
-    # p = x @ M with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
-    gm = x.T @ gp
+    # diff was delta @ M with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
+    gm = delta.T @ diff
     g_scaled_proj = model.enc_w.T @ gm
     np.multiply(g_scaled_proj, scale[:, None], out=grads["proj_w"])
     g_scale = np.einsum("ho,ho->h", g_scaled_proj, model.proj_w)
     np.multiply(g_scale, inv_std, out=grads["bn_gamma"])
     # enc_w enters M directly and through var_j = w_j' C w_j, where
     # d(loss)/d(var) = -g_scale * scale * inv_std^2 / 2
-    g_enc = np.matmul(gm, model.proj_w.T, out=grads["enc_w"])
-    g_enc *= scale
+    g_enc = np.matmul(gm, scaled_proj.T, out=grads["enc_w"])
     g_enc -= cw * (g_scale * scale * inv_std ** 2)
     return loss, mean @ model.enc_w + model.enc_b, var
 
 
 class _Adam:
-    """Adam with bias correction over flat buffers of the OPTIMIZED tensors.
+    """Adam over flat buffers of the OPTIMIZED tensors, its bias corrections
+    folded into the step size and eps (Kingma & Ba, arXiv:1412.6980, Sec. 2).
 
     Those tensors are copied into one flat array and the model's attributes
     become views of it. ``grad`` has the same layout and ``grads`` are its
@@ -272,7 +287,7 @@ class _Adam:
         self.grad = np.zeros_like(self.param)
         self.m = np.zeros_like(self.param)
         self.v = np.zeros_like(self.param)
-        self.scratch = (np.empty_like(self.param), np.empty_like(self.param))
+        self.scratch = np.empty_like(self.param)
         shapes = {name: getattr(model, name).shape for name in OPTIMIZED}
         self.grads = _flat_views(self.grad, shapes)
         for name, view in _flat_views(self.param, shapes).items():
@@ -282,7 +297,7 @@ class _Adam:
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        grad, m, v, (a, b) = self.grad, self.m, self.v, self.scratch
+        grad, m, v, a = self.grad, self.m, self.v, self.scratch
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
         m *= cfg.beta1
         m += np.multiply(grad, 1 - cfg.beta1, out=a)
@@ -290,13 +305,12 @@ class _Adam:
         np.multiply(grad, 1 - cfg.beta2, out=a)
         a *= grad
         v += a
-        # param -= lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
-        np.divide(m, 1 - cfg.beta1 ** t, out=a)
-        a *= lr
-        np.divide(v, 1 - cfg.beta2 ** t, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.adam_eps
-        a /= b
+        # param -= lr * sqrt(1 - beta2^t) / (1 - beta1^t) * m / (sqrt(v) + eps * sqrt(1 - beta2^t))
+        root = math.sqrt(1 - cfg.beta2 ** t)
+        np.sqrt(v, out=a)
+        a += cfg.adam_eps * root
+        np.divide(m, a, out=a)
+        a *= lr * root / (1 - cfg.beta1 ** t)
         self.param -= a
 
 
@@ -339,15 +353,14 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     A given model is updated and returned; its tensors are replaced by new
     arrays, so arrays it held before are left as they were; its enc_b,
     bn_beta and proj_b, left out of the step, change its loss only by
-    rounding. A tensor the last step made non-finite is a RuntimeError.
+    rounding. A tensor the last step made non-finite, or a hidden unit whose
+    eval-mode output on unit rows may leave the float32 range, is a
+    RuntimeError.
     """
     cfg.validate()
     if model is None:
-        d, h, o = fs.dim, cfg.hidden_dim, cfg.out_dim
-        check_memory(_PARAM_BYTES * (d * h + h * o + 6 * h + o),
-                     f"training a {d} x {h} x {o} model (train.hidden_dim = {h}, "
-                     f"train.out_dim = {o})")
-        model = init_model(d, h, o, cfg.margin, seed=cfg.seed)
+        check_model_memory(fs.dim, cfg)
+        model = init_model(fs.dim, cfg.hidden_dim, cfg.out_dim, cfg.margin, seed=cfg.seed)
     if model.dim_in != fs.dim:
         raise ValueError(f"model expects dim {model.dim_in}, features have {fs.dim}")
 
@@ -365,6 +378,16 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
         bad = [name for name, _ in _TENSORS if not np.isfinite(getattr(model, name)).all()]
         if bad:
             raise RuntimeError(f"non-finite {bad[0]} after training")
+        # on a unit row x, |forward(model, x)[j]| <= |enc_w[:, j]| * |scale[j]| + |offset[j]|
+        with np.errstate(invalid="ignore"):
+            scale = model.bn_gamma / np.sqrt(model.bn_var.astype(np.float64) + model.bn_eps)
+            offset = (model.enc_b - model.bn_mean.astype(np.float64)) * scale + model.bn_beta
+            reach = np.linalg.norm(model.enc_w.astype(np.float64), axis=0) * np.abs(scale)
+            reach += np.abs(offset)
+        over = np.flatnonzero(~(reach <= np.finfo(np.float32).max))
+        if over.size:
+            raise RuntimeError(f"hidden unit {over[0]} of the trained model leaves the "
+                               f"float32 range in eval mode")
     finally:
         for name in TRAINABLE:  # plain arrays again, not views of optimizer.param
             setattr(model, name, getattr(model, name).copy())
@@ -388,11 +411,9 @@ def embedded_chunks(model: SiameseModel, fs: FeatureSet):
 def embed(model: SiameseModel, fs: FeatureSet) -> FeatureSet:
     """Eval-mode hidden embeddings, l2-normalized, indices carried through."""
     n, h = fs.num_samples, model.dim_hidden
-    blocks = row_blocks(n)
-    check_memory(_EMBED_BYTES * n * h + _EMBED_BLOCK_BYTES * blocks[0][1] * h,
-                 f"the {n} x {h} embeddings (train.hidden_dim = {h})")
+    check_embed_memory(n, h)
     out = np.empty((n, h), dtype=np.float32)
-    for (start, stop), rows in zip(blocks, embedded_chunks(model, fs)):
+    for (start, stop), rows in zip(row_blocks(n), embedded_chunks(model, fs)):
         out[start:stop] = rows
     return fs.with_features(out)
 

@@ -18,7 +18,7 @@ from ccl.data import sq_distances
 from ccl.kmeans import _kmeanspp
 from ccl.labeling import relabel_contiguous
 from ccl.mining import NEG_CLUSTER, NEG_VIDEO, POS_CLUSTER, POS_NEAR, PairBatch
-from ccl.siamese import TRAINABLE, _pair_loss, _train_projection, _train_step
+from ccl.siamese import TRAINABLE, _batch_statistics, _pair_loss, _train_step
 
 
 def unit_rows(points):
@@ -581,28 +581,38 @@ def textbook_train(fs, mining_factory, cfg, model, loss_log: list) -> None:
 
 def train_forward(model, x):
     """Train-mode hidden layer and projection of the rows x, normalized with
-    their own batch statistics; p is the program's `_train_projection`, which
+    their own batch statistics from the program's `_batch_statistics`; p
     leaves out the offset bn_beta @ proj_w + proj_b that every row shares."""
     centred = np.array(x, dtype=model.dtype)
-    p, _, _, _, scale, _ = _train_projection(model, centred)
+    scale = _batch_statistics(model, centred)[3]
     h = centred @ model.enc_w
     h *= scale
+    p = h @ model.proj_w
     h += model.bn_beta
     return h, p
 
 
 def pair_loss(p1, p2, y, margin: float = 1.0) -> float:
     """The program's contrastive loss of one pair of projections, in float64."""
-    p = np.stack([np.asarray(p1, dtype=np.float64), np.asarray(p2, dtype=np.float64)])
-    return _pair_loss(p, 1, np.float64(y), margin)[0]
+    diff = np.asarray(p1, dtype=np.float64) - np.asarray(p2, dtype=np.float64)
+    return _pair_loss(diff[None], np.float64(y), margin)[0]
 
 
 def batch_loss(model, x1, x2, y) -> float:
     """The program's mean train-mode loss over a pair batch (batch statistics
     span both branches)."""
+    return loss_and_gradients(model, x1, x2, y)[0]
+
+
+def pair_distances(model, x1, x2) -> np.ndarray:
+    """The train step's distances of the pairs (x1[k], x2[k]), with its own
+    arithmetic, bit for bit: the pair differences times M."""
+    n = x1.shape[0]
     x = np.concatenate([x1, x2]).astype(model.dtype)
-    p = _train_projection(model, x)[0]
-    return _pair_loss(p, x1.shape[0], y, model.margin)[0]
+    delta = x[:n] - x[n:]
+    scale = _batch_statistics(model, x)[3]
+    diff = delta @ (model.enc_w @ (scale[:, None] * model.proj_w))
+    return _pair_loss(diff, np.zeros(n, model.dtype), model.margin)[1]
 
 
 def loss_and_gradients(model, x1, x2, y):

@@ -579,6 +579,32 @@ def test_frame_cluster_it_cannot_run_is_refused_before_any_stage(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, hidden, message", [
+    (["run", "--out-dir"], 100000000, "training a 12 x 100000000 x 2 model "
+                                      "(train.hidden_dim = 100000000, train.out_dim = 2)"),
+    (["train", "--out"], 100000000, "training a 12 x 100000000 x 2 model "
+                                    "(train.hidden_dim = 100000000, train.out_dim = 2)"),
+    # a model that fits, but not its 150 x 1024 frame-level embeddings
+    (["run", "--level", "frame", "--out-dir"], 1024,
+     "the 150 x 1024 embeddings (train.hidden_dim = 1024)"),
+], ids=["run", "train", "frame-embed"])
+def test_a_model_larger_than_memory_is_refused_before_any_stage(
+        feature_file, tmp_path, capsys, monkeypatch, argv, hidden, message):
+    monkeypatch.setattr(memory, "_physical_memory", lambda: 4 * 2**20)
+    monkeypatch.setattr(memory, "_cgroup_memory_limit", lambda: None)
+    monkeypatch.setattr(pipeline, "l2_normalize", no_stage)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"train.hidden_dim = {hidden}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], "--features", str(feature_file), "--config", str(config),
+              *argv[1:], str(out)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ccl {argv[0]}: error: {message} may need ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.fixture
 def mixed_label_file(feature_file, tmp_path):
     """The feature file with row 0's label changed, so its track has two labels;
@@ -625,9 +651,9 @@ def test_track_cluster_refuses_a_mixed_label_track_before_any_stage(
 SWEEP_KEYS = ["train.hidden_dim = 16", "train.epochs = 2"]
 
 
-def ccl_subprocess(*argv) -> subprocess.CompletedProcess:
+def ccl_subprocess(*argv, env=None) -> subprocess.CompletedProcess:
     path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **(env or {}))
     return subprocess.run([sys.executable, "-m", "ccl.cli", *map(str, argv)],
                           capture_output=True, text=True, env=env, timeout=300)
 
@@ -652,9 +678,10 @@ def sweep_run(sweep_file, tmp_path, keys):
     (["train.lr = 1e10"], "stage 'train' failed: non-finite loss"),
     # one single-batch epoch: training ends with finite tensors too large to embed
     (["train.lr = 1e30", "train.epochs = 1", "mining.clusters_per_batch = 1000"],
-     "stage 'embed' failed: non-finite embedding row"),
+     "stage 'train' failed: hidden unit"),
     (["mining.clusters_per_batch = 1000000000000000"], "mining.clusters_per_batch"),
-], ids=["adam_eps", "margin", "lr", "lr-one-step", "clusters_per_batch"])
+    (["train.hidden_dim = 100000000"], "(train.hidden_dim = 100000000, train.out_dim = 2)"),
+], ids=["adam_eps", "margin", "lr", "lr-one-step", "clusters_per_batch", "hidden_dim"])
 def test_an_extreme_setting_ends_run_with_one_error_line(sweep_file, tmp_path, keys, named):
     result = sweep_run(sweep_file, tmp_path, keys)
     assert result.returncode == 2, result.stderr
@@ -686,3 +713,22 @@ def test_a_csv_cell_over_the_field_limit_is_one_error_line(sweep_file, tmp_path)
     assert result.returncode == 2
     assert result.stderr == (f"ccl evaluate: error: {path} line 2: field larger than "
                              f"field limit (131072)\n")
+
+
+def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """800 rows of dim 128, the benchmark's training keys, 2 epochs: model.ccl,
+    labels.csv and pairs_epoch0.csv are byte-identical at 1 and at 2 BLAS threads."""
+    features = tmp_path / "synth.cclf"
+    main(["synth", "--classes", "8", "--per-class", "100", "--dim", "128", "--noise", "0.25",
+          "--cooc-rate", "0.5", "--seed", "0", "--out", str(features)])
+    config = tmp_path / "run.cfg"
+    config.write_text("mining.z_near = 5\nmining.z_far = 5\ntrain.lr = 0.003\n"
+                      "train.hidden_dim = 256\ntrain.out_dim = 16\ntrain.epochs = 2\n")
+    for threads in ("1", "2"):
+        env = {name: threads for name in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        result = ccl_subprocess("run", "--features", features, "--config", config,
+                                "--out-dir", tmp_path / threads, env=env)
+        assert result.returncode == 0, result.stderr
+    for name in ("model.ccl", "labels.csv", "pairs_epoch0.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -28,6 +28,7 @@ from corruption import corrupt, corruptions
 from oracles import (
     batch_loss,
     loss_and_gradients,
+    pair_distances,
     pair_loss,
     textbook_loss_and_gradients,
     textbook_train,
@@ -143,9 +144,7 @@ def test_hinge_boundary_takes_zero_branch():
     rng = np.random.default_rng(2)
     x1 = rng.normal(size=(1, 9))
     x2 = rng.normal(size=(1, 9))
-    x = np.concatenate([x1, x2])
-    _, p = train_forward(model, x)
-    d = float(np.linalg.norm(p[0] - p[1]))
+    d = float(pair_distances(model, x1, x2)[0])
 
     model.margin = d  # exactly at the boundary
     loss, grads, _ = loss_and_gradients(model, x1, x2, np.array([1]))
@@ -396,8 +395,7 @@ def test_train_step_on_the_hinge_moves_no_trainable_tensor():
     a, b = batch.a[:2].copy(), batch.b[:2].copy()
     b[0] = a[0]
     start = init_model(fs.dim, 16, 2, seed=5)
-    _, p = train_forward(start, np.concatenate([fs.features[a], fs.features[b]]))
-    margin = float(np.sqrt(np.sum((p[1] - p[3]) ** 2)))
+    margin = float(pair_distances(start, fs.features[a], fs.features[b])[1])
     start.margin = margin
     cfg = TrainConfig(epochs=2, lr=1e-2, seed=5, hidden_dim=16, margin=margin)
     losses = []
