@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import l2_normalize, write_features
+from .data import FeatureSet, l2_normalize, write_features
 from .finch import finch_hierarchy
 from .hac import ward_hac
 from .kmeans import KMeansConfig, minibatch_kmeans
@@ -171,14 +171,9 @@ def _pipeline_config(args, fixed_keys=()) -> PipelineConfig:
                    out_dir=flags.get("out_dir") or "")
 
 
-def _pair_miner(args, cfg: PipelineConfig):
-    """`run`'s stages up to pair mining, after `ccl train` has checked its
-    model's size; --partition and --cooc files replace the computed partition
-    and co-occurrence."""
-    cfg.validate()
-    fs = load_any_features(cfg.features)
-    if args.command == "train":
-        check_model_memory(fs.dim, cfg.resolved_training())
+def _pair_miner(args, cfg: PipelineConfig, fs: FeatureSet):
+    """`run`'s stages up to pair mining on the loaded features; --partition
+    and --cooc files replace the computed partition and co-occurrence."""
     cooc = read_cooc_csv(args.cooc, fs.num_samples) if getattr(args, "cooc", None) else None
     partition = (read_partition_csv(args.partition, cfg.partition_index, fs.num_samples)
                  if args.partition else None)
@@ -220,14 +215,19 @@ def _run_command(args) -> None:
     elif args.command == "mine":
         if args.epoch < 0:
             raise ValueError(f"epoch must be >= 0, got {args.epoch}")
-        _, factory = _pair_miner(args, _pipeline_config(args))
+        cfg = _pipeline_config(args)
+        cfg.validate()
+        _, factory = _pair_miner(args, cfg, load_any_features(cfg.features))
         batches = factory(args.epoch)
         write_pairs_csv(batches, args.out)
         print(f"wrote {sum(len(b) for b in batches)} pairs in {len(batches)} batches")
 
     elif args.command == "train":
         cfg = _pipeline_config(args)
-        normalized, factory = _pair_miner(args, cfg)
+        cfg.validate()
+        fs = load_any_features(cfg.features)
+        check_model_memory(fs.dim, cfg.resolved_training())
+        normalized, factory = _pair_miner(args, cfg, fs)
         losses: list[float] = []
         model = StageTimer().run("train", lambda: train(normalized, factory,
                                                         cfg.resolved_training(), loss_log=losses))

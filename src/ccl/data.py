@@ -24,8 +24,8 @@ norms), ``sq_norms`` (float64 squared row norms), ``group_sums`` (per-group
 row sums: k-means folds), ``GroupMeans`` (l2-normalized mean of each group of
 rows, fed a block of rows at a time: ``cluster_means`` for FINCH's clusters
 and cluster ranking, ``track_sums`` for tracks, given its row blocks) and
-``finish_sq_distances`` (squared distances from doubled products:
-``sq_distances``, each Ward tile).
+``finish_sq_distances`` (squared distances from products and norms of one
+scale: ``sq_distances_from``, each Ward tile).
 Each of them, cluster ranking, embedding and k-means' labels loop
 over the `row_blocks` of BLOCK_ROWS rows, read at call time. Every per-group
 sum is one sequential scatter-add, ``np.add.at`` of float64 values into a
@@ -350,9 +350,10 @@ def cluster_means(points, labels, name=lambda c: f"mean of cluster {c}") -> np.n
 
 
 def finish_sq_distances(d: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np.ndarray:
-    """``d``, a float64 block of doubled products 2 a_i.b_j, made in place into
-    max((|a_i|^2 + |b_j|^2) - d_ij, 0) from the squared row norms ``sq_a`` and
-    ``sq_b``, one block of rows at a time (its norm sums are the only temporary)."""
+    """``d``, a float64 block of products, made in place into max((sq_a_i +
+    sq_b_j) - d_ij, 0) a block of rows at a time (its norm sums are the only
+    temporary). Products 2 a_i.b_j with norms |a_i|^2 give squared distances
+    (`sq_distances_from`), a_i.b_j with |a_i|^2 / 2 half of them (Ward's tiles)."""
     for start, stop in row_blocks(d.shape[0]):
         rows = d[start:stop]
         np.subtract(np.add.outer(sq_a[start:stop], sq_b), rows, out=rows)
@@ -360,11 +361,18 @@ def finish_sq_distances(d: np.ndarray, sq_a: np.ndarray, sq_b: np.ndarray) -> np
     return d
 
 
-def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances from each row of ``a`` to each row of ``b``,
-    finished in the product's array by `finish_sq_distances`."""
+def sq_distances_from(a: np.ndarray):
+    """``b`` -> the squared Euclidean distances from each row of ``a`` to each row
+    of ``b``, finished in the product's array by `finish_sq_distances`; ``2a``
+    and the norms of ``a`` are made once, for every ``b``."""
     # (2.0 * a) @ b.T stays a general GEMM when a is b; a @ a.T rounds differently
-    return finish_sq_distances((2.0 * a) @ b.T, sq_norms(a), sq_norms(b))
+    doubled, sq_a = 2.0 * a, sq_norms(a)
+    return lambda b: finish_sq_distances(doubled @ b.T, sq_a, sq_norms(b))
+
+
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from each row of ``a`` to each row of ``b``."""
+    return sq_distances_from(a)(b)
 
 
 def l2_normalize(fs: FeatureSet) -> FeatureSet:

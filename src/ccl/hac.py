@@ -20,18 +20,19 @@ matrix larger than physical memory, or than the memory limit of the
 process's cgroup or of one of its ancestors, before allocating it. The
 distances are computed in float64 tiles of at most 256 x 512, on and above
 the diagonal, each from only its own rows of the points converted to
-float64, so float32 points are never copied whole; the build holds ~3 MiB
-besides the matrix at D = 256. Each tile is finished whole by
-data.finish_sq_distances, rounded once to float32 and stored once, as its
-mirror; the diagonal is +inf. The 8 x 8 diagonal blocks are stored whole,
-and the diagonal tile's lower triangle copies its upper one, so the matrix
-is symmetric bitwise, as the chain needs (with near-tied coincident
-points, an asymmetric one could make it cycle). The merge loop and its
-Lance-Williams updates run in float32, so merge costs are float32 values.
-It keeps contiguous copies of the rows on its chain, so the packed row
-reads are one per chain step. Once half of the live clusters have merged
-away the survivors are compacted in place, one 8-row block at a time, into
-the layout of their own count.
+float64, so float32 points are never copied whole; the build holds ~2.8 MiB
+besides the matrix at D = 256. Each tile of products x_i.x_j is finished
+whole into d^2 / 2 by data.finish_sq_distances from the halved squared
+norms and rounded to float32 as it is stored, once, as its mirror; the
+diagonal is +inf. The 8 x 8 diagonal blocks are stored whole, and the
+diagonal tile's lower triangle copies its upper one, so the matrix is
+symmetric bitwise, as the chain needs (with near-tied coincident points, an
+asymmetric one could make it cycle). The merge loop and its Lance-Williams
+updates run in float32, so merge costs are float32 values. It keeps
+contiguous copies of the rows on its chain, so the packed row reads are one
+per chain step. Once half of the live clusters have merged away the
+survivors are compacted in place, one 8-row block at a time, into the
+layout of their own count.
 """
 
 from __future__ import annotations
@@ -103,36 +104,33 @@ def _half_sq_distances(points: np.ndarray, sq: np.ndarray) -> np.ndarray:
     8g + q and c <= 8g + 7; rows and columns past N, in the last group, are
     padding and never read. It is built in tiles of at most _TILE_ROWS x
     _TILE_COLS, from each row block's first column on: a tile converts only
-    its own rows of points to float64, takes 2 x_i.x_j in one reused float64
-    buffer, finishes it there with data.finish_sq_distances, is halved,
-    rounded once to float32 and stored once, as its mirror. The diagonal
-    tile's diagonal is set to +inf, then its lower triangle copies its upper
-    one, so the 8 x 8 diagonal blocks, stored whole, are symmetric bitwise.
+    its own rows of points to float64, takes x_i.x_j in one reused float64
+    buffer, finishes it there into d^2 / 2 with data.finish_sq_distances and
+    the halved norms, and is rounded once to float32 as it is stored, as its
+    mirror. The diagonal tile's diagonal is +inf, and its lower triangle
+    copies its upper one, so the 8 x 8 diagonal blocks are symmetric bitwise.
     """
     n = points.shape[0]
     start = _group_starts(n)
     t = np.empty((start[-1], _GROUP), dtype=np.float32)
     scratch = np.empty(min(n, _TILE_ROWS) * min(n, _TILE_COLS))
-    rounded = np.empty(scratch.size, dtype=np.float32)
+    half = sq / 2.0
     low = np.tri(min(n, _TILE_ROWS), k=-1, dtype=bool)
     for r0 in range(0, n, _TILE_ROWS):
         r1 = min(r0 + _TILE_ROWS, n)
         rows = r1 - r0
-        # Doubling the left factor, not the product, keeps this a general GEMM:
-        # NumPy sends x @ x.T to a symmetric kernel that rounds differently.
-        left = np.multiply(points[r0:r1], 2.0, dtype=np.float64)
+        # A copy: as a view of the right factor's rows, x @ x.T goes to syrk, which rounds differently.
+        left = np.array(points[r0:r1], dtype=np.float64)
         for c0 in range(r0, n, _TILE_COLS):
             c1 = min(c0 + _TILE_COLS, n)
             tile = scratch[: rows * (c1 - c0)].reshape(rows, c1 - c0)
-            out = rounded[: tile.size].reshape(tile.shape)
             np.matmul(left, np.asarray(points[c0:c1], dtype=np.float64).T, out=tile)
-            finish_sq_distances(tile, sq[r0:r1], sq[c0:c1])
-            np.divide(tile, 2.0, out=out, casting="same_kind")
+            finish_sq_distances(tile, half[r0:r1], half[c0:c1])
             if c0 == r0:
-                square = out[:, :rows]
+                square = tile[:, :rows]
                 np.fill_diagonal(square, np.inf)
                 np.copyto(square, square.T, where=low[:rows, :rows])
-            _store_mirror(t, start, out, r0, c0)
+            _store_mirror(t, start, tile, r0, c0)
     return t
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import group_sums, row_blocks, sq_distances
+from .data import group_sums, row_blocks, sq_distances, sq_distances_from
 from .labeling import relabel_contiguous
 
 log = logging.getLogger(__name__)
@@ -39,9 +39,10 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     """k-means++ seeding: subsequent centers drawn with prob proportional to
     squared distance from the nearest already-chosen center."""
     n = points.shape[0]
+    to_center = sq_distances_from(points)
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     centers[0] = points[rng.integers(n)]
-    best = sq_distances(points, centers[:1])[:, 0]
+    best = to_center(centers[:1])[:, 0]
     for c in range(1, k):
         total = best.sum()
         if total == 0.0:
@@ -49,7 +50,7 @@ def _kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = rng.choice(n, p=best / total)
         centers[c] = points[idx]
-        best = np.minimum(best, sq_distances(points, centers[c:c + 1])[:, 0])
+        best = np.minimum(best, to_center(centers[c:c + 1])[:, 0])
     return centers
 
 

@@ -146,7 +146,7 @@ def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
     """
     labels = np.asarray(partition, dtype=np.int64).copy()
     _check_cover(labels, cooc)
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points)  # only the rows read are converted to float64
     m = int(labels.max()) + 1
     next_label = m
     # an eviction only shrinks its cluster and starts a singleton above m, so
@@ -161,7 +161,8 @@ def apply_video_correction(partition: np.ndarray, cooc: CooccurrenceSet,
         member = np.flatnonzero(labels == c)
         while pending_i.size:
             i, j = int(pending_i[0]), int(pending_j[0])
-            mean = points[member].mean(axis=0)
+            mean = np.asarray(points[member], dtype=np.float64).mean(axis=0)
+            # rows i and j promote to float64 exactly against the float64 mean
             di = float(np.linalg.norm(points[i] - mean))
             dj = float(np.linalg.norm(points[j] - mean))
             loser = j if di <= dj else i

@@ -103,6 +103,29 @@ def loop_minibatch_kmeans(points, cfg) -> tuple[np.ndarray, np.ndarray]:
     return labels, centers
 
 
+def per_center_kmeanspp(points, k: int, rng) -> np.ndarray:
+    """k-means++ seeding that recomputes the doubled points and their squared
+    norms for every center: the program's seeding arithmetic, without its
+    hoisting."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+
+    def to_center(center):
+        product = (2.0 * points) @ center.T
+        sq = np.einsum("ij,ij->i", points, points)
+        return np.maximum(np.add.outer(sq, np.einsum("ij,ij->i", center, center)) - product, 0.0)
+
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[rng.integers(n)]
+    best = to_center(centers[:1])[:, 0]
+    for c in range(1, k):
+        total = best.sum()
+        idx = rng.integers(n) if total == 0.0 else rng.choice(n, p=best / total)
+        centers[c] = points[idx]
+        best = np.minimum(best, to_center(centers[c:c + 1])[:, 0])
+    return centers
+
+
 def naive_finch(points) -> tuple[list[np.ndarray], list[int]]:
     """Full hierarchy via adjacency matrices and BFS at every level."""
     points = np.asarray(points, dtype=np.float64)
@@ -178,6 +201,33 @@ def loop_nn_chain_merges(half_d2) -> list[tuple[int, int, float]]:
         else:
             chain.append(nn)
     return merges
+
+
+def doubled_tile_half_sq_distances(points, sq, tile_rows: int, tile_cols: int) -> np.ndarray:
+    """The n x n float32 half squared distances, +inf on the diagonal, built
+    in tiles on and above the diagonal as Ward's build once did: a doubled
+    float64 left factor, 2 x_i.x_j finished with the full squared norms, then
+    a halving pass into a float32 tile, whose diagonal block's lower triangle
+    copies its upper one; each tile is mirrored below the diagonal."""
+    n = points.shape[0]
+    full = np.empty((n, n), dtype=np.float32)
+    for r0 in range(0, n, tile_rows):
+        r1 = min(r0 + tile_rows, n)
+        left = np.multiply(points[r0:r1], 2.0, dtype=np.float64)
+        for c0 in range(r0, n, tile_cols):
+            c1 = min(c0 + tile_cols, n)
+            product = left @ np.asarray(points[c0:c1], dtype=np.float64).T
+            d2 = np.maximum(np.add.outer(sq[r0:r1], sq[c0:c1]) - product, 0.0)
+            tile = np.empty(d2.shape, dtype=np.float32)
+            np.divide(d2, 2.0, out=tile, casting="same_kind")
+            if c0 == r0:
+                diagonal = tile[:, :r1 - r0]
+                np.fill_diagonal(diagonal, np.inf)
+                low = np.tri(r1 - r0, k=-1, dtype=bool)
+                diagonal[low] = diagonal.T[low]
+            full[r0:r1, c0:c1] = tile
+            full[c0:c1, r0:r1] = tile.T
+    return full
 
 
 def sq_dist_to_all(points: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from ccl.labeling import relabel_contiguous
 
 from oracles import (
     canonical,
+    doubled_tile_half_sq_distances,
     loop_nn_chain_merges,
     naive_ward,
     sq_dist_to_all,
@@ -195,6 +196,26 @@ def test_float32_rows_build_the_matrix_of_their_float64_copy_bitwise(n, d):
     wide = rows.astype(np.float64)
     assert sq.tobytes() == np.einsum("ij,ij->i", wide, wide).tobytes()
     assert square(_half_sq_distances(rows, sq), n).tobytes() == square(half_distances(wide), n).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["normal", "near"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 7, 128, 256, 300])
+@pytest.mark.parametrize("n", [1, 7, 8, 255, 256, 257, 513, 1003])
+def test_half_norm_tiles_build_the_doubled_tile_matrix_bitwise(n, d, dtype, kind):
+    # Halving is exact, so products finished with half norms and rounded once
+    # to float32 are the doubled build's halved float32 tiles. At n <= 256 one
+    # diagonal tile holds every row, where a float64 view as the left factor
+    # would reach the symmetric x @ x.T kernel; its rounding shows in float32
+    # where distances cancel, between near-duplicate rows.
+    rng = np.random.default_rng(n * d)
+    rows = rng.normal(size=(n, d))
+    if kind == "near":
+        rows = 4.0 * rng.normal(size=d) + 1e-3 * rows
+    rows = rows.astype(dtype)
+    sq = sq_norms(rows)
+    want = doubled_tile_half_sq_distances(rows, sq, hac._TILE_ROWS, hac._TILE_COLS)
+    assert square(_half_sq_distances(rows, sq), n).tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)

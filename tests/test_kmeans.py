@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from ccl import kmeans
 from ccl.data import BLOCK_ROWS, sq_distances
-from ccl.kmeans import KMeansConfig, kmeans_centers, minibatch_kmeans
+from ccl.kmeans import KMeansConfig, _kmeanspp, kmeans_centers, minibatch_kmeans
 from ccl.labeling import relabel_contiguous
 from ccl.metrics import wcp
 
-from oracles import loop_minibatch_kmeans
+from oracles import loop_minibatch_kmeans, per_center_kmeanspp
 
 
 def blobs(seed=0, per=60, spread=0.05):
@@ -93,6 +93,26 @@ def test_float32_points_are_converted_a_block_of_rows_at_a_time(monkeypatch):
     assert labels.tobytes() == want_labels.tobytes()
     assert kmeans_centers(points, cfg).tobytes() == want_centers.tobytes()
     assert peak < 8 * n * dim // 2  # a float64 copy of the points would be all of it
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind, n, dim, k", [
+    ("normal", 1580, 128, 158),  # a coarse-track-sized subsample
+    ("normal", 200, 7, 20),
+    ("normal", 50, 3, 50),
+    ("duplicates", 30, 5, 8),  # 3 distinct rows: every draw after the third has total 0
+])
+def test_kmeanspp_matches_the_per_center_seeding_bitwise(seed, kind, n, dim, k):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        points = rng.normal(size=(n, dim))
+    else:
+        points = np.repeat(rng.normal(size=(3, dim)), n // 3, axis=0)
+    got = _kmeanspp(points, k, np.random.default_rng(seed))
+    want = per_center_kmeanspp(points, k, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+    if kind == "duplicates":
+        assert np.unique(got, axis=0).shape[0] == 3
 
 
 def quantization_cost(points, centers) -> float:

@@ -291,6 +291,25 @@ def test_cooccurrence_lookups_match_linear_scan(seed, density):
     assert cooc.contains_pairs(a, b).tolist() == expected
 
 
+def test_video_correction_converts_only_the_rows_it_reads():
+    # 8,000 x 128 float32 rows, 80 clusters of 100: a float64 copy of every
+    # row would be 8 MiB, the rows of one cluster take 100 KiB
+    n, dim = 8000, 128
+    points = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+    labels = np.arange(n) % 80
+    cooc = CooccurrenceSet(n, [0, 1, 2, 3, 4], [80, 161, 242, 83, 4 + 80 * 99])
+    want = naive_video_correction(labels, cooc, points)
+    tracemalloc.start()
+    try:
+        got = apply_video_correction(labels, cooc, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, want)
+    assert np.sum(got != labels) == 5
+    assert peak < 2**20
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["random", "giant", "two"]),
