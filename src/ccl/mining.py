@@ -1,15 +1,17 @@
 """Training-pair mining from a cluster partition plus frame co-occurrence.
 
 An epoch's slots are the clusters in seeded-shuffled order, wrapped around
-so every batch holds ``clusters_per_batch`` of them. A slot's positive
+so every batch holds ``CLUSTERS_PER_BATCH`` of them. A slot's positive
 candidates are its cluster's pairs (i, j) (PosC, row-major i < j over the
 ascending members), then, for a cluster of fewer than
-``small_cluster_threshold`` rows, one draw per member from one of the
+``SMALL_CLUSTER_THRESHOLD`` rows, one draw per member from one of the
 nearest clusters that does not co-occur with it (PosC-near; when every draw
 co-occurs, all allowed pairs with the near clusters, drawing nothing).
 Its negative candidates are two draws per member from the farthest clusters
 (NegC), then every co-occurrence pair touching the cluster (NVid), ascending.
-Each slot contributes a fixed quota of positives (y = 0) and negatives (y = 1).
+Each slot contributes ``PAIRS_PER_KIND`` positives (y = 0) and as many
+negatives (y = 1). These settings are the paper's and no run changes them;
+the module constants, read at call time, fix them.
 
 Pair streams are a pure function of (partition, ranks, co-occurrence,
 config, epoch). One generator seeded with ``[seed, epoch]`` draws the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CooccurrenceSet, row_blocks, sq_distances, unit_rows
+from .data import CooccurrenceSet, row_blocks, sq_distances
 from .memory import check_memory
 
 POS_CLUSTER = "PosC"
@@ -37,6 +39,10 @@ NEG_VIDEO = "NVid"
 
 _SOURCE_NAMES = np.array([POS_CLUSTER, POS_NEAR, NEG_CLUSTER, NEG_VIDEO], dtype="U9")
 _POS_CLUSTER, _POS_NEAR, _NEG_CLUSTER, _NEG_VIDEO = range(4)
+
+CLUSTERS_PER_BATCH = 5        # cluster slots per batch
+SMALL_CLUSTER_THRESHOLD = 10  # a cluster of fewer rows also takes PosC-near positives
+PAIRS_PER_KIND = 25           # positives, and as many negatives, per cluster slot
 
 # Peak bytes of `mine_epoch` per pair its slots may add and per member row
 # they list, rounded up from tracemalloc peaks: 177-182 per pair (clusters of
@@ -50,10 +56,6 @@ _ROW_BYTES = 128
 class MiningConfig:
     z_near: int = 25
     z_far: int = 25
-    small_cluster_threshold: int = 10
-    clusters_per_batch: int = 5
-    pos_per_cluster: int = 25
-    neg_per_cluster: int = 25
     seed: int = 0
     # pair sources (config keys sources.*), switched by the ablation runner
     use_pos_cluster: bool = True
@@ -61,14 +63,11 @@ class MiningConfig:
     use_neg_video: bool = True
 
     def validate(self) -> None:
-        for key in ("z_near", "z_far", "small_cluster_threshold", "clusters_per_batch",
-                    "pos_per_cluster", "neg_per_cluster"):
+        for key in ("z_near", "z_far"):
             if getattr(self, key) < 1:
                 raise ValueError(f"mining.{key} must be >= 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ValueError(f"mining seed must be >= 0, got {self.seed}")
-        if self.pos_per_cluster != self.neg_per_cluster:
-            raise ValueError("pos_per_cluster and neg_per_cluster must match")
         if not (self.use_pos_cluster or self.use_neg_cluster or self.use_neg_video):
             raise ValueError("at least one pair source must be enabled")
 
@@ -99,22 +98,22 @@ class ClusterRanks:
 
 
 def rank_clusters(means: np.ndarray, z_near: int, z_far: int) -> ClusterRanks:
-    """Sort other clusters by Euclidean distance between normalized means.
+    """Sort other clusters by Euclidean distance between unit means, as
+    `data.cluster_means` returns them.
 
     Rows truncate to M-1 entries when fewer than z other clusters exist;
-    distance ties resolve toward the smaller cluster index.
+    distance ties resolve toward the smaller cluster index. The distances are
+    made one `row_blocks` block of rows at a time, never as one M x M matrix.
     """
     means = np.asarray(means, dtype=np.float64)
     m = means.shape[0]
     if m < 2:
         raise ValueError("ranking needs at least 2 clusters")
-    unit = unit_rows(means, lambda c: f"mean of cluster {c}")
-    dist = sq_distances(unit, unit)
     nearest = np.empty((m, min(z_near, m - 1)), dtype=np.intp)
     farthest = np.empty((m, min(z_far, m - 1)), dtype=np.intp)
     # a row's stable argsort is independent of the other rows'
     for start, stop in row_blocks(m):
-        block = dist[start:stop]
+        block = sq_distances(means[start:stop], means)
         own = np.arange(block.shape[0]), np.arange(start, stop)
         block[own] = -np.inf  # a cluster sorts last among its own farthest
         farthest[start:stop] = np.argsort(-block, axis=1, kind="stable")[:, :farthest.shape[1]]
@@ -257,9 +256,9 @@ def _near_positives(rng, slots, takes, nearest, members, cooc):
 
 def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet,
                cfg: MiningConfig, epoch: int = 0) -> list[PairBatch]:
-    """One epoch of batches of ``clusters_per_batch`` cluster slots each.
+    """One epoch of batches of ``CLUSTERS_PER_BATCH`` cluster slots each.
 
-    Each slot adds ``pos_per_cluster`` positives and as many negatives (none
+    Each slot adds ``PAIRS_PER_KIND`` positives and as many negatives (none
     of a kind it has no candidates for); a batch lists its positives first.
     An epoch that may need more than the process's `memory_limit` is refused
     before anything is allocated.
@@ -272,16 +271,14 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     m = int(labels.max()) + 1
     if m < 2:
         raise ValueError("mining needs a partition with at least 2 clusters")
-    per_batch = cfg.clusters_per_batch
+    per_batch, quota = CLUSTERS_PER_BATCH, PAIRS_PER_KIND
     num_batches = -(-m // per_batch)
     num_slots = num_batches * per_batch
     reps = -(-num_slots // m)
-    quota = cfg.pos_per_cluster + cfg.neg_per_cluster
     # each slot lists its cluster's rows; there are at most reps * N of them
-    check_memory(num_slots * quota * _PAIR_BYTES + reps * labels.size * _ROW_BYTES,
-                 f"an epoch of {num_slots} cluster slots (mining.clusters_per_batch = "
-                 f"{per_batch} per batch) with up to {quota} pairs each "
-                 f"(mining.pos_per_cluster + mining.neg_per_cluster)")
+    check_memory(num_slots * 2 * quota * _PAIR_BYTES + reps * labels.size * _ROW_BYTES,
+                 f"an epoch of {m} clusters in {num_slots} cluster slots with up to "
+                 f"{2 * quota} pairs each")
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
     slots = np.tile(order, reps)[:num_slots]
@@ -293,7 +290,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     members, n = (rows, start, size), size[slots]
     in_cluster = n * (n - 1) // 2 * cfg.use_pos_cluster
     takes_near = (cfg.use_pos_cluster and ranks.nearest.shape[1] > 0) & (
-        n < cfg.small_cluster_threshold)
+        n < SMALL_CLUSTER_THRESHOLD)
     near_a, near_b, near_count = _near_positives(rng, slots, takes_near, ranks.nearest,
                                                  members, cooc)
     use_far = cfg.use_neg_cluster and ranks.farthest.shape[1] > 0
@@ -304,7 +301,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     video_a, video_b, indptr = _video_pairs(labels, m, cooc)
     video_count = (indptr[slots + 1] - indptr[slots]) * cfg.use_neg_video
 
-    pos_slot, pick = draw_subsamples(rng, in_cluster + near_count, cfg.pos_per_cluster)
+    pos_slot, pick = draw_subsamples(rng, in_cluster + near_count, quota)
     near = pick >= in_cluster[pos_slot]
     pos_a, pos_b = np.empty((2, pick.size), dtype=np.int64)
     i, j = _triangle_pairs(n[pos_slot[~near]], pick[~near])
@@ -313,7 +310,7 @@ def mine_epoch(partition: np.ndarray, ranks: ClusterRanks, cooc: CooccurrenceSet
     k = (np.cumsum(near_count) - near_count - in_cluster)[pos_slot[near]] + pick[near]
     pos_a[near], pos_b[near] = near_a[k], near_b[k]
 
-    neg_slot, pick = draw_subsamples(rng, far_count + video_count, cfg.neg_per_cluster)
+    neg_slot, pick = draw_subsamples(rng, far_count + video_count, quota)
     video = pick >= far_count[neg_slot]
     # offsets into far_a + video_a of each slot's NegC and NVid candidates
     far_start = np.cumsum(far_count) - far_count

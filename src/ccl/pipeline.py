@@ -126,10 +126,8 @@ _SECTIONS = {
     "pipeline": ("", "", ("partition_index", "num_clusters", "eval_level", "backend", "seed",
                           "video_correction")),
     "sources": ("mining", "use_", ("pos_cluster", "neg_cluster", "neg_video")),
-    "mining": ("mining", "", ("z_near", "z_far", "small_cluster_threshold",
-                              "clusters_per_batch", "pos_per_cluster", "neg_per_cluster")),
-    "train": ("training", "", ("epochs", "lr", "lr_drop_epoch", "lr_drop_factor", "beta1",
-                               "beta2", "adam_eps", "hidden_dim", "out_dim", "margin")),
+    "mining": ("mining", "", ("z_near", "z_far")),
+    "train": ("training", "", ("epochs", "lr", "hidden_dim", "out_dim")),
 }
 
 

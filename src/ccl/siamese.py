@@ -5,12 +5,12 @@ for positive and y=1 for negative pairs, margin m, and pair distance d
 
     loss = 1/2 * ((1 - y) * d^2 + y * max(0, m - d)^2),
 
-is minimized with Adam over mined pair batches. d is the Euclidean
-distance between the projected pair, sqrt(sum((p1 - p2)^2)), and
-`_pair_loss` is the one implementation of this loss. Gradients are computed
-analytically, including the flow through batch statistics and the summed
-contribution of both branches; at the hinge boundary d == m the zero branch
-is taken.
+is minimized with Adam over mined pair batches, with m = ``MARGIN``. d is
+the Euclidean distance between the projected pair, sqrt(sum((p1 - p2)^2)),
+and `_pair_loss` is the one implementation of this loss. Gradients are
+computed analytically, including the flow through batch statistics and the
+summed contribution of both branches; at the hinge boundary d == m the zero
+branch is taken.
 
 Train mode has no nonlinearity. A step stacks both branches into R rows x
 (R = 2 * pairs), centres them on their column means for the batch
@@ -21,8 +21,9 @@ which the mean and the offset bn_beta @ proj_w + proj_b of every row cancel:
 
 where var_j = w_j' C w_j is the batch variance of hidden unit j, read from
 the D x D covariance C = x_c' x_c / R. Only C and delta' @ d(loss)/d(diff)
-sum over batch rows; the other products are D x H, H x O and D x O, and no
-R x H activations are formed. The gradients of enc_b, bn_beta and proj_b
+sum over batch rows, the latter in order over chunks of ``GRAD_CHUNK_ROWS``
+pairs; the other products are D x H, H x O and D x O, and no R x H
+activations are formed. The gradients of enc_b, bn_beta and proj_b
 are exactly zero, so training leaves those tensors as they were. var_j read
 from C carries an absolute error of order eps * |w_j|' |C| |w_j|, which
 matters only for a hidden unit nearly orthogonal to a batch of fewer rows
@@ -74,6 +75,20 @@ _PARAM_BYTES = 64
 _EMBED_BYTES = 8
 _EMBED_BLOCK_BYTES = 32
 
+# The paper's fixed training settings, read at call time: the learning rate
+# divides by LR_DROP_FACTOR from epoch LR_DROP_EPOCH on; Adam's moment decays
+# and eps (Kingma & Ba, arXiv:1412.6980); the contrastive margin m.
+LR_DROP_EPOCH = 15
+LR_DROP_FACTOR = 10.0
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+MARGIN = 1.0
+# A step sums d(loss)/dM over its pairs in order, one product per chunk of
+# this many pairs: a fixed order, so a batch's gradient does not depend on
+# how the BLAS splits one long product over its threads.
+GRAD_CHUNK_ROWS = 256
+
 
 @dataclass
 class SiameseModel:
@@ -85,7 +100,7 @@ class SiameseModel:
     bn_var: np.ndarray
     proj_w: np.ndarray
     proj_b: np.ndarray
-    margin: float = 1.0
+    margin: float = MARGIN
     bn_eps: float = 1e-5
     bn_momentum: float = 0.1
 
@@ -113,42 +128,22 @@ class SiameseModel:
 class TrainConfig:
     epochs: int = 20
     lr: float = 1e-5
-    lr_drop_epoch: int = 15
-    lr_drop_factor: float = 10.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     hidden_dim: int = 256
     out_dim: int = 2
-    margin: float = 1.0
 
     def validate(self) -> None:
         for key, low in (("epochs", 0), ("hidden_dim", 1), ("out_dim", 1)):
             if getattr(self, key) < low:
                 raise ValueError(f"train.{key} must be >= {low}, got {getattr(self, key)}")
-        for key in ("lr", "lr_drop_factor", "margin"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"train.{key} must be positive, got {getattr(self, key)}")
-        for key in ("beta1", "beta2"):
-            if not 0 <= getattr(self, key) < 1:
-                raise ValueError(f"train.{key} must lie in [0, 1), got {getattr(self, key)}")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError(f"train.adam_eps must be positive and finite, got {self.adam_eps}")
-        # the float32 step adds adam_eps and squares the hinge, which is at most margin
-        largest = float(np.finfo(np.float32).max)
-        if self.adam_eps > largest:
-            raise ValueError(f"train.adam_eps must be finite in float32 (at most "
-                             f"{largest:.8g}), got {self.adam_eps}")
-        if not (self.margin <= largest and float(np.float32(self.margin)) ** 2 <= largest):
-            raise ValueError(f"train.margin must keep the squared hinge finite in float32 "
-                             f"(at most {math.sqrt(largest):.7g}), got {self.margin}")
+        if not self.lr > 0:
+            raise ValueError(f"train.lr must be positive, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"training seed must be >= 0, got {self.seed}")
 
 
 def init_model(dim_in: int, hidden_dim: int = 256, out_dim: int = 2,
-               margin: float = 1.0, seed: int = 0, dtype=np.float32) -> SiameseModel:
+               margin: float = MARGIN, seed: int = 0, dtype=np.float32) -> SiameseModel:
     """Uniform(+-1/sqrt(fan_in)) weights, zero biases, identity batch norm."""
     rng = np.random.default_rng(seed)
     enc_scale = 1.0 / np.sqrt(dim_in)
@@ -255,7 +250,9 @@ def _train_step(model: SiameseModel, x: np.ndarray, n: int, y: np.ndarray, grads
     diff *= coef[:, None]  # now d(loss)/d(diff)
 
     # diff was delta @ M with M = enc_w @ diag(scale) @ proj_w; gm = d(loss)/dM
-    gm = delta.T @ diff
+    gm = delta[:GRAD_CHUNK_ROWS].T @ diff[:GRAD_CHUNK_ROWS]
+    for start in range(GRAD_CHUNK_ROWS, n, GRAD_CHUNK_ROWS):
+        gm += delta[start:start + GRAD_CHUNK_ROWS].T @ diff[start:start + GRAD_CHUNK_ROWS]
     g_scaled_proj = model.enc_w.T @ gm
     np.multiply(g_scaled_proj, scale[:, None], out=grads["proj_w"])
     g_scale = np.einsum("ho,ho->h", g_scaled_proj, model.proj_w)
@@ -279,8 +276,7 @@ class _Adam:
     never move them, so it keeps no state for them.
     """
 
-    def __init__(self, cfg: TrainConfig, model: SiameseModel):
-        self.cfg = cfg
+    def __init__(self, model: SiameseModel):
         self.step_count = 0
         self.param = np.concatenate([getattr(model, name).ravel() for name in OPTIMIZED],
                                     dtype=model.dtype)
@@ -294,23 +290,22 @@ class _Adam:
             setattr(model, name, view)
 
     def step(self, lr: float) -> None:
-        cfg = self.cfg
         self.step_count += 1
         t = self.step_count
         grad, m, v, a = self.grad, self.m, self.v, self.scratch
         # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-        m *= cfg.beta1
-        m += np.multiply(grad, 1 - cfg.beta1, out=a)
-        v *= cfg.beta2
-        np.multiply(grad, 1 - cfg.beta2, out=a)
+        m *= BETA1
+        m += np.multiply(grad, 1 - BETA1, out=a)
+        v *= BETA2
+        np.multiply(grad, 1 - BETA2, out=a)
         a *= grad
         v += a
         # param -= lr * sqrt(1 - beta2^t) / (1 - beta1^t) * m / (sqrt(v) + eps * sqrt(1 - beta2^t))
-        root = math.sqrt(1 - cfg.beta2 ** t)
+        root = math.sqrt(1 - BETA2 ** t)
         np.sqrt(v, out=a)
-        a += cfg.adam_eps * root
+        a += ADAM_EPS * root
         np.divide(m, a, out=a)
-        a *= lr * root / (1 - cfg.beta1 ** t)
+        a *= lr * root / (1 - BETA1 ** t)
         self.param -= a
 
 
@@ -348,8 +343,8 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     """Run Adam over cfg.epochs epochs of mined batches.
 
     mining_factory(epoch) must yield PairBatch objects whose indices address
-    fs rows. The learning rate divides by lr_drop_factor from lr_drop_epoch
-    on. With epochs=0 the freshly initialized model is returned unchanged.
+    fs rows, in batches of any size. The learning rate divides by
+    LR_DROP_FACTOR from LR_DROP_EPOCH on. With epochs=0 the freshly initialized model is returned unchanged.
     A given model is updated and returned; its tensors are replaced by new
     arrays, so arrays it held before are left as they were; its enc_b,
     bn_beta and proj_b, left out of the step, change its loss only by
@@ -360,17 +355,17 @@ def train(fs: FeatureSet, mining_factory, cfg: TrainConfig,
     cfg.validate()
     if model is None:
         check_model_memory(fs.dim, cfg)
-        model = init_model(fs.dim, cfg.hidden_dim, cfg.out_dim, cfg.margin, seed=cfg.seed)
+        model = init_model(fs.dim, cfg.hidden_dim, cfg.out_dim, MARGIN, seed=cfg.seed)
     if model.dim_in != fs.dim:
         raise ValueError(f"model expects dim {model.dim_in}, features have {fs.dim}")
 
     features = fs.features.astype(model.dtype, copy=False)
-    optimizer = _Adam(cfg, model)
+    optimizer = _Adam(model)
     model.bn_mean = model.bn_mean.astype(model.dtype)
     model.bn_var = model.bn_var.astype(model.dtype)
     try:
         for epoch in range(cfg.epochs):
-            lr = cfg.lr / cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else cfg.lr
+            lr = cfg.lr / LR_DROP_FACTOR if epoch >= LR_DROP_EPOCH else cfg.lr
             # the epoch's batches are freed when it returns, before the next epoch is mined
             losses = _train_epoch(model, features, mining_factory(epoch), optimizer, lr, epoch)
             if loss_log is not None:

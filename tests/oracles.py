@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ccl import kmeans
+from ccl import kmeans, mining, siamese
 from ccl.data import sq_distances
 from ccl.kmeans import _kmeanspp
 from ccl.labeling import relabel_contiguous
@@ -473,7 +473,7 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
     pairs = pair_set(cooc)
     rng = np.random.default_rng([cfg.seed, epoch])
     order = rng.permutation(m)
-    per_batch = cfg.clusters_per_batch
+    per_batch = mining.CLUSTERS_PER_BATCH
     num_batches = -(-m // per_batch)
     reps = -(-num_batches * per_batch // m)
     slots = np.tile(order, reps)[: num_batches * per_batch].tolist()
@@ -485,7 +485,7 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
                           for j in range(i + 1, len(mem))] if cfg.use_pos_cluster else [])
     near_slots = [s for s, c in enumerate(slots)
                   if cfg.use_pos_cluster and ranks.nearest[c].size
-                  and len(members[c]) < cfg.small_cluster_threshold]
+                  and len(members[c]) < mining.SMALL_CLUSTER_THRESHOLD]
     picks = _bounded(rng, [ranks.nearest[slots[s]].size for s in near_slots])
     near = [int(ranks.nearest[slots[s]][p]) for s, p in zip(near_slots, picks)]
     picks = iter(_bounded(rng, [len(members[g]) for s, g in zip(near_slots, near)
@@ -514,10 +514,10 @@ def naive_mine_epoch(partition, ranks, cooc, cfg, epoch: int = 0) -> list[PairBa
             negatives[s].extend((i, j, NEG_VIDEO) for i, j in _naive_touching(pairs, members[c]))
 
     chosen = []
-    for candidates, quota in ((positives, cfg.pos_per_cluster),
-                              (negatives, cfg.neg_per_cluster)):
+    for candidates in (positives, negatives):
         listed = [rows for rows in candidates if rows]
-        picked = iter(naive_draw_subsamples(rng, [len(rows) for rows in listed], quota))
+        picked = iter(naive_draw_subsamples(rng, [len(rows) for rows in listed],
+                                            mining.PAIRS_PER_KIND))
         chosen.append([[rows[k] for k in next(picked)] if rows else [] for rows in candidates])
     batches = []
     for start in range(0, len(slots), per_batch):
@@ -590,35 +590,35 @@ def _textbook_running_stats(model, cache) -> None:
 
 
 class TextbookAdam:
-    """Adam with bias correction, one parameter tensor at a time."""
+    """Adam with bias correction, one parameter tensor at a time, with the
+    program's constants read at call time."""
 
-    def __init__(self, cfg, params):
-        self.cfg = cfg
+    def __init__(self, params):
         self.step_count = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, model, grads, lr) -> None:
-        cfg = self.cfg
+        beta1, beta2 = siamese.BETA1, siamese.BETA2
         self.step_count += 1
         t = self.step_count
         for name, g in grads.items():
-            m = self.m[name] = cfg.beta1 * self.m[name] + (1 - cfg.beta1) * g
-            v = self.v[name] = cfg.beta2 * self.v[name] + (1 - cfg.beta2) * g * g
-            mhat = m / (1 - cfg.beta1 ** t)
-            vhat = v / (1 - cfg.beta2 ** t)
+            m = self.m[name] = beta1 * self.m[name] + (1 - beta1) * g
+            v = self.v[name] = beta2 * self.v[name] + (1 - beta2) * g * g
+            mhat = m / (1 - beta1 ** t)
+            vhat = v / (1 - beta2 ** t)
             param = getattr(model, name)
             setattr(model, name,
-                    (param - lr * mhat / (np.sqrt(vhat) + cfg.adam_eps)).astype(param.dtype))
+                    (param - lr * mhat / (np.sqrt(vhat) + siamese.ADAM_EPS)).astype(param.dtype))
 
 
 def textbook_train(fs, mining_factory, cfg, model, loss_log: list) -> None:
     """Reference training loop: updates ``model`` by rebinding fresh arrays
     after every step and appends each epoch's mean loss to ``loss_log``."""
     features = fs.features.astype(model.dtype)
-    optimizer = TextbookAdam(cfg, model.params())
+    optimizer = TextbookAdam(model.params())
     for epoch in range(cfg.epochs):
-        lr = cfg.lr / cfg.lr_drop_factor if epoch >= cfg.lr_drop_epoch else cfg.lr
+        lr = cfg.lr / siamese.LR_DROP_FACTOR if epoch >= siamese.LR_DROP_EPOCH else cfg.lr
         losses = []
         for batch in mining_factory(epoch):
             loss, grads, cache = textbook_loss_and_gradients(

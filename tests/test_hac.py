@@ -1,5 +1,9 @@
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +220,41 @@ def test_half_norm_tiles_build_the_doubled_tile_matrix_bitwise(n, d, dtype, kind
     sq = sq_norms(rows)
     want = doubled_tile_half_sq_distances(rows, sq, hac._TILE_ROWS, hac._TILE_COLS)
     assert square(_half_sq_distances(rows, sq), n).tobytes() == want.tobytes()
+
+
+# Prints a sha256 of each case's matrix entries, read row by row through
+# _read_row: the padding of the last row group is np.empty, never read, and
+# differs between processes.
+WARD_ENTRIES_SCRIPT = """
+import hashlib
+import numpy as np
+from ccl.data import sq_norms
+from ccl.hac import _GROUP, _group_starts, _half_sq_distances, _read_row
+for n, d, dtype in ((7, 2, "float64"), (1003, 2, "float32"), (1003, 8, "float64"),
+                    (600, 512, "float32"), (1003, 1024, "float64")):
+    rows = np.random.default_rng(n * d).normal(size=(n, d)).astype(dtype)
+    t, start = _half_sq_distances(rows, sq_norms(rows)), _group_starts(n)
+    out, digest = np.empty(-(-n // _GROUP) * _GROUP, np.float32), hashlib.sha256()
+    for slot in range(n):
+        digest.update(_read_row(t, start, slot, n, out).tobytes())
+    print(n, d, dtype, digest.hexdigest())
+"""
+
+
+def test_ward_matrix_does_not_depend_on_the_blas_thread_count():
+    """The matrix entries at low and high D are identical at 1 and 2 BLAS
+    threads, each count in a fresh process."""
+    path = [str(Path(hac.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+                   **{name: threads for name in
+                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        result = subprocess.run([sys.executable, "-c", WARD_ENTRIES_SCRIPT], capture_output=True,
+                                text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout.splitlines())
+    assert len(printed[0]) == 5 and printed[0] == printed[1]
 
 
 @settings(max_examples=100, deadline=None)

@@ -63,7 +63,7 @@ def test_rank_clusters_matches_sort_oracle(monkeypatch):
         monkeypatch.setattr(data, "BLOCK_ROWS", rows)
         for case in (means, duplicated):
             unit = case / np.linalg.norm(case, axis=1)[:, None]
-            ranks = rank_clusters(case, z_near=10, z_far=10)
+            ranks = rank_clusters(unit, z_near=10, z_far=10)
             for c in range(50):
                 dist = [(float(np.linalg.norm(unit[c] - unit[j])), j) for j in range(50) if j != c]
                 by_near = [j for _, j in sorted(dist, key=lambda t: (t[0], t[1]))]
@@ -72,9 +72,14 @@ def test_rank_clusters_matches_sort_oracle(monkeypatch):
                 assert ranks.farthest[c].tolist() == by_far[:10]
 
 
+def unit_means(m, d, seed):
+    means = np.random.default_rng(seed).normal(size=(m, d))
+    return means / np.linalg.norm(means, axis=1)[:, None]
+
+
 def test_rank_clusters_sorts_a_block_of_rows_at_a_time():
     m = 2000
-    means = np.random.default_rng(0).normal(size=(m, 16))
+    means = unit_means(m, 16, 0)
     tracemalloc.start()
     try:
         rank_clusters(means, z_near=25, z_far=25)
@@ -86,10 +91,23 @@ def test_rank_clusters_sorts_a_block_of_rows_at_a_time():
     assert peak < 1.5 * 8 * m * m
 
 
+def test_rank_clusters_never_hold_the_m_by_m_distances():
+    m = 4000  # an M x M float64 matrix would be 122 MiB
+    means = unit_means(m, 16, 1)
+    tracemalloc.start()
+    try:
+        rank_clusters(means, z_near=25, z_far=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block's distances, its negation and its argsort: 8 bytes each per entry
+    assert peak < 4 * 8 * data.BLOCK_ROWS * m
+
+
 @pytest.mark.parametrize("m, z", [(2, 25), (50, 10), (300, 25)])
 def test_rank_clusters_own_their_m_by_z_columns(m, z):
     # Views of the M x M argsorts would keep 16 M^2 bytes alive for as long as the ranks.
-    ranks = rank_clusters(np.random.default_rng(m).normal(size=(m, 4)), z_near=z, z_far=z)
+    ranks = rank_clusters(unit_means(m, 4, m), z_near=z, z_far=z)
     cols = min(z, m - 1)
     for order in (ranks.nearest, ranks.farthest):
         assert order.base is None and order.flags.owndata
@@ -198,8 +216,6 @@ def test_single_cluster_partition_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MiningConfig(pos_per_cluster=10, neg_per_cluster=25).validate()
-    with pytest.raises(ValueError):
         MiningConfig(use_pos_cluster=False, use_neg_cluster=False,
                      use_neg_video=False).validate()
     MiningConfig().validate()
@@ -259,13 +275,16 @@ def test_mine_epoch_matches_naive_oracle(seed, kind, density, toggles, epoch):
     quota = int(rng.integers(1, 40))
     cfg = MiningConfig(
         z_near=int(rng.integers(1, 5)), z_far=int(rng.integers(1, 5)),
-        small_cluster_threshold=int(rng.integers(1, 12)),
-        clusters_per_batch=int(rng.integers(1, 5)),
-        pos_per_cluster=quota, neg_per_cluster=quota, seed=int(rng.integers(0, 100)),
+        seed=int(rng.integers(0, 100)),
         use_pos_cluster=toggles[0], use_neg_cluster=toggles[1], use_neg_video=toggles[2])
     ranks = rank_clusters(cluster_means(points, labels), cfg.z_near, cfg.z_far)
-    ours = mine_epoch(labels, ranks, cooc, cfg, epoch)
-    expected = naive_mine_epoch(labels, ranks, cooc, cfg, epoch)
+    # the oracle reads the same constants at call time
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mining, "SMALL_CLUSTER_THRESHOLD", int(rng.integers(1, 12)))
+        patch.setattr(mining, "CLUSTERS_PER_BATCH", int(rng.integers(1, 5)))
+        patch.setattr(mining, "PAIRS_PER_KIND", quota)
+        ours = mine_epoch(labels, ranks, cooc, cfg, epoch)
+        expected = naive_mine_epoch(labels, ranks, cooc, cfg, epoch)
     assert len(ours) == len(expected)
     for got, want in zip(ours, expected):
         for name in ("a", "b", "y", "source"):
@@ -380,15 +399,13 @@ def test_epoch_larger_than_memory_is_refused_before_allocating(monkeypatch):
     labels = np.repeat(np.arange(2), 5)
     ranks = rank_clusters(np.eye(2), z_near=1, z_far=1)
     # 2,000 slots of 2 clusters: 100,000 pairs, several MiB when mined
-    cfg = MiningConfig(clusters_per_batch=2000)
+    monkeypatch.setattr(mining, "CLUSTERS_PER_BATCH", 2000)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=r"^an epoch of 2000 cluster slots \(mining\."
-                                             r"clusters_per_batch = 2000 per batch\) with up "
-                                             r"to 50 pairs each \(mining\.pos_per_cluster \+ "
-                                             r"mining\.neg_per_cluster\) may need \d+ bytes, "
+        with pytest.raises(ValueError, match=r"^an epoch of 2 clusters in 2000 cluster slots "
+                                             r"with up to 50 pairs each may need \d+ bytes, "
                                              r"more than the 1048576 bytes of physical memory$"):
-            mine_epoch(labels, ranks, CooccurrenceSet(), cfg)
+            mine_epoch(labels, ranks, CooccurrenceSet(), MiningConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -407,7 +424,8 @@ def test_mine_epoch_never_lists_the_pairs_of_a_cluster():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert len(batches) == 1 and len(batches[0]) == 2 * cfg.clusters_per_batch * cfg.pos_per_cluster
+    assert len(batches) == 1
+    assert len(batches[0]) == 2 * mining.CLUSTERS_PER_BATCH * mining.PAIRS_PER_KIND
     giant = batches[0].source == "PosC"
     a, b = batches[0].a[giant], batches[0].b[giant]
     assert np.all(labels[a] == 0) and np.all(labels[b] == 0) and np.all(a < b)

@@ -346,11 +346,26 @@ def test_values_naming_a_removed_training_variant_are_refused(key):
         config_from_values({key: True})
 
 
+# the keys of the paper's fixed settings, which are now module constants
+FIXED_SETTING_KEYS = ["mining.small_cluster_threshold", "mining.clusters_per_batch",
+                      "mining.pos_per_cluster", "mining.neg_per_cluster", "train.lr_drop_epoch",
+                      "train.lr_drop_factor", "train.beta1", "train.beta2", "train.adam_eps",
+                      "train.margin"]
+
+
+@pytest.mark.parametrize("key", FIXED_SETTING_KEYS)
+def test_a_key_of_a_fixed_setting_is_refused_naming_file_and_line(tmp_path, key):
+    path = tmp_path / "ccl.cfg"
+    path.write_text(f"train.epochs = 2\n{key} = 1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: unknown config key '{key}'$"):
+        parse_config_file(path)
+
+
 def test_config_file_accepts_an_int_for_a_float(tmp_path):
     path = tmp_path / "ccl.cfg"
-    path.write_text("train.lr = 1\ntrain.margin = 2\n")
+    path.write_text("train.lr = 1\n")
     cfg = config_from_values(parse_config_file(path))
-    assert cfg.training.lr == 1 and cfg.training.margin == 2
+    assert cfg.training.lr == 1
 
 
 def test_config_validation():

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccl import data, memory, siamese
@@ -288,6 +288,16 @@ def error_scales(model, x1, x2, y):
 
 
 @settings(max_examples=200, deadline=None)
+# batches of one whole GRAD_CHUNK_ROWS = 256 chunk, of one chunk and a pair,
+# and of several with a partial last one
+@example(seed=256, dims=(64, 32, 16), pairs=256, margin=1.0, dtype=np.float32)
+@example(seed=256, dims=(64, 32, 16), pairs=256, margin=1.0, dtype=np.float64)
+@example(seed=257, dims=(64, 32, 16), pairs=257, margin=1.0, dtype=np.float32)
+@example(seed=257, dims=(64, 32, 16), pairs=257, margin=1.0, dtype=np.float64)
+@example(seed=600, dims=(64, 32, 16), pairs=600, margin=1.0, dtype=np.float32)
+@example(seed=600, dims=(64, 32, 16), pairs=600, margin=1.0, dtype=np.float64)
+@example(seed=1000, dims=(64, 32, 16), pairs=1000, margin=1.0, dtype=np.float32)
+@example(seed=1000, dims=(64, 32, 16), pairs=1000, margin=1.0, dtype=np.float64)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 64)] * 3),
        pairs=st.integers(1, 40), margin=st.floats(0.1, 3.0),
        dtype=st.sampled_from([np.float32, np.float64]))
@@ -350,28 +360,30 @@ def test_train_matches_textbook_loop_within_tolerance(seed, dims, batch_sizes, e
     if given_model:  # non-zero tensors that training must still leave as given
         for name in ZERO_GRADIENT:
             getattr(start, name)[:] = rng.normal(size=getattr(start, name).shape)
-    # Adam moves a parameter by up to lr * (gradient error) / adam_eps per
-    # step; at the default adam_eps a round-off difference in a near-zero
+    # Adam moves a parameter by up to lr * (gradient error) / ADAM_EPS per
+    # step; at the default ADAM_EPS a round-off difference in a near-zero
     # gradient becomes a step of up to lr, so the comparison uses an
-    # adam_eps at which that factor is 10
-    cfg = TrainConfig(epochs=epochs, lr=1e-2, lr_drop_epoch=lr_drop_epoch, seed=seed % 1000,
-                      hidden_dim=hidden, out_dim=out, adam_eps=1e-3)
+    # ADAM_EPS at which that factor is 10; the textbook reads the same constants
+    cfg = TrainConfig(epochs=epochs, lr=1e-2, seed=seed % 1000, hidden_dim=hidden, out_dim=out)
     tol = 2 ** 12 * np.finfo(start.dtype).eps
 
-    reference = copy.deepcopy(start)
-    expected_losses = []
-    textbook_train(fs, factory, cfg, reference, expected_losses)
-    losses = []
-    if given_model:
-        model = copy.deepcopy(start)
-        before = {name: getattr(model, name) for name in STATE}
-        originals = {name: arr.copy() for name, arr in before.items()}
-        assert train(fs, factory, cfg, model=model, loss_log=losses) is model
-        for name in STATE:
-            assert before[name].tobytes() == originals[name].tobytes()
-            assert getattr(model, name).base is None
-    else:
-        model = train(fs, factory, cfg, loss_log=losses)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(siamese, "ADAM_EPS", 1e-3)
+        patch.setattr(siamese, "LR_DROP_EPOCH", lr_drop_epoch)
+        reference = copy.deepcopy(start)
+        expected_losses = []
+        textbook_train(fs, factory, cfg, reference, expected_losses)
+        losses = []
+        if given_model:
+            model = copy.deepcopy(start)
+            before = {name: getattr(model, name) for name in STATE}
+            originals = {name: arr.copy() for name, arr in before.items()}
+            assert train(fs, factory, cfg, model=model, loss_log=losses) is model
+            for name in STATE:
+                assert before[name].tobytes() == originals[name].tobytes()
+                assert getattr(model, name).base is None
+        else:
+            model = train(fs, factory, cfg, loss_log=losses)
     assert len(losses) == len(expected_losses)
     for got, want in zip(losses, expected_losses):
         assert abs(got - want) <= tol * abs(want), (got, want)
@@ -397,7 +409,7 @@ def test_train_step_on_the_hinge_moves_no_trainable_tensor():
     start = init_model(fs.dim, 16, 2, seed=5)
     margin = float(pair_distances(start, fs.features[a], fs.features[b])[1])
     start.margin = margin
-    cfg = TrainConfig(epochs=2, lr=1e-2, seed=5, hidden_dim=16, margin=margin)
+    cfg = TrainConfig(epochs=2, lr=1e-2, seed=5, hidden_dim=16)
     losses = []
     model = train(fs, constant_epoch_factory([PairBatch(a, b, np.array([1, 1]), batch.source[:2])]),
                   cfg, model=copy.deepcopy(start), loss_log=losses)
@@ -434,26 +446,6 @@ def test_train_aborts_on_non_finite_loss():
     with np.errstate(invalid="ignore"):
         with pytest.raises(RuntimeError, match="non-finite"):
             train(fs, constant_epoch_factory(batches), cfg, model=model)
-
-
-F32_MAX = float(np.finfo(np.float32).max)
-# the largest float32 margin whose float32 square is finite: just below 2**64
-F32_MARGIN = float(np.nextafter(np.float32(2.0**64), np.float32(0)))
-
-
-@pytest.mark.parametrize("key, value", [
-    ("adam_eps", 1e300), ("adam_eps", 2 * F32_MAX), ("adam_eps", 0.0),
-    ("margin", 1e20), ("margin", 2.0**64), ("margin", math.inf),
-])
-def test_train_config_refuses_values_float32_training_cannot_hold(key, value):
-    with pytest.raises(ValueError, match=f"^train.{key} must "):
-        TrainConfig(**{key: value}).validate()
-
-
-@pytest.mark.parametrize("key, value", [("adam_eps", F32_MAX), ("adam_eps", 1e-50),
-                                        ("margin", F32_MARGIN)])
-def test_train_config_accepts_float32_extremes(key, value):
-    TrainConfig(**{key: value}).validate()
 
 
 def test_diverging_training_is_one_error_and_no_numpy_warning():
